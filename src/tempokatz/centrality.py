@@ -11,6 +11,7 @@ checked against the edge-level route in the test suite.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import scipy.sparse.linalg as spla
 from . import matfun
 from .line_space import Mode, global_source_target, global_transition
 from .matfun import DEFAULT_RMAX, DEFAULT_TOL, apply_series, partial_op, resolvent_solve
-from .spectral import alpha_bound, deg_matrices
+from .spectral import deg_matrices, mode_bound
 from .temporal_graph import adjacency_matrix
 
 
@@ -49,8 +50,8 @@ def _check_alpha(net, alpha, mode, radius, force):
         raise ParameterError(f"alpha must be nonnegative, got {alpha}")
     if force:
         return
-    bound = alpha_bound(net, mode)
-    sup = radius * bound.ell
+    ell, _ = mode_bound(net, mode)
+    sup = radius * ell
     if alpha >= sup:
         raise ParameterError(
             f"alpha={alpha} outside the admissible interval (0, {sup}) "
@@ -58,11 +59,15 @@ def _check_alpha(net, alpha, mode, radius, force):
         )
 
 
-def _node_solve(A, alpha, v):
-    """Solve (I - alpha A) x = v at node level."""
-    n = A.shape[0]
-    sys = sp.csc_array(sp.eye_array(n, format="csc") - alpha * A)
-    return np.asarray(spla.spsolve(sys, v)).ravel()
+def _node_solve(P, v):
+    """Solve the n x n system P x = v; a non-finite solution raises SolveError."""
+    with warnings.catch_warnings():
+        # a singular system surfaces through the finiteness check below
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        x = np.asarray(spla.spsolve(sp.csc_array(P), v)).ravel()
+    if not np.isfinite(x).all():
+        raise matfun.SolveError("node-level solve is not finite (system singular?)")
+    return x
 
 
 def dynamic_katz_node_level(net, alpha, force=False):
@@ -71,7 +76,7 @@ def dynamic_katz_node_level(net, alpha, force=False):
     _check_alpha(net, alpha, Mode.STANDARD, 1.0, force)
     y = np.ones(net.n)
     for tau in range(net.N, 0, -1):
-        y = _node_solve(adjacency_matrix(net, tau), alpha, y)
+        y = _node_solve(sp.eye_array(net.n) - alpha * adjacency_matrix(net, tau), y)
     return CentralityVector(
         values=y,
         measure="total-communicability",
@@ -91,10 +96,7 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     for tau in range(net.N, 0, -1):
         A = adjacency_matrix(net, tau)
         D, S = deg_matrices(A)
-        P = sp.csc_array(
-            eye - alpha * A + alpha**2 * (D - eye) + alpha**3 * (A - S)
-        )
-        y = np.asarray(spla.spsolve(P, y)).ravel()
+        y = _node_solve(eye - alpha * A + alpha**2 * (D - eye) + alpha**3 * (A - S), y)
     y *= (1.0 - alpha**2) ** net.N
     return CentralityVector(
         values=y,

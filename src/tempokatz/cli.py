@@ -33,7 +33,7 @@ from .line_space import (
     line_graph_matrix,
 )
 from .matfun import SolveError
-from .spectral import NonConvergenceError, alpha_bound
+from .spectral import alpha_bound, mode_bound
 from .temporal_graph import (
     ParseError,
     ParseReport,
@@ -136,11 +136,11 @@ def cmd_rank(args):
     net, _ = _parse_input(args.input)
     mode = _MODES[args.mode]
     f = _load_function(args.function)
-    bound = alpha_bound(net, mode)
-    if not bound.converged:
+    ell, converged = mode_bound(net, mode)
+    if not converged:
         print("error: spectral radius estimation did not converge", file=sys.stderr)
         return EXIT_NUMERIC
-    sup = f.radius * bound.ell
+    sup = f.radius * ell
     if args.alpha >= sup and not args.force:
         print(
             f"error: alpha={args.alpha} is outside the admissible interval "
@@ -167,7 +167,7 @@ def cmd_rank(args):
                 net, args.alpha, f, mode, tol=args.tol, force=True,
                 threads=_threads(),
             )
-    except (SolveError, NonConvergenceError) as exc:
+    except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -177,7 +177,7 @@ def cmd_rank(args):
     rows = [(i, _fmt(values[i]), r) for i, r in zip(order, ranks)]
     meta = {
         "alpha": _fmt(args.alpha),
-        "ell": _fmt(bound.ell),
+        "ell": _fmt(ell),
         "mode": mode.value,
         "function": args.function,
         "measure": args.measure,
@@ -193,11 +193,7 @@ def cmd_rank(args):
 def cmd_check_alpha(args):
     net, _ = _parse_input(args.input)
     mode = _MODES[args.mode]
-    try:
-        bound = alpha_bound(net, mode)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    bound = alpha_bound(net, mode)
     if not bound.converged:
         print("error: spectral radius estimation did not converge", file=sys.stderr)
         return EXIT_NUMERIC

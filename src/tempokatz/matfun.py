@@ -126,7 +126,8 @@ def partial_op(f):
 
 
 def evaluate(f, z, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
-    """Scalar truncated-series evaluation of f at z."""
+    """Scalar truncated-series evaluation of f at z; a polynomial is summed
+    to its degree, an infinite series until a term drops below tol."""
     acc = 0.0
     power = 1.0
     rstop = rmax if f.degree is None else min(rmax, f.degree)
@@ -134,7 +135,8 @@ def evaluate(f, z, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
         c = f(r)
         term = c * power
         acc += term
-        if c > 0 and abs(term) <= tol * max(abs(acc), 1e-300) and r > 0:
+        small = c > 0 and abs(term) <= tol * max(abs(acc), 1e-300)
+        if f.degree is None and small and r > 0:
             break
         power *= z
     return acc
@@ -149,9 +151,10 @@ class SeriesResult(NamedTuple):
 def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     """Evaluate sum_r g_r alpha^r M^r v by accumulating sparse mat-vecs.
 
-    Stops when the new term's max-norm drops below tol times the accumulated
-    sum's max-norm, exactly when M annihilates the power vector (nilpotent
-    case), or after rmax terms (flagged as truncated).  The caller is
+    A polynomial is summed to its degree.  An infinite series stops when the
+    new term's max-norm drops below tol times the accumulated sum's max-norm.
+    Either stops exactly when M annihilates the power vector (nilpotent case),
+    or after rmax terms (flagged as truncated).  The caller is
     responsible for alpha being inside radius(g) / rho(M).
     """
     v = np.asarray(v, dtype=float).ravel()
@@ -172,7 +175,7 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
         if c != 0.0:
             acc = acc + c * power
             term_norm = c * np.max(np.abs(power))
-            if term_norm <= tol * max(np.max(np.abs(acc)), 1e-300):
+            if g.degree is None and term_norm <= tol * max(np.max(np.abs(acc)), 1e-300):
                 return SeriesResult(acc, False, terms)
     if g.degree is not None and rstop == g.degree:
         return SeriesResult(acc, False, terms)

@@ -5,6 +5,9 @@ alpha below 1 / max_tau rho(A^[tau]).  For the modes that forbid
 within-snapshot backtracking they converge for alpha below
 min_tau 1 / rho(B^[tau]), which equals the smallest-modulus eigenvalue of a
 cubic matrix polynomial in the adjacency matrix (checked in the test suite).
+A mode's ell uses one family only: ``mode_bound`` computes that one and
+``alpha_bound`` both.  Radii above DENSE_DIRECT_MAX are certified upper
+bounds (Collatz-Wielandt brackets), so ell never exceeds the true supremum.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .line_space import Mode, hashimoto_matrix
+from .line_space import _NBT_DIAGONAL, Mode, hashimoto_matrix
 from .temporal_graph import adjacency_matrix
 
 DEFAULT_TOL = 1e-10
@@ -43,82 +47,66 @@ class AlphaBound:
     converged: bool = True
 
 
-#: up to this dimension the radius is computed by dense eigenvalues outright;
-#: power iteration on nonnormal matrices can satisfy a Rayleigh-increment
-#: stopping rule while still being ~1e-7 away from the true radius
-DENSE_DIRECT_MAX = 512
+#: up to this dimension the radius comes from dense eigenvalues outright;
+#: their cost grows as the cube of the dimension, ~20 ms at 200
+DENSE_DIRECT_MAX = 200
 
-#: above this dimension the dense fallback for stalled iterations is skipped
+#: strongly connected components above this dimension get no dense fallback
 DENSE_FALLBACK_MAX = 4096
-
-#: consecutive stable Rayleigh quotients required before declaring convergence;
-#: guards against transient stagnation on nonnormal (e.g. nilpotent) matrices
-_STABLE_WINDOW = 12
 
 
 def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Dominant eigenvalue modulus of a (nonnegative) sparse matrix.
+    """Dominant eigenvalue modulus of a nonnegative sparse matrix.
 
-    Matrices up to DENSE_DIRECT_MAX are handled by a dense eigenvalue
-    computation, which is exact to machine precision and cheap at that size.
-    Larger ones use power iteration from the all-ones vector, deterministically perturbed if
-    the iteration stalls on a nonzero matrix.  Convergence requires the
-    relative change of the Rayleigh quotient to stay below ``tol`` for a run
-    of consecutive iterations.  If power iteration runs out of iterations
-    (periodic or defective dominant part) a deterministic dense eigenvalue
-    computation is used for matrices up to DENSE_FALLBACK_MAX; beyond that a
-    non-converged result carrying the last iterate is returned.
+    Up to DENSE_DIRECT_MAX it is computed by dense eigenvalues.  Above it the
+    result is a certified upper bound.  The radius is the largest over the
+    strongly connected components, so C keeps only the entries inside them.
+    Power iteration on I + C, primitive on every component even where C is
+    periodic, gives positive x; on each component the Collatz-Wielandt ratios
+    (C x)_i / x_i bracket its radius.  Their maxima give lo <= rho <= hi, and
+    once hi - lo <= tol * hi the value returned is hi, so 1 / value never
+    exceeds 1 / rho.  If the bracket stays open for ``maxit`` iterations, the
+    components that may hold the radius get dense eigenvalues (their Perron
+    roots are simple); one above DENSE_FALLBACK_MAX gives a non-converged hi.
     """
     if m.shape[0] != m.shape[1]:
         raise ValueError("spectral_radius needs a square matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = m.shape[0]
-    if n == 0 or _nnz(m) == 0:
+    coo = sp.coo_array(m)
+    if n == 0 or coo.nnz == 0:
         return RadiusEstimate(0.0, True, 0)
     if n <= DENSE_DIRECT_MAX:
-        dense = np.asarray(m.todense())
+        dense = coo.toarray()
         value = float(np.max(np.abs(np.linalg.eigvals(dense))))
         # tiny moduli on a nilpotent matrix are eigensolver noise
         if value <= 1e-12 * max(1.0, float(np.abs(dense).sum())):
             value = 0.0
         return RadiusEstimate(value, True, 0)
-    v = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    lam_old = np.inf
-    stable = 0
-    perturbed = False
+    ncomp, labels = connected_components(coo, directed=True, connection="strong")
+    inside = labels[coo.row] == labels[coo.col]
+    if not inside.any():
+        return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
+    C = sp.csr_array((coo.data[inside], (coo.row[inside], coo.col[inside])), shape=m.shape)
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(ncomp))
+    x = np.ones(n)
     for it in range(1, maxit + 1):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            if not perturbed:
-                # all-ones landed in the kernel; restart from a fixed ramp
-                v = np.arange(1, n + 1, dtype=float)
-                v /= np.linalg.norm(v)
-                perturbed = True
-                lam_old = np.inf
-                stable = 0
-                continue
-            # nilpotent action: dominant eigenvalue is zero
-            return RadiusEstimate(0.0, True, it)
-        lam = float(v @ w)
-        v = w / norm
-        if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
-            stable += 1
-            if stable >= _STABLE_WINDOW:
-                return RadiusEstimate(abs(lam), True, it)
-        else:
-            stable = 0
-        lam_old = lam
-    if n <= DENSE_FALLBACK_MAX:
-        eigs = np.linalg.eigvals(np.asarray(m.todense()))
-        return RadiusEstimate(float(np.max(np.abs(eigs))), True, maxit)
-    return RadiusEstimate(abs(lam), False, maxit)
-
-
-def _nnz(m):
-    return sp.coo_array(m).nnz
+        y = C @ x
+        ratio = (y / x)[order]
+        lo = float(np.minimum.reduceat(ratio, starts).max())
+        hi_k = np.maximum.reduceat(ratio, starts)
+        hi = float(hi_k.max())
+        if hi - lo <= tol * hi:
+            return RadiusEstimate(hi, True, it)
+        x += y
+        x /= np.maximum.reduceat(x[order], starts)[labels]  # per component, no underflow
+    blocks = [np.flatnonzero(labels == k) for k in np.flatnonzero(hi_k >= lo)]
+    if max(map(len, blocks)) > DENSE_FALLBACK_MAX:
+        return RadiusEstimate(hi, False, maxit)
+    eigs = [np.linalg.eigvals(C[idx][:, idx].toarray()) for idx in blocks]
+    return RadiusEstimate(max(float(np.max(np.abs(e))) for e in eigs), True, maxit)
 
 
 def deg_matrices(a):
@@ -141,41 +129,49 @@ def nbt_radius(snapshot, n, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     est = spectral_radius(B, tol=tol, maxit=maxit)
     if not est.converged:
         raise NonConvergenceError(est)
-    if est.value == 0.0:
-        return math.inf
-    return 1.0 / est.value
+    return _reciprocal(est.value)
 
 
 class NonConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations; carries the last estimate."""
+    """The radius bracket stayed open; carries the last estimate."""
 
     def __init__(self, estimate):
         super().__init__(
-            f"power iteration did not converge in {estimate.iterations} iterations "
+            f"spectral radius did not converge in {estimate.iterations} iterations "
             f"(last value {estimate.value})"
         )
         self.estimate = estimate
 
 
-def alpha_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Admissible interval supremum ell for the given mode.
+def snapshot_radii(net, hashimoto, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+    """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau], tau = 1..N."""
+    def block(tau):
+        if hashimoto:
+            return hashimoto_matrix(net.snapshot(tau), net.n)
+        return adjacency_matrix(net, tau)
+    return [spectral_radius(block(tau), tol, maxit) for tau in range(1, net.N + 1)]
 
-    Standard / NBT-in-time: ell = (max_tau rho(A^[tau]))^-1.
-    NBT-in-space / NBT-both: ell = min_tau 1 / rho(B^[tau]).
-    An all-empty network gives ell = +inf.
-    """
-    per = []
-    converged = True
-    for tau in range(1, net.N + 1):
-        snap = net.snapshot(tau)
-        est_a = spectral_radius(adjacency_matrix(net, tau), tol=tol, maxit=maxit)
-        est_b = spectral_radius(hashimoto_matrix(snap, net.n), tol=tol, maxit=maxit)
-        converged = converged and est_a.converged and est_b.converged
-        lam = math.inf if est_b.value == 0.0 else 1.0 / est_b.value
-        per.append((est_a.value, lam))
-    if mode in (Mode.STANDARD, Mode.NBT_TIME):
-        rho = max(r for r, _ in per)
-        ell = math.inf if rho == 0.0 else 1.0 / rho
-    else:
-        ell = min(lam for _, lam in per)
-    return AlphaBound(ell=ell, per_snapshot=tuple(per), mode=mode, converged=converged)
+
+def _reciprocal(rho):
+    return math.inf if rho == 0.0 else 1.0 / rho
+
+
+def mode_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+    """(ell, converged) for ``mode`` from the one family of radii it uses:
+    ell = 1 / max_tau rho(B^[tau]) for NBT-in-space / NBT-both and
+    1 / max_tau rho(A^[tau]) for standard / NBT-in-time."""
+    radii = snapshot_radii(net, mode in _NBT_DIAGONAL, tol, maxit)
+    return _reciprocal(max(e.value for e in radii)), all(e.converged for e in radii)
+
+
+def alpha_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+    """Supremum ell for ``mode`` (see :func:`mode_bound`) with both radii of
+    every snapshot.  An all-empty network gives ell = +inf."""
+    rho_a, rho_b = (snapshot_radii(net, h, tol, maxit) for h in (False, True))
+    own = rho_b if mode in _NBT_DIAGONAL else rho_a
+    return AlphaBound(
+        ell=_reciprocal(max(e.value for e in own)),
+        per_snapshot=tuple((a.value, _reciprocal(b.value)) for a, b in zip(rho_a, rho_b)),
+        mode=mode,
+        converged=all(e.converged for e in rho_a + rho_b),
+    )

@@ -1,7 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+import tempokatz as tk
+from tempokatz import Mode, line_space, spectral
 from tempokatz.cli import main
 
 from conftest import FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE
@@ -262,3 +266,94 @@ def test_threads_env_respected(capsys, fig_file, monkeypatch):
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 4
+
+
+def test_rank_star_above_old_cutoff_needs_force(capsys, tmp_path):
+    # K_{1,600}: ell = 1 / sqrt(600) = 0.0408, so alpha = 0.3 is divergent
+    path = tmp_path / "star.txt"
+    path.write_text("%n 601\n" + "".join(f"0 {k} 1\n{k} 0 1\n" for k in range(1, 601)))
+    code, _, err = run(capsys, "rank", str(path), "--alpha", "0.3")
+    assert code == 2
+    assert "admissible interval" in err
+    code, out, _ = run(capsys, "check-alpha", str(path))
+    assert code == 0
+    ell = float(out.splitlines()[0].split("=")[1])
+    assert ell <= 1 / math.sqrt(600)
+    assert ell == pytest.approx(1 / math.sqrt(600), rel=1e-9)
+
+
+def _count_calls(monkeypatch, module, name, counts, key):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "mode, hashimoto",
+    [("standard", False), ("nbt-time", False), ("nbt-space", True), ("nbt-both", True)],
+)
+def test_rank_computes_only_the_radii_of_its_mode(
+    capsys, fig_file, monkeypatch, mode, hashimoto
+):
+    counts = {"rho_A": 0, "B": 0}
+    # spectral builds A^[tau] only to take its radius
+    _count_calls(monkeypatch, spectral, "adjacency_matrix", counts, "rho_A")
+    _count_calls(monkeypatch, spectral, "hashimoto_matrix", counts, "B")
+    _count_calls(monkeypatch, line_space, "hashimoto_matrix", counts, "B")
+    code, _, _ = run(capsys, "rank", fig_file, "--alpha", "0.2", "--mode", mode)
+    assert code == 0
+    if hashimoto:
+        assert counts["rho_A"] == 0 and counts["B"] > 0
+    else:
+        assert counts["B"] == 0 and counts["rho_A"] > 0
+
+
+def test_check_alpha_prints_both_radii_in_every_mode(capsys, fig_file):
+    with open(fig_file, encoding="utf-8") as fh:
+        bound = tk.alpha_bound(tk.parse_temporal_edgelist(fh), Mode.STANDARD)
+    expected = [
+        f"snapshot {tau}: rho = {rho:.17g} lambda = {lam:.17g}"
+        for tau, (rho, lam) in enumerate(bound.per_snapshot, start=1)
+    ]
+    for mode in ("standard", "nbt-space", "nbt-time", "nbt-both"):
+        code, out, _ = run(capsys, "check-alpha", fig_file, "--mode", mode)
+        assert code == 0
+        assert out.splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("mode", ["standard", "nbt-space"])
+def test_rank_node_level_singular_exits_3(capsys, tmp_path, mode):
+    # I - A is singular on the directed 3-cycle at alpha = 1
+    path = tmp_path / "cycle.txt"
+    path.write_text("0 1 1\n1 2 1\n2 0 1\n")
+    code, out, err = run(
+        capsys, "rank", str(path), "--alpha", "1.0", "--force", "--mode", mode
+    )
+    assert code == 3
+    assert out == ""
+    assert "error" in err
+
+
+def test_rank_polynomial_sums_every_term(capsys, tmp_path):
+    # a tiny coefficient must not end the sum before the polynomial's degree
+    text = "0 1 1\n1 2 1\n2 3 2\n3 0 2\n0 2 3\n"
+    path = tmp_path / "net.txt"
+    path.write_text(text)
+    coeffs = [1, 1, 1e-16, 1, 1, 1]
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("".join(f"{c}\n" for c in coeffs))
+    code, out, _ = run(
+        capsys, "rank", str(path), "--function", f"coeffs:{cpath}", "--alpha", "0.5"
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    values = [value for _, value, _ in sorted(rows)]
+    net = tk.parse_temporal_edgelist(text)
+    counts = tk.enumerate_temporal_walks(net, len(coeffs), Mode.STANDARD)
+    oracle = tk.weighted_walk_sum(counts, tk.polynomial(coeffs), 0.5).sum(axis=1)
+    np.testing.assert_allclose(values, oracle, rtol=1e-14)
+    np.testing.assert_allclose(values, [2.21875, 1.6875, 1.625, 1.5], rtol=1e-14)

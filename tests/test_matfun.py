@@ -170,3 +170,13 @@ def test_coefficient_file(tmp_path):
     bad.write_text("1.0\nnope\n")
     with pytest.raises(ValueError):
         tk.from_coefficient_file(bad)
+
+
+def test_polynomial_summed_to_its_degree():
+    # the r = 2 term is below tol, yet the terms after it are not
+    poly = tk.polynomial([1.0, 1.0, 1e-16, 1.0])
+    assert evaluate(poly, 0.5) == pytest.approx(1.625 + 0.25e-16, rel=1e-15)
+    M = tk.adjacency_matrix(tk.parse_temporal_edgelist("0 1 1\n1 0 1"), 1)
+    result = tk.apply_series(M, 0.5, poly, np.ones(2))
+    assert result.terms == 4 and not result.truncated
+    np.testing.assert_allclose(result.value, 1.625 + 0.25e-16, rtol=1e-15)

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import tempokatz as tk
-from tempokatz import Mode
+from tempokatz import Mode, spectral
 from tempokatz.spectral import NonConvergenceError, RadiusEstimate
 
 from conftest import TRIANGLE, dense_radius, random_network
@@ -172,3 +172,71 @@ def test_nbt_radius_matches_cubic_polynomial():
             cubic_polynomial_min_root(tk.adjacency_matrix(net, 1)), abs=1e-6
         )
         checked += 1
+
+
+def undirected(pairs, n):
+    """One snapshot holding both directions of every pair."""
+    lines = [f"%n {n}"] + [f"{u} {v} 1\n{v} {u} 1" for u, v in pairs]
+    return tk.parse_temporal_edgelist("\n".join(lines))
+
+
+STAR = undirected([(0, k) for k in range(1, 601)], 601)
+K_20_30 = undirected([(u, v) for u in range(20) for v in range(20, 50)], 50)
+CYCLE = undirected([(i, (i + 1) % 700) for i in range(700)], 700)
+
+
+@pytest.mark.parametrize(
+    "net, rho_a, rho_b",
+    [
+        (STAR, math.sqrt(600), 0.0),  # the star's Hashimoto matrix is nilpotent
+        (K_20_30, math.sqrt(600), math.sqrt(19 * 29)),
+        (CYCLE, 2.0, 1.0),
+    ],
+    ids=["star-K1,600", "K20,30", "cycle-700"],
+)
+def test_closed_form_radii_above_old_cutoff(net, rho_a, rho_b):
+    A = tk.adjacency_matrix(net, 1)
+    B = tk.hashimoto_matrix(net.snapshot(1), net.n)
+    assert max(A.shape[0], B.shape[0]) > 512
+    for matrix, rho in ((A, rho_a), (B, rho_b)):
+        est = tk.spectral_radius(matrix)
+        assert est.converged
+        # an upper bound within the bracket tolerance: ell never exceeds 1 / rho
+        assert rho <= est.value <= rho * (1 + 1e-9)
+    lam_b = math.inf if rho_b == 0.0 else 1.0 / rho_b
+    for mode in Mode:
+        bound = tk.alpha_bound(net, mode)
+        assert bound.per_snapshot[0][0] == pytest.approx(rho_a, rel=1e-9)
+        assert bound.per_snapshot[0][1] == pytest.approx(lam_b, rel=1e-9)
+        sup = lam_b if mode in (Mode.NBT_SPACE, Mode.NBT_BOTH) else 1.0 / rho_a
+        assert bound.ell <= sup
+        assert bound.ell == pytest.approx(sup, rel=1e-9)
+
+
+def test_radius_components_do_not_underflow():
+    # an acyclic tail next to the star: its iterates must stay positive while
+    # the star's bracket takes hundreds of iterations to close
+    lines = [f"0 {k} 1\n{k} 0 1" for k in range(1, 601)]
+    lines += [f"{k} {k + 1} 1" for k in range(601, 700)]
+    net = tk.parse_temporal_edgelist("%n 701\n" + "\n".join(lines))
+    est = tk.spectral_radius(tk.adjacency_matrix(net, 1))
+    assert est.converged
+    assert 0 < est.iterations < spectral.DEFAULT_MAXIT
+    assert math.sqrt(600) <= est.value <= math.sqrt(600) * (1 + 1e-9)
+
+
+def test_radius_dense_fallback_when_bracket_stays_open():
+    A = tk.adjacency_matrix(STAR, 1)
+    est = tk.spectral_radius(A, maxit=3)
+    assert est.converged
+    assert est.iterations == 3
+    assert est.value == pytest.approx(math.sqrt(600), rel=1e-12)
+
+
+def test_radius_open_bracket_above_fallback_limit(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX", 600)
+    est = tk.spectral_radius(tk.adjacency_matrix(STAR, 1), maxit=3)
+    assert not est.converged
+    assert est.value >= math.sqrt(600)
+    with pytest.raises(NonConvergenceError):
+        tk.nbt_radius(K_20_30.snapshot(1), K_20_30.n, maxit=3)
