@@ -1,9 +1,13 @@
 """Walk-based centrality measures for temporal networks.
 
-Builds the block upper-triangular edge-space transition matrix of a sequence
-of graph snapshots and evaluates analytic-function walk weightings on it, in
-the standard setting and with backtracking forbidden in space, in time, or
-both.  Node-level fast paths are provided for the resolvent (Katz) family.
+Builds the block upper-triangular edge-space transition matrix M of a
+sequence of graph snapshots, as one product of the stacked incidence
+matrices, and evaluates analytic-function walk weightings on it: in the
+standard setting, and with backtracking forbidden in space, in time, or both.
+A resolvent (Katz) weighting factors I - alpha M once per call; other
+weightings sum the series with sparse products.  Node-level fast paths are
+provided for Katz total communicability in the standard and NBT-in-space
+modes.
 """
 
 from .centrality import (
@@ -16,14 +20,9 @@ from .centrality import (
     temporal_f_total_communicability,
 )
 from .line_space import (
-    EdgeSpaceIndex,
     Mode,
-    cross_hashimoto,
-    cross_transition,
-    edge_space_index,
     global_source_target,
     global_transition,
-    global_transition_operator,
     hashimoto_matrix,
     line_graph_matrix,
     source_target_matrices,

@@ -1,18 +1,23 @@
 """Temporal f-total communicability and f-subgraph centrality in all four
 modes, plus the node-level fast paths available in the resolvent case.
 
-The edge-level route forms the global transition matrix M, applies the
+The edge-level route forms the global transition matrix M once, applies the
 shifted weight function to alpha*M, and projects back to the node space with
-the global source/target matrices.  For resolvent weights (Katz) the standard
-mode collapses to a product of n x n resolvents, and the NBT-in-space mode to
-a product of n x n cubic-polynomial inverses; both fast paths are cross
-checked against the edge-level route in the test suite.
+the global source/target matrices.  Total communicability applies it to the
+all-ones vector; subgraph centrality and the communicability matrix apply it
+to blocks of at most COLUMN_BLOCK columns of R_g.  A resolvent (Katz) weight
+factors I - alpha*delta*M once per call and solves each block; any other
+weight sums its series with sparse x dense block products.
+
+For resolvent weights the standard mode also collapses to a product of n x n
+resolvents, and the NBT-in-space mode to a product of n x n cubic-polynomial
+inverses; both fast paths are cross checked against the edge-level route in
+the test suite.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +26,13 @@ import scipy.sparse.linalg as spla
 
 from . import matfun
 from .line_space import Mode, global_source_target, global_transition
-from .matfun import DEFAULT_RMAX, DEFAULT_TOL, apply_series, partial_op, resolvent_solve
+from .matfun import DEFAULT_RMAX, DEFAULT_TOL, apply_series, partial_op, resolvent_solver
 from .spectral import deg_matrices, mode_bound
 from .temporal_graph import adjacency_matrix
+
+
+#: columns of R_g per block application; bounds the dense m x k work arrays
+COLUMN_BLOCK = 32
 
 
 class ParameterError(ValueError):
@@ -107,18 +116,35 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     )
 
 
-def _apply_shifted(M, alpha, f, v, tol, rmax):
-    """Evaluate (shifted f)(alpha M) v; returns (vector, truncated)."""
+def _shifted(M, alpha, f, tol, rmax):
+    """Return apply(v) -> (value, truncated) evaluating (shifted f)(alpha M) v
+    for a vector or an m x k block v; a resolvent factors once, here."""
     g = partial_op(f)
-    if f.geometric is not None:
-        gamma, delta = f.geometric
-        if gamma * delta == 0.0:
-            return np.zeros_like(np.asarray(v, dtype=float)), False
-        # shifted resolvent is gamma*delta / (1 - delta z): one linear solve
-        x = resolvent_solve(M, alpha * delta, v, tol=tol)
-        return gamma * delta * x, False
-    result = apply_series(M, alpha, g, v, tol=tol, rmax=rmax)
-    return result.value, result.truncated
+    if f.geometric is None:
+
+        def series(v):
+            result = apply_series(M, alpha, g, v, tol=tol, rmax=rmax)
+            return result.value, result.truncated
+
+        return series
+    gamma, delta = f.geometric
+    # shifted resolvent is gamma*delta / (1 - delta z): one factorization
+    solve = resolvent_solver(M, alpha * delta, tol=tol)
+    return lambda v: (gamma * delta * solve(v), False)
+
+
+def _column_blocks(net, alpha, f, mode, tol, rmax):
+    """Yield (nodes, P, truncated) with P = L_g^T (shifted f)(alpha M) R_g[:, nodes]
+    (n x len(nodes)), over blocks of at most COLUMN_BLOCK nodes; nodes that
+    are never a target have a zero column and are left out."""
+    Lg, Rg = global_source_target(net)
+    apply = _shifted(global_transition(net, mode), alpha, f, tol, rmax)
+    Rg = sp.csc_array(Rg)
+    targets = np.flatnonzero(np.diff(Rg.indptr))
+    for start in range(0, len(targets), COLUMN_BLOCK):
+        nodes = targets[start : start + COLUMN_BLOCK]
+        Z, truncated = apply(Rg[:, nodes].toarray())
+        yield nodes, Lg.T @ Z, truncated
 
 
 def temporal_f_total_communicability(
@@ -129,7 +155,7 @@ def temporal_f_total_communicability(
     _check_alpha(net, alpha, mode, f.radius, force)
     Lg, _ = global_source_target(net)
     M = global_transition(net, mode)
-    z, truncated = _apply_shifted(M, alpha, f, np.ones(net.m), tol, rmax)
+    z, truncated = _shifted(M, alpha, f, tol, rmax)(np.ones(net.m))
     y = f(0) * np.ones(net.n) + alpha * (Lg.T @ z)
     return CentralityVector(
         values=y,
@@ -142,35 +168,16 @@ def temporal_f_total_communicability(
 
 
 def temporal_f_subgraph_centrality(
-    net, alpha, f, mode, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX, force=False, threads=1
+    net, alpha, f, mode, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX, force=False, threads=None
 ):
-    """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, one edge-space
-    application per node; nodes that are never a target short-circuit to c_0."""
+    """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, applied to
+    blocks of R_g's columns; nodes that are never a target stay at c_0.
+    ``threads`` is accepted for compatibility and ignored."""
     _check_alpha(net, alpha, mode, f.radius, force)
-    Lg, Rg = global_source_target(net)
-    M = global_transition(net, mode)
-    LgT = sp.csr_array(Lg.T)
-    c0 = float(f(0))
-    values = np.full(net.n, c0)
+    values = np.full(net.n, float(f(0)))
     truncated = False
-
-    def column(i):
-        col = np.asarray(Rg[:, [i]].todense()).ravel()
-        if not col.any():
-            return None
-        z, trunc = _apply_shifted(M, alpha, f, col, tol, rmax)
-        return float((LgT[[i], :] @ z)[0]), trunc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(column, range(net.n)))
-    else:
-        results = [column(i) for i in range(net.n)]
-    for i, res in enumerate(results):
-        if res is None:
-            continue
-        contrib, trunc = res
-        values[i] = c0 + alpha * contrib
+    for nodes, P, trunc in _column_blocks(net, alpha, f, mode, tol, rmax):
+        values[nodes] += alpha * P[nodes, np.arange(len(nodes))]
         truncated = truncated or trunc
     return CentralityVector(
         values=values,
@@ -188,14 +195,7 @@ def communicability_matrix(
     """Full n x n weighted walk-count matrix c_0 I + alpha L_g^T (shifted
     f)(alpha M) R_g.  Dense output; intended for small n (tests, debugging)."""
     _check_alpha(net, alpha, mode, f.radius, force)
-    n = net.n
-    Lg, Rg = global_source_target(net)
-    M = global_transition(net, mode)
-    Q = f(0) * np.eye(n)
-    for j in range(n):
-        col = np.asarray(Rg[:, [j]].todense()).ravel()
-        if not col.any():
-            continue
-        z, _ = _apply_shifted(M, alpha, f, col, tol, rmax)
-        Q[:, j] += alpha * (Lg.T @ z)
+    Q = f(0) * np.eye(net.n)
+    for nodes, P, _ in _column_blocks(net, alpha, f, mode, tol, rmax):
+        Q[:, nodes] += alpha * P
     return Q

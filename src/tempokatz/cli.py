@@ -69,17 +69,6 @@ def _load_function(spec):
     raise ValueError(f"unknown function {spec!r} (katz | exponential | coeffs:<path>)")
 
 
-def _threads():
-    raw = os.environ.get("TEMPO_KATZ_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(value, 1)
-
-
 def _parse_input(path):
     report = ParseReport()
     with open(path, encoding="utf-8") as fh:
@@ -164,8 +153,7 @@ def cmd_rank(args):
             )
         else:
             result = temporal_f_subgraph_centrality(
-                net, args.alpha, f, mode, tol=args.tol, force=True,
-                threads=_threads(),
+                net, args.alpha, f, mode, tol=args.tol, force=True
             )
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -273,7 +261,11 @@ def build_parser():
         help="tc = total communicability (row sums), sc = subgraph (diagonal)",
     )
     p_rank.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_rank.add_argument("--tol", type=float, default=matfun.DEFAULT_TOL)
+    p_rank.add_argument(
+        "--tol", type=float, default=matfun.DEFAULT_TOL,
+        help="bound on each edge-space solve's normwise backward error, and the "
+        "relative size of the last series term summed",
+    )
     p_rank.add_argument(
         "--force", action="store_true",
         help="allow alpha outside the proven interval",

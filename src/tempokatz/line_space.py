@@ -1,23 +1,22 @@
-"""Edge-space machinery: source/target matrices, line-graph and Hashimoto
-matrices, cross-time transition blocks, and the global transition matrix.
+"""Edge-space matrices: source/target incidences, line-graph and Hashimoto
+matrices of a snapshot, and the global transition matrix.
 
 Edges are ordered globally by snapshot, then lexicographically by
-(source, target) within a snapshot.  The global transition matrix M is the
-m x m block upper-triangular matrix whose diagonal blocks encode length-2
-walks within a snapshot and whose off-diagonal blocks encode length-2 walks
-across (not necessarily consecutive) snapshots.  The four modes select which
-blocks admit immediately-reversed edge pairs.
+(source, target) within a snapshot.  The global transition matrix M is m x m
+and block upper triangular: block (tau1, tau2) is R_tau1 L_tau2^T for
+tau1 <= tau2, so entry (i, j) is 1 when edge j starts where edge i ends, no
+earlier in time.  All of M is therefore one product R_g L_g^T of the stacked
+incidences, masked by snapshot order.  The four modes select which blocks
+also drop the immediately-reversed pairs (edge j leading back to edge i's
+source).  Nothing is cached: each call builds its matrices afresh.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class Mode(enum.Enum):
@@ -40,53 +39,23 @@ _NBT_DIAGONAL = (Mode.NBT_SPACE, Mode.NBT_BOTH)
 _NBT_OFFDIAG = (Mode.NBT_TIME, Mode.NBT_BOTH)
 
 
-@dataclass(frozen=True)
-class EdgeSpaceIndex:
-    """Global ordering of all m time-stamped edges.
-
-    ``entries[g] = (tau, source, target)`` for global edge id g; ``offsets``
-    has length N+1 with the start index of each snapshot's edge block.
-    """
-
-    entries: tuple[tuple[int, int, int], ...]
-    offsets: tuple[int, ...]
-
-    @property
-    def m(self):
-        return len(self.entries)
-
-    def globalize(self, tau, local):
-        """Global edge id of the ``local``-th edge of snapshot ``tau``."""
-        return self.offsets[tau - 1] + local
-
-    def snapshot_slice(self, tau):
-        return slice(self.offsets[tau - 1], self.offsets[tau])
-
-
-@lru_cache(maxsize=None)
-def edge_space_index(net):
-    entries = []
-    offsets = [0]
-    for snap in net.snapshots:
-        entries.extend((snap.tau, u, v) for u, v in snap.edges)
-        offsets.append(len(entries))
-    return EdgeSpaceIndex(entries=tuple(entries), offsets=tuple(offsets))
-
-
-@lru_cache(maxsize=None)
-def source_target_matrices(snapshot, n):
-    """Source and target incidence matrices L, R (m_tau x n, one 1 per row)."""
-    m = snapshot.m
+def _incidences(edges, n):
+    """Source and target incidence matrices L, R (len(edges) x n, one 1 per
+    row) of a sequence of (source, target) pairs."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    m = len(pairs)
     rows = np.arange(m)
-    src = np.array([u for u, _ in snapshot.edges], dtype=int)
-    tgt = np.array([v for _, v in snapshot.edges], dtype=int)
     ones = np.ones(m)
-    L = sp.csr_array((ones, (rows, src)), shape=(m, n))
-    R = sp.csr_array((ones, (rows, tgt)), shape=(m, n))
+    L = sp.csr_array((ones, (rows, pairs[:, 0])), shape=(m, n))
+    R = sp.csr_array((ones, (rows, pairs[:, 1])), shape=(m, n))
     return L, R
 
 
-@lru_cache(maxsize=None)
+def source_target_matrices(snapshot, n):
+    """Source and target incidence matrices L, R (m_tau x n, one 1 per row)."""
+    return _incidences(snapshot.edges, n)
+
+
 def line_graph_matrix(snapshot, n):
     """Adjacency matrix W = R L^T of the snapshot's line graph."""
     L, R = source_target_matrices(snapshot, n)
@@ -95,7 +64,6 @@ def line_graph_matrix(snapshot, n):
     return W
 
 
-@lru_cache(maxsize=None)
 def hashimoto_matrix(snapshot, n):
     """Hashimoto matrix B = W - W o W^T (reversed pairs knocked out)."""
     W = line_graph_matrix(snapshot, n)
@@ -104,94 +72,34 @@ def hashimoto_matrix(snapshot, n):
     return B
 
 
-def _check_tau_pair(net, tau1, tau2):
-    if not 1 <= tau1 < tau2 <= net.N:
-        raise ValueError(f"need 1 <= tau1 < tau2 <= N, got ({tau1}, {tau2})")
+def _global_edges(net):
+    """All m edges in global order, as an m x 2 array of (source, target)."""
+    edges = [e for snap in net.snapshots for e in snap.edges]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-@lru_cache(maxsize=None)
-def cross_transition(net, tau1, tau2):
-    """Cross-snapshot transition block W^[tau1,tau2] = R^[tau1] (L^[tau2])^T."""
-    _check_tau_pair(net, tau1, tau2)
-    _, R1 = source_target_matrices(net.snapshot(tau1), net.n)
-    L2, _ = source_target_matrices(net.snapshot(tau2), net.n)
-    W12 = sp.csr_array(R1 @ L2.T)
-    W12.eliminate_zeros()
-    return W12
-
-
-@lru_cache(maxsize=None)
-def cross_hashimoto(net, tau1, tau2):
-    """Cross-snapshot block with reversed pairs removed,
-    B^[tau1,tau2] = W^[tau1,tau2] - W^[tau1,tau2] o (W^[tau2,tau1])^T."""
-    _check_tau_pair(net, tau1, tau2)
-    n = net.n
-    L1, R1 = source_target_matrices(net.snapshot(tau1), n)
-    L2, R2 = source_target_matrices(net.snapshot(tau2), n)
-    W12 = sp.csr_array(R1 @ L2.T)
-    W21 = sp.csr_array(R2 @ L1.T)
-    B12 = sp.csr_array(W12 - W12.multiply(W21.T))
-    B12.eliminate_zeros()
-    return B12
-
-
-@lru_cache(maxsize=None)
 def global_source_target(net):
-    """Vertical stacks of the per-snapshot L and R matrices (m x n)."""
-    Ls, Rs = [], []
-    for snap in net.snapshots:
-        L, R = source_target_matrices(snap, net.n)
-        Ls.append(L)
-        Rs.append(R)
-    return sp.csr_array(sp.vstack(Ls)), sp.csr_array(sp.vstack(Rs))
+    """Vertical stacks L_g, R_g of the per-snapshot L and R matrices (m x n)."""
+    return _incidences(_global_edges(net), net.n)
 
 
-def _diagonal_block(net, tau, mode):
-    snap = net.snapshot(tau)
-    if mode in _NBT_DIAGONAL:
-        return hashimoto_matrix(snap, net.n)
-    return line_graph_matrix(snap, net.n)
-
-
-def _offdiagonal_block(net, tau1, tau2, mode):
-    if mode in _NBT_OFFDIAG:
-        return cross_hashimoto(net, tau1, tau2)
-    return cross_transition(net, tau1, tau2)
-
-
-@lru_cache(maxsize=None)
 def global_transition(net, mode):
-    """Assemble the m x m block upper-triangular global transition matrix."""
-    N = net.N
-    blocks = [[None] * N for _ in range(N)]
-    for t1 in range(1, N + 1):
-        blocks[t1 - 1][t1 - 1] = _diagonal_block(net, t1, mode)
-        for t2 in range(t1 + 1, N + 1):
-            blocks[t1 - 1][t2 - 1] = _offdiagonal_block(net, t1, t2, mode)
-    M = sp.csr_array(sp.bmat(blocks, format="csr"))
-    M.eliminate_zeros()
-    return M
-
-
-def global_transition_operator(net, mode):
-    """The same matrix as :func:`global_transition`, as a matrix-free
-    LinearOperator applying the blocks one at a time."""
-    index = edge_space_index(net)
-    m = index.m
-    N = net.N
-    slices = [index.snapshot_slice(t) for t in range(1, N + 1)]
-
-    def matvec(v):
-        v = np.asarray(v).reshape(m)
-        out = np.zeros(m)
-        for t1 in range(1, N + 1):
-            acc = _diagonal_block(net, t1, mode) @ v[slices[t1 - 1]]
-            for t2 in range(t1 + 1, N + 1):
-                acc = acc + _offdiagonal_block(net, t1, t2, mode) @ v[slices[t2 - 1]]
-            out[slices[t1 - 1]] = acc
-        return out
-
-    return spla.LinearOperator((m, m), matvec=matvec, dtype=float)
+    """The m x m block upper-triangular global transition matrix of ``mode``:
+    R_g L_g^T restricted to snapshot(i) <= snapshot(j), less the reversals
+    the mode forbids."""
+    edges = _global_edges(net)
+    snapshot = np.repeat(np.arange(net.N), [snap.m for snap in net.snapshots])
+    L, R = _incidences(edges, net.n)
+    W = sp.coo_array(R @ L.T)
+    i, j = W.row, W.col
+    keep = snapshot[i] <= snapshot[j]
+    reversal = edges[j, 1] == edges[i, 0]
+    within = snapshot[i] == snapshot[j]
+    if mode in _NBT_DIAGONAL:
+        keep &= ~(reversal & within)
+    if mode in _NBT_OFFDIAG:
+        keep &= ~(reversal & ~within)
+    return sp.csr_array((W.data[keep], (i[keep], j[keep])), shape=W.shape)
 
 
 def dump_coordinate(matrix, stream):

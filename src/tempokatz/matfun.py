@@ -10,7 +10,6 @@ walks they represent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -148,67 +147,85 @@ class SeriesResult(NamedTuple):
     terms: int
 
 
-def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
-    """Evaluate sum_r g_r alpha^r M^r v by accumulating sparse mat-vecs.
+def _block(M, v):
+    """``v`` as an m x k float array (k = 1 for a vector), checked against M."""
+    v = np.asarray(v, dtype=float)
+    if M.shape[0] != M.shape[1] or v.ndim not in (1, 2) or M.shape[0] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: M is {M.shape}, v is {v.shape}")
+    return v if v.ndim == 2 else v[:, None]
 
-    A polynomial is summed to its degree.  An infinite series stops when the
-    new term's max-norm drops below tol times the accumulated sum's max-norm.
-    Either stops exactly when M annihilates the power vector (nilpotent case),
-    or after rmax terms (flagged as truncated).  The caller is
+
+def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
+    """Evaluate sum_r g_r alpha^r M^r v by accumulating sparse products, for
+    a vector v or each column of an m x k block v.
+
+    A polynomial is summed to its degree.  An infinite series stops adding
+    to a column once its new term's max-norm drops below tol times that
+    column's accumulated max-norm.  Every column stops exactly when M
+    annihilates its power (nilpotent case); the sum ends when all columns
+    have stopped, or after rmax terms (flagged as truncated).  The caller is
     responsible for alpha being inside radius(g) / rho(M).
     """
-    v = np.asarray(v, dtype=float).ravel()
-    if M.shape[0] != M.shape[1] or M.shape[0] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: M is {M.shape}, v has length {v.shape[0]}"
-        )
-    power = v.copy()
+    power = _block(M, v)
     acc = g(0) * power
     rstop = rmax if g.degree is None else min(rmax, g.degree)
     terms = 1
     for r in range(1, rstop + 1):
         power = alpha * (M @ power)
         terms += 1
-        if not power.any():
-            return SeriesResult(acc, False, terms)
         c = g(r)
         if c != 0.0:
-            acc = acc + c * power
-            term_norm = c * np.max(np.abs(power))
-            if g.degree is None and term_norm <= tol * max(np.max(np.abs(acc)), 1e-300):
-                return SeriesResult(acc, False, terms)
-    if g.degree is not None and rstop == g.degree:
-        return SeriesResult(acc, False, terms)
-    return SeriesResult(acc, True, terms)
+            term = c * power
+            acc = acc + term
+            if g.degree is None:
+                term_norm = np.max(np.abs(term), axis=0, initial=0.0)
+                acc_norm = np.max(np.abs(acc), axis=0, initial=0.0)
+                power[:, term_norm <= tol * np.maximum(acc_norm, 1e-300)] = 0.0
+        if not power.any():
+            return SeriesResult(acc.reshape(np.shape(v)), False, terms)
+    truncated = g.degree is None or rstop < g.degree
+    return SeriesResult(acc.reshape(np.shape(v)), truncated, terms)
 
 
 class SolveError(RuntimeError):
-    """Linear system could not be solved to the residual tolerance."""
+    """Linear system could not be solved to the backward-error tolerance."""
+
+
+def resolvent_solver(M, alpha, tol=DEFAULT_TOL):
+    """Factor I - alpha M once; return solve(v) for a vector or m x k block v.
+
+    Each column x of the solution is accepted on its normwise backward error,
+    ||(I - alpha M) x - v||_inf <= tol (||I - alpha M||_inf ||x||_inf +
+    ||v||_inf); a column that fails it, or an exactly singular factor, raises
+    SolveError.  Requires alpha * rho(M) < 1 for the result to mean a walk
+    series.
+    """
+    A = sp.csc_array(sp.eye_array(M.shape[0], format="csc") - alpha * M)
+    try:
+        lu = spla.splu(A)
+    except RuntimeError as exc:
+        raise SolveError(f"I - alpha M is singular ({exc})") from None
+    a_norm = np.max(abs(A).sum(axis=1), initial=0.0)
+
+    def solve(v):
+        b = _block(M, v)
+        x = lu.solve(b)
+        resid = np.max(np.abs(A @ x - b), axis=0, initial=0.0)
+        scale = a_norm * np.max(np.abs(x), axis=0, initial=0.0)
+        scale += np.max(np.abs(b), axis=0, initial=0.0)
+        bad = ~(resid <= tol * scale)  # NaN fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SolveError(
+                f"backward error {resid[k] / scale[k]:.3e} exceeds {tol:.1e} "
+                "(system near singular?)"
+            )
+        return x.reshape(np.shape(v))
+
+    return solve
 
 
 def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
-    """Solve (I - alpha M) x = v with a sparse direct factorization.
-
-    The residual contract ||(I - alpha M) x - v||_inf <= tol * ||v||_inf is
-    checked; requires alpha * rho(M) < 1 for the result to mean a walk series.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if M.shape[0] != M.shape[1] or M.shape[0] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: M is {M.shape}, v has length {v.shape[0]}"
-        )
-    if alpha == 0.0:
-        return v.copy()
-    A = sp.csc_array(sp.eye_array(M.shape[0], format="csc") - alpha * M)
-    with warnings.catch_warnings():
-        # a singular system surfaces through the residual check below
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = spla.spsolve(A, v)
-    x = np.asarray(x).ravel()
-    resid = np.max(np.abs(A @ x - v))
-    vnorm = np.max(np.abs(v)) if v.size else 0.0
-    if not np.isfinite(resid) or resid > tol * max(vnorm, 1e-300):
-        raise SolveError(
-            f"residual {resid:.3e} exceeds {tol:.1e} * ||v|| (system near singular?)"
-        )
-    return x
+    """Solve (I - alpha M) x = v for a vector or m x k block v; see
+    :func:`resolvent_solver` for the acceptance test."""
+    return resolvent_solver(M, alpha, tol=tol)(v)

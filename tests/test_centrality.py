@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import tempokatz as tk
-from tempokatz import Mode, ParameterError, Snapshot, TemporalNetwork
+from tempokatz import Mode, ParameterError, Snapshot, TemporalNetwork, centrality
 from tempokatz.oracle import naive_exponential_product
 
 from conftest import (
@@ -146,11 +147,38 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
     np.testing.assert_allclose(x, np.diag(oracle), atol=1e-10)
 
 
-def test_subgraph_centrality_threads_deterministic(fig1):
-    kwargs = dict(alpha=0.2, f=tk.resolvent(1, 1), mode=Mode.NBT_TIME)
-    x1 = tk.temporal_f_subgraph_centrality(fig1, threads=1, **kwargs).values
-    x4 = tk.temporal_f_subgraph_centrality(fig1, threads=4, **kwargs).values
-    np.testing.assert_array_equal(x1, x4)
+def test_katz_subgraph_centrality_factors_once(fig1, monkeypatch):
+    calls = []
+    real = scipy.sparse.linalg.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    for mode in Mode:
+        calls.clear()
+        tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
+        assert len(calls) == 1
+
+
+def test_katz_subgraph_centrality_across_column_blocks():
+    # more than two blocks of R_g's columns; standard Katz SC is the diagonal
+    # of the product of the snapshots' resolvents
+    n = 2 * centrality.COLUMN_BLOCK + 6
+    rng = np.random.default_rng(41)
+    net = random_network_with(
+        rng, lambda net: finite_ell(net, Mode.STANDARD), n=n, N=3, density=0.05
+    )
+    alpha = 0.5 * tk.alpha_bound(net, Mode.STANDARD).ell
+    x = tk.temporal_f_subgraph_centrality(net, alpha, tk.resolvent(1, 1), Mode.STANDARD)
+    Q = np.eye(n)
+    for tau in range(1, net.N + 1):
+        A = np.asarray(tk.adjacency_matrix(net, tau).todense())
+        Q = Q @ np.linalg.inv(np.eye(n) - alpha * A)
+    np.testing.assert_allclose(x.values, np.diag(Q), rtol=1e-10)
+    C = tk.communicability_matrix(net, alpha, tk.resolvent(1, 1), Mode.STANDARD)
+    np.testing.assert_allclose(C, Q, rtol=1e-10, atol=1e-12)
 
 
 def test_communicability_matrix_worked_example(ex5):

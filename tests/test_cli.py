@@ -257,17 +257,6 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
-def test_threads_env_respected(capsys, fig_file, monkeypatch):
-    monkeypatch.setenv("TEMPO_KATZ_THREADS", "2")
-    code, out, _ = run(
-        capsys, "rank", fig_file, "--alpha", "0.2", "--measure", "sc",
-        "--mode", "nbt-time",
-    )
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert len(rows) == 4
-
-
 def test_rank_star_above_old_cutoff_needs_force(capsys, tmp_path):
     # K_{1,600}: ell = 1 / sqrt(600) = 0.0408, so alpha = 0.3 is divergent
     path = tmp_path / "star.txt"
@@ -357,3 +346,43 @@ def test_rank_polynomial_sums_every_term(capsys, tmp_path):
     oracle = tk.weighted_walk_sum(counts, tk.polynomial(coeffs), 0.5).sum(axis=1)
     np.testing.assert_allclose(values, oracle, rtol=1e-14)
     np.testing.assert_allclose(values, [2.21875, 1.6875, 1.625, 1.5], rtol=1e-14)
+
+
+@pytest.fixture
+def complete_k6_file(tmp_path):
+    # the complete digraph K_6 repeated over 16 snapshots: 480 edges,
+    # rho(A_t) = 5, so ell = 0.2 and (I - 0.1 A_t) 1 = 0.5 * 1
+    path = tmp_path / "k6.txt"
+    path.write_text("".join(
+        f"{u} {v} {t}\n" for t in range(1, 17) for u in range(6) for v in range(6) if u != v
+    ))
+    return str(path)
+
+
+def test_rank_edge_solve_accepts_large_well_conditioned_solution(capsys, complete_k6_file):
+    # ||x|| grows to 2^16 here; a residual test scaled by ||v|| alone rejects it
+    code, out, err = run(capsys, "rank", complete_k6_file, "--alpha", "0.1", "--no-fastpath")
+    assert code == 0, err
+    meta, rows = parse_csv(out)
+    assert float(meta["ell"]) == pytest.approx(0.2, rel=1e-12)
+    np.testing.assert_allclose([value for _, value, _ in rows], 65536.0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["nbt-time", "nbt-both"])
+def test_rank_edge_solve_nbt_modes_on_complete_graph(capsys, complete_k6_file, mode):
+    code, out, err = run(capsys, "rank", complete_k6_file, "--alpha", "0.1", "--mode", mode)
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert len(rows) == 6
+
+
+def test_rank_subgraph_singular_exits_3(capsys, tmp_path):
+    # I - M is exactly singular on the directed 3-cycle at alpha = 1
+    path = tmp_path / "cycle.txt"
+    path.write_text("0 1 1\n1 2 1\n2 0 1\n")
+    code, out, err = run(
+        capsys, "rank", str(path), "--measure", "sc", "--alpha", "1.0", "--force"
+    )
+    assert code == 3
+    assert out == ""
+    assert "error" in err and "Traceback" not in err

@@ -24,16 +24,29 @@ def count_walks_brute(edges, n, start, end, length):
     return total
 
 
+def snapshot_offsets(net):
+    """Start of each snapshot's edges in the global edge order, then m."""
+    return np.cumsum([0] + [snap.m for snap in net.snapshots])
+
+
+def block(net, M, tau1, tau2):
+    """Block (tau1, tau2) of a dense m x m edge-space matrix."""
+    offsets = snapshot_offsets(net)
+    return M[offsets[tau1 - 1] : offsets[tau1], offsets[tau2 - 1] : offsets[tau2]]
+
+
 def test_edge_space_index_ordering():
     rng = np.random.default_rng(10)
     net = random_network(rng, n=5, N=3)
-    idx = tk.edge_space_index(net)
-    assert idx.m == net.m
-    assert idx.offsets[-1] == net.m
+    Lg, Rg = tk.global_source_target(net)
+    assert Lg.shape == Rg.shape == (net.m, net.n)
+    assert tk.global_transition(net, Mode.STANDARD).shape == (net.m, net.m)
+    offsets = snapshot_offsets(net)
+    src, tgt = dense(Lg).argmax(axis=1), dense(Rg).argmax(axis=1)
     for tau in range(1, net.N + 1):
-        block = idx.entries[idx.snapshot_slice(tau)]
-        assert all(t == tau for t, _, _ in block)
-        assert sorted(block) == list(block)
+        rows = slice(offsets[tau - 1], offsets[tau])
+        pairs = list(zip(src[rows].tolist(), tgt[rows].tolist()))
+        assert pairs == sorted(pairs) == list(net.snapshot(tau).edges)
 
 
 def test_source_target_single_edge():
@@ -135,42 +148,72 @@ def test_hashimoto_dominated_by_line_graph():
 
 
 def test_cross_transition_worked_example(ex5):
-    W12 = dense(tk.cross_transition(ex5, 1, 2))
-    np.testing.assert_array_equal(W12, [[1.0]])
-    W13 = dense(tk.cross_transition(ex5, 1, 3))
-    np.testing.assert_array_equal(W13, [[0.0]])
+    M = dense(tk.global_transition(ex5, Mode.STANDARD))
+    np.testing.assert_array_equal(block(ex5, M, 1, 2), [[1.0]])
+    np.testing.assert_array_equal(block(ex5, M, 1, 3), [[0.0]])
 
 
 def test_cross_transition_disjoint_snapshots():
     net = tk.parse_temporal_edgelist("0 1 1\n2 3 2")
-    assert tk.cross_transition(net, 1, 2).nnz == 0
+    for mode in Mode:
+        assert not block(net, dense(tk.global_transition(net, mode)), 1, 2).any()
 
 
 def test_cross_transition_fig_t1_t3(fig1):
-    W13 = dense(tk.cross_transition(fig1, 1, 3))
+    W13 = block(fig1, dense(tk.global_transition(fig1, Mode.STANDARD)), 1, 3)
     assert W13.sum() == 1
     # the single continuation is 3->0 (t1) into 0->3 (t3)
     assert W13[2, 0] == 1  # edge order t1: (0,1),(1,2),(3,0); t3: (0,3),(3,0)
 
 
 def test_cross_transition_bad_tau(fig1):
-    with pytest.raises(ValueError):
-        tk.cross_transition(fig1, 2, 2)
-    with pytest.raises(ValueError):
-        tk.cross_transition(fig1, 3, 1)
+    # only blocks with tau1 < tau2 are cross-time: (2, 2) is snapshot 2's own
+    # line graph, and blocks below the diagonal are empty
+    for mode in (Mode.STANDARD, Mode.NBT_TIME):
+        M = dense(tk.global_transition(fig1, mode))
+        np.testing.assert_array_equal(
+            block(fig1, M, 2, 2), dense(tk.line_graph_matrix(fig1.snapshot(2), fig1.n))
+        )
+        assert not block(fig1, M, 3, 1).any()
 
 
 def test_cross_hashimoto_fig_cases(fig1):
-    # the lone t1->t3 continuation is a reversal, so it is knocked out
-    assert tk.cross_hashimoto(fig1, 1, 3).nnz == 0
-    B12 = dense(tk.cross_hashimoto(fig1, 1, 2))
-    assert B12.sum() == 1
-    assert B12[1, 1] == 1  # (1,2)@t1 into (2,3)@t2 survives; (2,1)@t2 does not
+    for mode in (Mode.NBT_TIME, Mode.NBT_BOTH):
+        M = dense(tk.global_transition(fig1, mode))
+        # the lone t1->t3 continuation is a reversal, so it is knocked out
+        assert not block(fig1, M, 1, 3).any()
+        B12 = block(fig1, M, 1, 2)
+        assert B12.sum() == 1
+        assert B12[1, 1] == 1  # (1,2)@t1 into (2,3)@t2 survives; (2,1)@t2 does not
 
 
 def test_cross_hashimoto_disjoint():
     net = tk.parse_temporal_edgelist("0 1 1\n2 3 2")
-    assert tk.cross_hashimoto(net, 1, 2).nnz == 0
+    for mode in (Mode.NBT_TIME, Mode.NBT_BOTH):
+        assert not block(net, dense(tk.global_transition(net, mode)), 1, 2).any()
+
+
+def test_global_transition_blocks_match_per_pair_definition():
+    # block (t1, t2) is W12 = R_t1 L_t2^T, less W12 o W21^T where the mode
+    # forbids reversals; diagonal blocks are W_t or the Hashimoto B_t
+    rng = np.random.default_rng(19)
+    for _ in range(6):
+        net = random_network(rng, N=3)
+        LR = [tk.source_target_matrices(snap, net.n) for snap in net.snapshots]
+        for mode in Mode:
+            M = dense(tk.global_transition(net, mode))
+            nbt_space = mode in (Mode.NBT_SPACE, Mode.NBT_BOTH)
+            diag = tk.hashimoto_matrix if nbt_space else tk.line_graph_matrix
+            for t1 in range(1, net.N + 1):
+                np.testing.assert_array_equal(
+                    block(net, M, t1, t1), dense(diag(net.snapshot(t1), net.n))
+                )
+                for t2 in range(t1 + 1, net.N + 1):
+                    (L1, R1), (L2, R2) = LR[t1 - 1], LR[t2 - 1]
+                    W12, W21 = dense(R1 @ L2.T), dense(R2 @ L1.T)
+                    if mode in (Mode.NBT_TIME, Mode.NBT_BOTH):
+                        W12 = W12 - W12 * W21.T
+                    np.testing.assert_array_equal(block(net, M, t1, t2), W12)
 
 
 def test_global_source_target_worked_example(ex5):
@@ -213,9 +256,9 @@ def test_global_transition_two_snapshot_blocks():
     np.testing.assert_array_equal(
         M[:m1, :m1], dense(tk.line_graph_matrix(net.snapshot(1), net.n))
     )
-    np.testing.assert_array_equal(
-        M[:m1, m1:], dense(tk.cross_transition(net, 1, 2))
-    )
+    L2, _ = tk.source_target_matrices(net.snapshot(2), net.n)
+    _, R1 = tk.source_target_matrices(net.snapshot(1), net.n)
+    np.testing.assert_array_equal(M[:m1, m1:], dense(R1 @ L2.T))
     np.testing.assert_array_equal(
         M[m1:, m1:], dense(tk.line_graph_matrix(net.snapshot(2), net.n))
     )
@@ -241,11 +284,10 @@ def test_global_transition_nbt_both_from_global_stacks(fig1):
     # included) of R L^T - (R L^T) o (L R^T) built from the global stacks
     Lg, Rg = tk.global_source_target(fig1)
     big = dense((Rg @ Lg.T) - (Rg @ Lg.T).multiply(Lg @ Rg.T))
-    idx = tk.edge_space_index(fig1)
     mask = np.zeros_like(big, dtype=bool)
     for t1 in range(1, fig1.N + 1):
         for t2 in range(t1, fig1.N + 1):
-            mask[idx.snapshot_slice(t1), idx.snapshot_slice(t2)] = True
+            block(fig1, mask, t1, t2)[...] = True
     big[~mask] = 0.0
     np.testing.assert_array_equal(big, dense(tk.global_transition(fig1, Mode.NBT_BOTH)))
 
@@ -254,21 +296,11 @@ def test_global_transition_strictly_block_upper():
     rng = np.random.default_rng(17)
     for _ in range(4):
         net = random_network(rng, N=3)
-        idx = tk.edge_space_index(net)
         for mode in Mode:
             M = dense(tk.global_transition(net, mode))
             for t1 in range(1, net.N + 1):
                 for t2 in range(1, t1):
-                    assert not M[idx.snapshot_slice(t1), idx.snapshot_slice(t2)].any()
-
-
-def test_operator_matches_materialized(fig1):
-    rng = np.random.default_rng(18)
-    v = rng.random(fig1.m)
-    for mode in Mode:
-        M = tk.global_transition(fig1, mode)
-        op = tk.global_transition_operator(fig1, mode)
-        np.testing.assert_allclose(op @ v, M @ v, atol=1e-14)
+                    assert not block(net, M, t1, t2).any()
 
 
 def test_dump_coordinate_format(ex5):

@@ -124,6 +124,33 @@ def test_apply_series_truncation_flag(triangle):
     assert result.truncated
 
 
+def test_apply_series_block_matches_columns(fig1):
+    # each column stops on its own term size, so a block gives the same
+    # numbers as one vector at a time
+    rng = np.random.default_rng(31)
+    V = rng.random((fig1.m, 4))
+    V[:, 2] = 0.0
+    for mode in Mode:
+        M = tk.global_transition(fig1, mode)
+        g = tk.partial_op(tk.exponential())
+        block = tk.apply_series(M, 0.7, g, V)
+        for k in range(V.shape[1]):
+            column = tk.apply_series(M, 0.7, g, V[:, k])
+            np.testing.assert_array_equal(block.value[:, k], column.value)
+            assert column.terms <= block.terms
+        assert not block.truncated
+
+
+def test_resolvent_solve_block_matches_columns(fig1):
+    rng = np.random.default_rng(32)
+    V = rng.random((fig1.m, 3))
+    M = tk.global_transition(fig1, Mode.STANDARD)
+    X = tk.resolvent_solve(M, 0.4, V)
+    assert X.shape == V.shape
+    for k in range(V.shape[1]):
+        np.testing.assert_allclose(X[:, k], tk.resolvent_solve(M, 0.4, V[:, k]), rtol=1e-14)
+
+
 def test_resolvent_solve_alpha_zero(ex5):
     M = tk.global_transition(ex5, Mode.STANDARD)
     v = np.array([1.0, 2.0, 3.0])
