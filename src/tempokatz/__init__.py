@@ -4,10 +4,10 @@ Builds the block upper-triangular edge-space transition matrix M of a
 sequence of graph snapshots, as one product of the stacked incidence
 matrices, and evaluates analytic-function walk weightings on it: in the
 standard setting, and with backtracking forbidden in space, in time, or both.
-A resolvent (Katz) weighting factors I - alpha M once per call; other
-weightings sum the series with sparse products.  Node-level fast paths are
-provided for Katz total communicability in the standard and NBT-in-space
-modes.
+A resolvent (Katz) weighting factors each snapshot's diagonal block of
+I - alpha M once per call and back-substitutes; other weightings sum the
+series with sparse products.  Node-level fast paths are provided for Katz
+total communicability in the standard and NBT-in-space modes.
 """
 
 from .centrality import (

@@ -5,9 +5,12 @@ The edge-level route forms the global transition matrix M once, applies the
 shifted weight function to alpha*M, and projects back to the node space with
 the global source/target matrices.  Total communicability applies it to the
 all-ones vector; subgraph centrality and the communicability matrix apply it
-to blocks of at most COLUMN_BLOCK columns of R_g.  A resolvent (Katz) weight
-factors I - alpha*delta*M once per call and solves each block; any other
-weight sums its series with sparse x dense block products.
+to blocks of at most COLUMN_BLOCK columns of R_g.  M is block upper
+triangular with one diagonal block per snapshot, so a resolvent (Katz)
+weight factors each snapshot's diagonal block of I - alpha*delta*M once per
+call and back-substitutes every block of columns from the last snapshot to
+the first; any other weight sums its series with sparse x dense block
+products.
 
 For resolvent weights the standard mode also collapses to a product of n x n
 resolvents, and the NBT-in-space mode to a product of n x n cubic-polynomial
@@ -116,9 +119,11 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     )
 
 
-def _shifted(M, alpha, f, tol, rmax):
-    """Return apply(v) -> (value, truncated) evaluating (shifted f)(alpha M) v
-    for a vector or an m x k block v; a resolvent factors once, here."""
+def _shifted(net, alpha, f, mode, tol, rmax):
+    """Return apply(v) -> (value, truncated) evaluating (shifted f)(alpha M) v,
+    with M the mode's global transition matrix, for a vector or an m x k
+    block v; a resolvent factors each snapshot's diagonal block once, here."""
+    M = global_transition(net, mode)
     g = partial_op(f)
     if f.geometric is None:
 
@@ -128,8 +133,10 @@ def _shifted(M, alpha, f, tol, rmax):
 
         return series
     gamma, delta = f.geometric
-    # shifted resolvent is gamma*delta / (1 - delta z): one factorization
-    solve = resolvent_solver(M, alpha * delta, tol=tol)
+    # shifted resolvent is gamma*delta / (1 - delta z): one factorization per
+    # snapshot, then back-substitution from the last snapshot to the first
+    sizes = [snap.m for snap in net.snapshots]
+    solve = resolvent_solver(M, alpha * delta, tol=tol, sizes=sizes)
     return lambda v: (gamma * delta * solve(v), False)
 
 
@@ -138,7 +145,7 @@ def _column_blocks(net, alpha, f, mode, tol, rmax):
     (n x len(nodes)), over blocks of at most COLUMN_BLOCK nodes; nodes that
     are never a target have a zero column and are left out."""
     Lg, Rg = global_source_target(net)
-    apply = _shifted(global_transition(net, mode), alpha, f, tol, rmax)
+    apply = _shifted(net, alpha, f, mode, tol, rmax)
     Rg = sp.csc_array(Rg)
     targets = np.flatnonzero(np.diff(Rg.indptr))
     for start in range(0, len(targets), COLUMN_BLOCK):
@@ -154,8 +161,7 @@ def temporal_f_total_communicability(
     source matrix and M the mode's global transition matrix."""
     _check_alpha(net, alpha, mode, f.radius, force)
     Lg, _ = global_source_target(net)
-    M = global_transition(net, mode)
-    z, truncated = _shifted(M, alpha, f, tol, rmax)(np.ones(net.m))
+    z, truncated = _shifted(net, alpha, f, mode, tol, rmax)(np.ones(net.m))
     y = f(0) * np.ones(net.n) + alpha * (Lg.T @ z)
     return CentralityVector(
         values=y,

@@ -191,25 +191,49 @@ class SolveError(RuntimeError):
     """Linear system could not be solved to the backward-error tolerance."""
 
 
-def resolvent_solver(M, alpha, tol=DEFAULT_TOL):
-    """Factor I - alpha M once; return solve(v) for a vector or m x k block v.
+def resolvent_solver(M, alpha, tol=DEFAULT_TOL, sizes=None):
+    """Factor I - alpha M by its diagonal blocks; return solve(v) for a vector
+    or m x k block v.
 
-    Each column x of the solution is accepted on its normwise backward error,
-    ||(I - alpha M) x - v||_inf <= tol (||I - alpha M||_inf ||x||_inf +
-    ||v||_inf); a column that fails it, or an exactly singular factor, raises
-    SolveError.  Requires alpha * rho(M) < 1 for the result to mean a walk
-    series.
+    ``sizes`` gives the dimensions of M's diagonal blocks (default: one block
+    of size m), and I - alpha M must have no entry below them; a temporal
+    walk never steps back in time, so the global transition matrix is block
+    upper triangular with one block per snapshot.  Each non-empty diagonal
+    block is factored once with ``splu``, and a solve back-substitutes from
+    the last block to the first, x_k = A_kk^-1 (v_k - sum_{j>k} A_kj x_j).
+
+    Each column x of the solution is accepted on its normwise backward error
+    over the whole system, ||(I - alpha M) x - v||_inf <= tol (||I - alpha
+    M||_inf ||x||_inf + ||v||_inf); a column that fails it, or an exactly
+    singular diagonal block, raises SolveError.  Requires alpha * rho(M) < 1
+    for the result to mean a walk series.
     """
-    A = sp.csc_array(sp.eye_array(M.shape[0], format="csc") - alpha * M)
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise SolveError(f"I - alpha M is singular ({exc})") from None
+    m = M.shape[0]
+    A = sp.csr_array(sp.eye_array(m, format="csr") - alpha * M)
+    sizes = np.asarray([m] if sizes is None else sizes, dtype=np.int64)
+    if sizes.sum() != m or (sizes < 0).any():
+        raise ValueError(f"block sizes {sizes.tolist()} do not partition m = {m}")
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    rows, cols = A.nonzero()
+    if (block[rows] > block[cols]).any():
+        raise ValueError("I - alpha M has an entry below its diagonal blocks")
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    factors = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if s == e:
+            continue
+        try:
+            lu = spla.splu(sp.csc_array(A[s:e, s:e]))
+        except RuntimeError as exc:
+            raise SolveError(f"I - alpha M is singular ({exc})") from None
+        factors.append((s, e, lu, A[s:e, e:]))
     a_norm = np.max(abs(A).sum(axis=1), initial=0.0)
 
     def solve(v):
         b = _block(M, v)
-        x = lu.solve(b)
+        x = np.empty_like(b)
+        for s, e, lu, coupling in reversed(factors):
+            x[s:e] = lu.solve(b[s:e] - coupling @ x[e:])
         resid = np.max(np.abs(A @ x - b), axis=0, initial=0.0)
         scale = a_norm * np.max(np.abs(x), axis=0, initial=0.0)
         scale += np.max(np.abs(b), axis=0, initial=0.0)

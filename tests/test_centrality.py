@@ -147,19 +147,23 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
     np.testing.assert_allclose(x, np.diag(oracle), atol=1e-10)
 
 
-def test_katz_subgraph_centrality_factors_once(fig1, monkeypatch):
-    calls = []
+def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
+    # one factorization per non-empty snapshot, of that snapshot's diagonal
+    # block, and none of the whole m x m system
+    dims = []
     real = scipy.sparse.linalg.splu
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(A, *args, **kwargs):
+        dims.append(A.shape[0])
+        return real(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    assert fig1.N > 1
     for mode in Mode:
-        calls.clear()
+        dims.clear()
         tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
-        assert len(calls) == 1
+        assert dims == [snap.m for snap in fig1.snapshots if snap.m]
+        assert fig1.m not in dims
 
 
 def test_katz_subgraph_centrality_across_column_blocks():

@@ -386,3 +386,54 @@ def test_rank_subgraph_singular_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_rank_singular_later_block_exits_3(capsys, tmp_path):
+    # snapshot 2 is the triangle, whose diagonal block I - M/2 is singular
+    path = tmp_path / "later.txt"
+    path.write_text("0 1 1\n" + TRIANGLE.replace(" 1\n", " 2\n"))
+    code, out, err = run(
+        capsys, "rank", str(path), "--alpha", "0.5", "--no-fastpath", "--force"
+    )
+    assert code == 3
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+def test_rank_edge_solve_matches_node_level_on_long_network(capsys, tmp_path):
+    # n = 60, N = 40, m = 3495: the block solver against both node-level
+    # routes, and in standard mode against the dense product of resolvents
+    rng = np.random.default_rng(2021)
+    n, N = 60, 40
+    lines, adjacency = [f"%n {n}"], []
+    for t in range(1, N + 1):
+        A = np.zeros((n, n))
+        for u, v in rng.choice(n, size=(30, 2)):
+            if u != v:
+                A[u, v] = A[v, u] = 1.0  # reciprocated pairs, for nbt-space
+        for u, v in rng.choice(n, size=(30, 2)):
+            if u != v:
+                A[u, v] = 1.0
+        lines += [f"{u} {v} {t}" for u, v in zip(*np.nonzero(A))]
+        adjacency.append(A)
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(lines) + "\n")
+    rho = max(np.max(np.abs(np.linalg.eigvals(A))) for A in adjacency)
+    alpha = repr(float(0.5 / rho))
+    values = {}
+    for mode in ("standard", "nbt-space"):
+        for route in ((), ("--no-fastpath",)):
+            code, out, err = run(
+                capsys, "rank", str(path), "--alpha", alpha, "--mode", mode, *route
+            )
+            assert code == 0, err
+            meta, rows = parse_csv(out)
+            assert meta["fastpath"] == str(not route)
+            values[mode, route] = np.array([v for _, v, _ in sorted(rows)])
+        np.testing.assert_allclose(
+            values[mode, ("--no-fastpath",)], values[mode, ()], rtol=1e-10
+        )
+    y = np.ones(n)
+    for A in reversed(adjacency):
+        y = np.linalg.solve(np.eye(n) - float(alpha) * A, y)
+    np.testing.assert_allclose(values["standard", ("--no-fastpath",)], y, rtol=1e-10)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import tempokatz as tk
-from tempokatz import Mode
-from tempokatz.matfun import SolveError, evaluate
+from tempokatz import Mode, Snapshot, TemporalNetwork
+from tempokatz.matfun import SolveError, evaluate, resolvent_solver
 
-from conftest import random_network
+from conftest import TRIANGLE, dense_radius, random_network
 
 
 def test_partial_exponential_is_psi1():
@@ -177,6 +177,64 @@ def test_resolvent_solve_dimension_mismatch(ex5):
     M = tk.global_transition(ex5, Mode.STANDARD)
     with pytest.raises(ValueError):
         tk.resolvent_solve(M, 0.1, np.ones(7))
+
+
+def snapshot_sizes(net):
+    return [snap.m for snap in net.snapshots]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_block_solver_matches_one_block(N):
+    rng = np.random.default_rng(33 + N)
+    for _ in range(4):
+        net = random_network(rng, N=N, density=0.5)
+        V = rng.random((net.m, 3))
+        for mode in Mode:
+            M = tk.global_transition(net, mode)
+            alpha = 0.5 / max(dense_radius(M), 1.0)
+            one = resolvent_solver(M, alpha)
+            block = resolvent_solver(M, alpha, sizes=snapshot_sizes(net))
+            for v in (V[:, 0], V):
+                np.testing.assert_allclose(block(v), one(v), rtol=1e-12, atol=0)
+
+
+def test_block_solver_skips_empty_snapshot():
+    # 0->1 at t1, nothing at t2, 1->2 and 2->0 at t3: a zero-size middle block
+    net = TemporalNetwork(
+        n=3,
+        snapshots=(Snapshot(1, ((0, 1),)), Snapshot(2, ()), Snapshot(3, ((1, 2), (2, 0)))),
+        timestamps=(1, 2, 3),
+    )
+    assert snapshot_sizes(net) == [1, 0, 2]
+    M = tk.global_transition(net, Mode.STANDARD)
+    solve = resolvent_solver(M, 0.5, sizes=snapshot_sizes(net))
+    # edges in order 0->1, 1->2, 2->0; walks 0->1->2->0, 1->2->0
+    np.testing.assert_allclose(solve(np.ones(3)), [1.75, 1.5, 1.0], rtol=1e-15)
+    np.testing.assert_allclose(solve(np.eye(3)), resolvent_solver(M, 0.5)(np.eye(3)), rtol=1e-15)
+
+
+def test_block_solver_rejects_sizes_not_summing_to_m(fig1):
+    M = tk.global_transition(fig1, Mode.STANDARD)
+    for sizes in ([3, 2], [3, 2, 2, 1], [3, 5, -1]):
+        with pytest.raises(ValueError):
+            resolvent_solver(M, 0.2, sizes=sizes)
+
+
+def test_block_solver_rejects_entry_below_blocks(fig1):
+    # one block per edge: 3->0 then 0->1 within snapshot 1 lies below them
+    M = tk.global_transition(fig1, Mode.STANDARD)
+    with pytest.raises(ValueError):
+        resolvent_solver(M, 0.2, sizes=[1] * fig1.m)
+
+
+def test_block_solver_singular_later_block():
+    # the triangle's line graph has rho = 2, so I - M/2 is singular on block 2
+    text = "0 1 1\n" + TRIANGLE.replace(" 1\n", " 2\n")
+    net = tk.parse_temporal_edgelist(text)
+    assert snapshot_sizes(net) == [1, 6]
+    M = tk.global_transition(net, Mode.STANDARD)
+    with pytest.raises(SolveError):
+        resolvent_solver(M, 0.5, sizes=snapshot_sizes(net))(np.ones(net.m))
 
 
 def test_monomial_and_polynomial():
