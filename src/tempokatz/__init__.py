@@ -1,8 +1,8 @@
 """Walk-based centrality measures for temporal networks.
 
 Builds the block upper-triangular edge-space transition matrix M of a
-sequence of graph snapshots, as one product of the stacked incidence
-matrices, and evaluates analytic-function walk weightings on it: in the
+sequence of graph snapshots, from edge arrays each snapshot compiles once,
+and evaluates analytic-function walk weightings on it: in the
 standard setting, and with backtracking forbidden in space, in time, or both.
 A resolvent (Katz) weighting factors each snapshot's diagonal block of
 I - alpha M once per call and back-substitutes; other weightings sum the
@@ -40,12 +40,13 @@ from .matfun import (
 )
 from .oracle import (
     WalkCountTensor,
+    deg_matrices,
     enumerate_temporal_walks,
     functional_equation_residual,
     homogeneous_symmetric,
     weighted_walk_sum,
 )
-from .spectral import AlphaBound, alpha_bound, deg_matrices, nbt_radius, spectral_radius
+from .spectral import AlphaBound, alpha_bound, nbt_radius, spectral_radius
 from .temporal_graph import (
     ParseError,
     ParseReport,

@@ -20,6 +20,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ import scipy.sparse.linalg as spla
 from . import matfun
 from .line_space import Mode, global_source_target, global_transition
 from .matfun import DEFAULT_RMAX, DEFAULT_TOL, apply_series, partial_op, resolvent_solver
-from .spectral import deg_matrices, mode_bound
-from .temporal_graph import adjacency_matrix
+from .spectral import mode_bound
+from .temporal_graph import sorted_csr
 
 
 #: columns of R_g per block application; bounds the dense m x k work arrays
@@ -57,9 +58,15 @@ class CentralityVector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
+def check_alpha_value(alpha):
+    """Raise ParameterError unless alpha is finite and nonnegative; --force
+    does not lift this."""
+    if not 0 <= alpha < math.inf:  # NaN fails too
+        raise ParameterError(f"alpha must be finite and nonnegative, got {alpha}")
+
+
 def _check_alpha(net, alpha, mode, radius, force):
-    if alpha < 0:
-        raise ParameterError(f"alpha must be nonnegative, got {alpha}")
+    check_alpha_value(alpha)
     if force:
         return
     ell, _ = mode_bound(net, mode)
@@ -71,12 +78,35 @@ def _check_alpha(net, alpha, mode, radius, force):
         )
 
 
+def _katz_system(snapshot, n, alpha, nbt):
+    """I - alpha A_t as n x n CSC or, with ``nbt``, the NBT-in-space cubic
+    I - alpha A_t + alpha^2 (D - I) + alpha^3 (A_t - S), where S holds the
+    snapshot's reciprocated edges and D counts them per source node.  Built
+    from the compiled edge arrays; each entry is evaluated in the order of
+    the sparse sums of ``oracle.reference_katz_system``, zeros dropped, so
+    the two are equal bit for bit."""
+    e = snapshot.arrays
+    off = np.full(len(e.src), 0.0 - alpha)
+    diag = np.ones(n)
+    if nbt:
+        paired = e.rev >= 0
+        diag = 1.0 + alpha**2 * (np.bincount(e.src[paired], minlength=n) - 1.0)
+        off[~paired] += alpha**3
+    nodes = np.arange(n)
+    rows, cols = np.concatenate((e.src, nodes)), np.concatenate((e.tgt, nodes))
+    values = np.concatenate((off, diag))
+    order = np.lexsort((rows, cols))
+    order = order[values[order] != 0]
+    # the CSR form of the transpose, read column by column, is CSC
+    return sorted_csr(cols[order], rows[order], values[order], (n, n)).T
+
+
 def _node_solve(P, v):
     """Solve the n x n system P x = v; a non-finite solution raises SolveError."""
     with warnings.catch_warnings():
         # a singular system surfaces through the finiteness check below
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = np.asarray(spla.spsolve(sp.csc_array(P), v)).ravel()
+        x = np.asarray(spla.spsolve(P, v)).ravel()
     if not np.isfinite(x).all():
         raise matfun.SolveError("node-level solve is not finite (system singular?)")
     return x
@@ -87,8 +117,8 @@ def dynamic_katz_node_level(net, alpha, force=False):
     right-to-left as N sparse n x n solves; never forms the edge-space matrix."""
     _check_alpha(net, alpha, Mode.STANDARD, 1.0, force)
     y = np.ones(net.n)
-    for tau in range(net.N, 0, -1):
-        y = _node_solve(sp.eye_array(net.n) - alpha * adjacency_matrix(net, tau), y)
+    for snap in reversed(net.snapshots):
+        y = _node_solve(_katz_system(snap, net.n, alpha, nbt=False), y)
     return CentralityVector(
         values=y,
         measure="total-communicability",
@@ -102,13 +132,9 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     """NBT-in-space Katz centrality at node level:
     y = (1 - alpha^2)^N prod_tau [I - a A + a^2 (D - I) + a^3 (A - S)]^-1 1."""
     _check_alpha(net, alpha, Mode.NBT_SPACE, 1.0, force)
-    n = net.n
-    eye = sp.eye_array(n, format="csc")
-    y = np.ones(n)
-    for tau in range(net.N, 0, -1):
-        A = adjacency_matrix(net, tau)
-        D, S = deg_matrices(A)
-        y = _node_solve(eye - alpha * A + alpha**2 * (D - eye) + alpha**3 * (A - S), y)
+    y = np.ones(net.n)
+    for snap in reversed(net.snapshots):
+        y = _node_solve(_katz_system(snap, net.n, alpha, nbt=True), y)
     y *= (1.0 - alpha**2) ** net.N
     return CentralityVector(
         values=y,

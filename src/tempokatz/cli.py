@@ -3,8 +3,9 @@ admissible parameter interval, validate inputs, and dump matrices for
 debugging.
 
 Subcommands: ``rank`` (default), ``check-alpha``, ``validate``,
-``dump-matrix``.  Exit codes: 1 parse/validation failure, 2 alpha outside the
-admissible interval without --force, 3 numerical non-convergence.
+``dump-matrix``.  Exit codes: 1 parse/validation failure or a bad option
+value, 2 alpha negative or not finite (even with --force) or outside the
+admissible interval without --force, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,6 +21,7 @@ import tempfile
 from . import matfun
 from .centrality import (
     ParameterError,
+    check_alpha_value,
     dynamic_katz_node_level,
     nbt_space_katz_node_level,
     temporal_f_subgraph_centrality,
@@ -122,6 +125,9 @@ def _render_json(meta, rows):
 
 
 def cmd_rank(args):
+    check_alpha_value(args.alpha)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     net, _ = _parse_input(args.input)
     mode = _MODES[args.mode]
     f = _load_function(args.function)

@@ -5,10 +5,17 @@ Edges are ordered globally by snapshot, then lexicographically by
 (source, target) within a snapshot.  The global transition matrix M is m x m
 and block upper triangular: block (tau1, tau2) is R_tau1 L_tau2^T for
 tau1 <= tau2, so entry (i, j) is 1 when edge j starts where edge i ends, no
-earlier in time.  All of M is therefore one product R_g L_g^T of the stacked
-incidences, masked by snapshot order.  The four modes select which blocks
+earlier in time.  All of M is therefore R_g L_g^T of the stacked incidences,
+masked by snapshot order.  The four modes select which blocks
 also drop the immediately-reversed pairs (edge j leading back to edge i's
-source).  Nothing is cached: each call builds its matrices afresh.
+source).
+
+Every matrix here is built directly in CSR form from the compiled edge
+arrays each ``Snapshot`` owns (``Snapshot.arrays``: sorted sources and
+targets, and each edge's reversal index).  The successors of an edge are a
+contiguous range of sorted sources, so W_t, B_t and M are concatenations of
+such ranges, less the reversals their mode forbids.  This module keeps no
+cache of its own: each call builds its matrix afresh from the arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import enum
 
 import numpy as np
 import scipy.sparse as sp
+
+from .temporal_graph import sorted_csr
 
 
 class Mode(enum.Enum):
@@ -39,67 +48,87 @@ _NBT_DIAGONAL = (Mode.NBT_SPACE, Mode.NBT_BOTH)
 _NBT_OFFDIAG = (Mode.NBT_TIME, Mode.NBT_BOTH)
 
 
-def _incidences(edges, n):
-    """Source and target incidence matrices L, R (len(edges) x n, one 1 per
-    row) of a sequence of (source, target) pairs."""
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    m = len(pairs)
-    rows = np.arange(m)
-    ones = np.ones(m)
-    L = sp.csr_array((ones, (rows, pairs[:, 0])), shape=(m, n))
-    R = sp.csr_array((ones, (rows, pairs[:, 1])), shape=(m, n))
-    return L, R
+def _ranges(starts, ends):
+    """(rows, cols) of the entries whose columns in row i are starts[i]:ends[i],
+    sorted by (row, column)."""
+    counts = ends - starts
+    rows = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum(counts) - counts
+    return rows, np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+
+
+def _successors(e):
+    """(rows, cols) of W_t: edge f follows edge i when src[f] == tgt[i], and
+    those f are one contiguous range of the sorted sources."""
+    return _ranges(np.searchsorted(e.src, e.tgt, "left"), np.searchsorted(e.src, e.tgt, "right"))
+
+
+def _ones(rows, cols, shape):
+    """0/1 CSR array of sorted (rows, cols)."""
+    return sorted_csr(rows, cols, np.ones(len(cols)), shape)
+
+
+def _incidences(src, tgt, n):
+    """Source and target incidence matrices L, R (len(src) x n, one 1 per row)."""
+    rows = np.arange(len(src))
+    return _ones(rows, src, (len(src), n)), _ones(rows, tgt, (len(src), n))
 
 
 def source_target_matrices(snapshot, n):
     """Source and target incidence matrices L, R (m_tau x n, one 1 per row)."""
-    return _incidences(snapshot.edges, n)
+    e = snapshot.arrays
+    return _incidences(e.src, e.tgt, n)
 
 
 def line_graph_matrix(snapshot, n):
     """Adjacency matrix W = R L^T of the snapshot's line graph."""
-    L, R = source_target_matrices(snapshot, n)
-    W = sp.csr_array(R @ L.T)
-    W.eliminate_zeros()
-    return W
+    rows, cols = _successors(snapshot.arrays)
+    return _ones(rows, cols, (snapshot.m, snapshot.m))
 
 
 def hashimoto_matrix(snapshot, n):
-    """Hashimoto matrix B = W - W o W^T (reversed pairs knocked out)."""
-    W = line_graph_matrix(snapshot, n)
-    B = sp.csr_array(W - W.multiply(W.T))
-    B.eliminate_zeros()
-    return B
+    """Hashimoto matrix B: W less each edge's reversal (B = W - W o W^T)."""
+    e = snapshot.arrays
+    rows, cols = _successors(e)
+    keep = cols != e.rev[rows]
+    return _ones(rows[keep], cols[keep], (snapshot.m, snapshot.m))
 
 
-def _global_edges(net):
-    """All m edges in global order, as an m x 2 array of (source, target)."""
-    edges = [e for snap in net.snapshots for e in snap.edges]
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+def _global_arrays(net):
+    """Global source, target and 0-based snapshot index of all m edges."""
+    src = np.concatenate([snap.arrays.src for snap in net.snapshots])
+    tgt = np.concatenate([snap.arrays.tgt for snap in net.snapshots])
+    snapshot = np.repeat(np.arange(net.N), [snap.m for snap in net.snapshots])
+    return src, tgt, snapshot
 
 
 def global_source_target(net):
     """Vertical stacks L_g, R_g of the per-snapshot L and R matrices (m x n)."""
-    return _incidences(_global_edges(net), net.n)
+    src, tgt, _ = _global_arrays(net)
+    return _incidences(src, tgt, net.n)
 
 
 def global_transition(net, mode):
     """The m x m block upper-triangular global transition matrix of ``mode``:
     R_g L_g^T restricted to snapshot(i) <= snapshot(j), less the reversals
     the mode forbids."""
-    edges = _global_edges(net)
-    snapshot = np.repeat(np.arange(net.N), [snap.m for snap in net.snapshots])
-    L, R = _incidences(edges, net.n)
-    W = sp.coo_array(R @ L.T)
-    i, j = W.row, W.col
-    keep = snapshot[i] <= snapshot[j]
-    reversal = edges[j, 1] == edges[i, 0]
-    within = snapshot[i] == snapshot[j]
+    src, tgt, snapshot = _global_arrays(net)
+    # by source, then snapshot, then target: the successors of edge i are the
+    # edges leaving tgt(i) in snapshot(i) or later, one contiguous range here,
+    # in increasing global order
+    by_source = np.argsort(src, kind="stable")
+    key = src[by_source] * net.N + snapshot[by_source]
+    starts = np.searchsorted(key, tgt * net.N + snapshot)
+    rows, pos = _ranges(starts, np.searchsorted(key, (tgt + 1) * net.N))
+    cols = by_source[pos]
+    keep = np.ones(len(cols), dtype=bool)
+    reversal = tgt[cols] == src[rows]
+    within = snapshot[rows] == snapshot[cols]
     if mode in _NBT_DIAGONAL:
         keep &= ~(reversal & within)
     if mode in _NBT_OFFDIAG:
         keep &= ~(reversal & ~within)
-    return sp.csr_array((W.data[keep], (i[keep], j[keep])), shape=W.shape)
+    return _ones(rows[keep], cols[keep], (len(src), len(src)))
 
 
 def dump_coordinate(matrix, stream):

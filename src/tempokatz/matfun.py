@@ -141,6 +141,11 @@ def evaluate(f, z, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     return acc
 
 
+class SolveError(RuntimeError):
+    """A resolvent solve missed its backward-error tolerance, or a series
+    sum is not finite."""
+
+
 class SeriesResult(NamedTuple):
     value: np.ndarray
     truncated: bool
@@ -163,32 +168,34 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     to a column once its new term's max-norm drops below tol times that
     column's accumulated max-norm.  Every column stops exactly when M
     annihilates its power (nilpotent case); the sum ends when all columns
-    have stopped, or after rmax terms (flagged as truncated).  The caller is
-    responsible for alpha being inside radius(g) / rho(M).
+    have stopped, or after rmax terms (flagged as truncated).  A column whose
+    sum overflows raises SolveError.  The caller is responsible for alpha
+    being inside radius(g) / rho(M).
     """
     power = _block(M, v)
     acc = g(0) * power
     rstop = rmax if g.degree is None else min(rmax, g.degree)
     terms = 1
-    for r in range(1, rstop + 1):
-        power = alpha * (M @ power)
-        terms += 1
-        c = g(r)
-        if c != 0.0:
-            term = c * power
-            acc = acc + term
-            if g.degree is None:
-                term_norm = np.max(np.abs(term), axis=0, initial=0.0)
-                acc_norm = np.max(np.abs(acc), axis=0, initial=0.0)
-                power[:, term_norm <= tol * np.maximum(acc_norm, 1e-300)] = 0.0
-        if not power.any():
-            return SeriesResult(acc.reshape(np.shape(v)), False, terms)
     truncated = g.degree is None or rstop < g.degree
+    # an overflow surfaces as a non-finite sum, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, rstop + 1):
+            power = alpha * (M @ power)
+            terms += 1
+            c = g(r)
+            if c != 0.0:
+                term = c * power
+                acc = acc + term
+                if g.degree is None:
+                    term_norm = np.max(np.abs(term), axis=0, initial=0.0)
+                    acc_norm = np.max(np.abs(acc), axis=0, initial=0.0)
+                    power[:, term_norm <= tol * np.maximum(acc_norm, 1e-300)] = 0.0
+            if not power.any():
+                truncated = False
+                break
+    if not np.isfinite(acc).all():
+        raise SolveError(f"series sum is not finite after {terms} terms (alpha too large?)")
     return SeriesResult(acc.reshape(np.shape(v)), truncated, terms)
-
-
-class SolveError(RuntimeError):
-    """Linear system could not be solved to the backward-error tolerance."""
 
 
 def resolvent_solver(M, alpha, tol=DEFAULT_TOL, sizes=None):

@@ -1,10 +1,14 @@
 """Ground-truth brute-force enumeration of temporal walks, the weighted walk
-sum, and the scalar functional-equation checker for product-form centralities.
+sum, the scalar functional-equation checker for product-form centralities,
+and sparse-algebra referees for the matrices the package builds.
 
 Everything here is for tests and validation: exact integer walk counts by
 depth-first enumeration, weights applied afterwards, and the scalar identity
 that characterizes when a product of per-snapshot matrix functions can
 reproduce length-consistent walk weights (only the resolvent family can).
+The referees form A_t, W_t = R L^T, B_t = W - W o W^T, M and the node-level
+Katz systems by sparse products and sums of incidence matrices read from
+``Snapshot.edges``, independently of the compiled edge arrays.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .line_space import Mode
+from .line_space import _NBT_DIAGONAL, _NBT_OFFDIAG, Mode
 from .matfun import evaluate
 from .temporal_graph import adjacency_matrix
 
@@ -170,3 +175,78 @@ def functional_equation_residual(f, g, N, alpha, xs, rmax=200):
     for x in xs:
         rhs *= evaluate(g, alpha * x, rmax=rmax)
     return abs(lhs - rhs)
+
+
+def _incidences(edges, n):
+    """Source and target incidences L, R (len(edges) x n) of (source, target) pairs."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    rows, ones = np.arange(len(pairs)), np.ones(len(pairs))
+    L = sp.csr_array((ones, (rows, pairs[:, 0])), shape=(len(pairs), n))
+    R = sp.csr_array((ones, (rows, pairs[:, 1])), shape=(len(pairs), n))
+    return L, R
+
+
+def reference_adjacency(net, tau):
+    """A_t of snapshot ``tau``, from coordinates."""
+    edges = np.array(net.snapshot(tau).edges, dtype=np.int64).reshape(-1, 2)
+    ones = np.ones(len(edges))
+    return sp.csr_array((ones, (edges[:, 0], edges[:, 1])), shape=(net.n, net.n))
+
+
+def reference_line_graph(snapshot, n):
+    """W = R L^T."""
+    L, R = _incidences(snapshot.edges, n)
+    W = sp.csr_array(R @ L.T)
+    W.eliminate_zeros()
+    return W
+
+
+def reference_hashimoto(snapshot, n):
+    """B = W - W o W^T."""
+    W = reference_line_graph(snapshot, n)
+    B = sp.csr_array(W - W.multiply(W.T))
+    B.eliminate_zeros()
+    return B
+
+
+def reference_transition(net, mode):
+    """M = R_g L_g^T masked to snapshot(i) <= snapshot(j), less the reversals
+    ``mode`` forbids."""
+    edges = np.array([e for snap in net.snapshots for e in snap.edges], dtype=np.int64)
+    edges = edges.reshape(-1, 2)
+    snapshot = np.repeat(np.arange(net.N), [snap.m for snap in net.snapshots])
+    L, R = _incidences(edges, net.n)
+    W = sp.coo_array(R @ L.T)
+    i, j = W.row, W.col
+    keep = snapshot[i] <= snapshot[j]
+    reversal = edges[j, 1] == edges[i, 0]
+    within = snapshot[i] == snapshot[j]
+    if mode in _NBT_DIAGONAL:
+        keep &= ~(reversal & within)
+    if mode in _NBT_OFFDIAG:
+        keep &= ~(reversal & ~within)
+    return sp.csr_array((W.data[keep], (i[keep], j[keep])), shape=W.shape)
+
+
+def deg_matrices(a):
+    """Reciprocity matrices of an adjacency matrix.
+
+    D is diagonal with D_ii = (A^2)_ii, the number of reciprocated partners
+    of node i; S = A o A^T marks mutually connected pairs.
+    """
+    a = sp.csr_array(a)
+    d = np.asarray((a @ a).diagonal()).ravel()
+    D = sp.csr_array(sp.diags_array(d, shape=a.shape))
+    S = sp.csr_array(a.multiply(a.T))
+    S.eliminate_zeros()
+    return D, S
+
+
+def reference_katz_system(A, alpha, nbt):
+    """I - alpha A, or with ``nbt`` the cubic I - a A + a^2 (D - I) + a^3 (A - S)
+    of the NBT-in-space product form, as CSC."""
+    if not nbt:
+        return sp.csc_array(sp.eye_array(A.shape[0]) - alpha * A)
+    eye = sp.eye_array(A.shape[0], format="csc")
+    D, S = deg_matrices(A)
+    return sp.csc_array(eye - alpha * A + alpha**2 * (D - eye) + alpha**3 * (A - S))

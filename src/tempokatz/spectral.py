@@ -109,20 +109,6 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     return RadiusEstimate(max(float(np.max(np.abs(e))) for e in eigs), True, maxit)
 
 
-def deg_matrices(a):
-    """Reciprocity matrices of an adjacency matrix.
-
-    D is diagonal with D_ii = (A^2)_ii, the number of reciprocated partners
-    of node i; S = A o A^T marks mutually connected pairs.
-    """
-    a = sp.csr_array(a)
-    d = np.asarray((a @ a).diagonal()).ravel()
-    D = sp.csr_array(sp.diags_array(d, shape=a.shape))
-    S = sp.csr_array(a.multiply(a.T))
-    S.eliminate_zeros()
-    return D, S
-
-
 def nbt_radius(snapshot, n, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     """lambda_tau = 1 / rho(B^[tau]); +inf when the Hashimoto matrix is nilpotent."""
     B = hashimoto_matrix(snapshot, n)

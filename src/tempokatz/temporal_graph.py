@@ -4,13 +4,23 @@ A temporal network is an ordered sequence of unweighted directed graphs
 (snapshots) on a fixed node set.  Node ids are 0-based.  Timestamps are
 arbitrary strictly increasing integers; only their order matters, and
 snapshots are addressed by their 1-based ordinal ``tau``.
+
+Each snapshot owns its compiled edge arrays (``Snapshot.arrays``): numpy
+source and target arrays in (source, target) order and the index of each
+edge's reversal.  They are built on first use and live as long as the
+snapshot; parsing and validation never build them.  Every matrix of the
+package (A_t, W_t, B_t, M and the node-level Katz systems) is built from
+them directly in compressed sparse form.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
+import numpy as np
 import scipy.sparse as sp
 
 
@@ -26,6 +36,34 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Structurally invalid network data (self-loop, bad node id, ...)."""
+
+
+class EdgeArrays(NamedTuple):
+    """A snapshot's edges as int64 arrays, sorted by (source, target)."""
+
+    src: np.ndarray
+    tgt: np.ndarray
+    #: index of the edge (tgt, src) in the same snapshot, or -1
+    rev: np.ndarray
+
+
+def _compile(edges):
+    """EdgeArrays of a sorted, duplicate-free sequence of (source, target)."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    src, tgt = pairs[:, 0].copy(), pairs[:, 1].copy()
+    base = int(pairs.max(initial=0)) + 1
+    key = src * base + tgt  # ascending, since the edges are sorted
+    reversed_key = tgt * base + src
+    pos = np.searchsorted(key, reversed_key)
+    found = np.append(key, -1)[pos] == reversed_key
+    return EdgeArrays(src, tgt, np.where(found, pos, -1))
+
+
+def sorted_csr(rows, cols, data, shape):
+    """CSR array of entries already sorted by (row, column), without duplicates."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((data, cols, indptr), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -49,6 +87,12 @@ class Snapshot:
     @property
     def m(self):
         return len(self.edges)
+
+    @cached_property
+    def arrays(self):
+        """The compiled :class:`EdgeArrays`, built on first use and held here;
+        not a field, so equality, hashing and repr ignore it."""
+        return _compile(self.edges)
 
 
 @dataclass(frozen=True)
@@ -164,10 +208,5 @@ def to_edgelist(net):
 
 def adjacency_matrix(net, tau):
     """0/1 adjacency matrix of snapshot ``tau`` (1-based) as n x n CSR."""
-    snap = net.snapshot(tau)
-    n = net.n
-    if snap.m == 0:
-        return sp.csr_array((n, n))
-    rows = [u for u, _ in snap.edges]
-    cols = [v for _, v in snap.edges]
-    return sp.csr_array(([1.0] * snap.m, (rows, cols)), shape=(n, n))
+    e = net.snapshot(tau).arrays
+    return sorted_csr(e.src, e.tgt, np.ones(len(e.src)), (net.n, net.n))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,3 +438,58 @@ def test_rank_edge_solve_matches_node_level_on_long_network(capsys, tmp_path):
     for A in reversed(adjacency):
         y = np.linalg.solve(np.eye(n) - float(alpha) * A, y)
     np.testing.assert_allclose(values["standard", ("--no-fastpath",)], y, rtol=1e-10)
+
+
+# reciprocated 0 <-> 2 at t = 2; sum of every walk weight is finite
+THREE_NODES = "0 1 1\n1 2 1\n2 0 2\n0 2 2\n"
+
+
+@pytest.fixture
+def three_file(tmp_path):
+    path = tmp_path / "three.txt"
+    path.write_text(THREE_NODES)
+    return str(path)
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-0.5"])
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_rank_rejects_alpha_that_is_not_finite_and_nonnegative(
+    capsys, three_file, alpha, force
+):
+    code, out, err = run(
+        capsys, "rank", three_file, f"--alpha={alpha}", "--function", "exponential", *force
+    )
+    assert code == 2
+    assert out == ""
+    assert "alpha must be finite and nonnegative" in err
+
+
+def test_library_rejects_nan_alpha_even_with_force(fig1):
+    with pytest.raises(tk.ParameterError):
+        tk.temporal_f_total_communicability(
+            fig1, math.nan, tk.exponential(), Mode.STANDARD, force=True
+        )
+    with pytest.raises(tk.ParameterError):
+        tk.dynamic_katz_node_level(fig1, math.nan, force=True)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_rank_rejects_bad_tol(capsys, three_file, tol):
+    code, out, err = run(capsys, "rank", three_file, "--alpha", "0.1", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "--tol must be positive and finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("measure", ["tc", "sc"])
+def test_rank_series_overflow_exits_3_without_warning(capsys, three_file, measure):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "rank", three_file, "--function", "exponential",
+            "--alpha", "1e3", "--measure", measure,
+        )
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+    assert caught == []

@@ -1,0 +1,124 @@
+"""The compiled edge arrays each snapshot owns, and the matrices built from
+them, against the sparse-algebra referees of ``tempokatz.oracle``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tempokatz as tk
+from tempokatz import Mode, Snapshot, TemporalNetwork, ValidationError, oracle, temporal_graph
+from tempokatz.centrality import _katz_system
+from tempokatz.cli import main
+from tempokatz.spectral import mode_bound
+
+from conftest import FIG_NETWORK
+
+
+@st.composite
+def networks(draw):
+    """n <= 6 nodes (some may be isolated), N <= 4 snapshots (some may be
+    empty); each unordered pair appears forward, backward or reciprocated."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    snapshots = []
+    for tau in range(1, draw(st.integers(1, 4)) + 1):
+        edges = set()
+        for u, v in pairs:
+            kind = draw(st.sampled_from(("none", "none", "forward", "backward", "both")))
+            if kind in ("forward", "both"):
+                edges.add((u, v))
+            if kind in ("backward", "both"):
+                edges.add((v, u))
+        snapshots.append(Snapshot(tau, tuple(edges)))
+    return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))
+
+
+def assert_same(built, reference):
+    """``built`` has sorted indices and equals ``reference`` entry for entry,
+    bit for bit, in the same compressed format."""
+    ref = reference.asformat(built.format, copy=True)
+    ref.sum_duplicates()
+    assert built.has_sorted_indices
+    assert built.shape == ref.shape
+    np.testing.assert_array_equal(built.indptr, ref.indptr)
+    np.testing.assert_array_equal(built.indices, ref.indices)
+    np.testing.assert_array_equal(built.data.view(np.int64), ref.data.view(np.int64))
+
+
+@given(networks(), st.floats(0.0, 2.0))
+@settings(max_examples=150, deadline=None)
+def test_builders_match_referees(net, alpha):
+    for snap in net.snapshots:
+        e = snap.arrays
+        edges = list(zip(e.src.tolist(), e.tgt.tolist()))
+        assert edges == list(snap.edges)
+        assert e.rev.tolist() == [edges.index((v, u)) if (v, u) in edges else -1 for u, v in edges]
+        A = oracle.reference_adjacency(net, snap.tau)
+        assert_same(tk.adjacency_matrix(net, snap.tau), A)
+        assert_same(tk.line_graph_matrix(snap, net.n), oracle.reference_line_graph(snap, net.n))
+        assert_same(tk.hashimoto_matrix(snap, net.n), oracle.reference_hashimoto(snap, net.n))
+        for nbt in (False, True):
+            assert_same(
+                _katz_system(snap, net.n, alpha, nbt), oracle.reference_katz_system(A, alpha, nbt)
+            )
+    for mode in Mode:
+        assert_same(tk.global_transition(net, mode), oracle.reference_transition(net, mode))
+
+
+@given(networks())
+@settings(max_examples=60, deadline=None)
+def test_node_level_katz_matches_edge_solve(net):
+    katz = tk.resolvent(1.0, 1.0)
+    for mode, node_level in (
+        (Mode.STANDARD, tk.dynamic_katz_node_level),
+        (Mode.NBT_SPACE, tk.nbt_space_katz_node_level),
+    ):
+        alpha = 0.5 * min(mode_bound(net, mode)[0], 1.0)
+        edge = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
+        np.testing.assert_allclose(node_level(net, alpha).values, edge, rtol=1e-12, atol=0)
+
+
+def test_reversal_index_of_fig_network(fig1):
+    # t1: 0->1, 1->2, 3->0;  t2: 2->1, 2->3;  t3: 0->3, 3->0
+    assert [s.arrays.rev.tolist() for s in fig1.snapshots] == [[-1, -1, -1], [-1, -1], [1, 0]]
+
+
+def test_arrays_are_built_once_and_ignored_by_equality():
+    snap = Snapshot(1, ((1, 0), (0, 1)))
+    fresh = Snapshot(1, ((0, 1), (1, 0)))
+    assert snap.arrays is snap.arrays
+    assert snap == fresh and hash(snap) == hash(fresh)
+    assert repr(snap) == repr(fresh)
+    assert "arrays" not in repr(snap)
+
+
+def test_empty_snapshot_arrays():
+    e = Snapshot(1, ()).arrays
+    assert e.src.shape == e.tgt.shape == e.rev.shape == (0,)
+    net = TemporalNetwork(n=3, snapshots=(Snapshot(1, ()),), timestamps=(0,))
+    assert tk.adjacency_matrix(net, 1).shape == (3, 3)
+    assert tk.hashimoto_matrix(net.snapshot(1), 3).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [(((1, 1),), "self-loop"), (((0, -1),), "negative"), (((0, 1), (0, 1)), "duplicate")],
+)
+def test_snapshot_rejects_bad_edges(edges, message):
+    with pytest.raises(ValidationError, match=message):
+        Snapshot(1, edges)
+
+
+def test_validate_never_compiles_the_arrays(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "fig.txt"
+    path.write_text(FIG_NETWORK)
+    calls = []
+    real = temporal_graph._compile
+    monkeypatch.setattr(temporal_graph, "_compile", lambda edges: calls.append(1) or real(edges))
+    assert main(["validate", str(path)]) == 0
+    assert calls == []
+    # the count sees a query that does build matrices
+    assert main(["rank", str(path), "--alpha", "0.1"]) == 0
+    assert len(calls) == 3
+    capsys.readouterr()

@@ -265,3 +265,10 @@ def test_polynomial_summed_to_its_degree():
     result = tk.apply_series(M, 0.5, poly, np.ones(2))
     assert result.terms == 4 and not result.truncated
     np.testing.assert_allclose(result.value, 1.625 + 0.25e-16, rtol=1e-15)
+
+
+def test_apply_series_overflow_raises_solve_error(triangle):
+    M = tk.global_transition(triangle, Mode.STANDARD)
+    g = tk.partial_op(tk.exponential())
+    with pytest.raises(SolveError, match="not finite"):
+        tk.apply_series(M, 1e3, g, np.ones(M.shape[0]))
