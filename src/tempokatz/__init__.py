@@ -1,13 +1,17 @@
 """Walk-based centrality measures for temporal networks.
 
-Builds the block upper-triangular edge-space transition matrix M of a
-sequence of graph snapshots, from edge arrays each snapshot compiles once,
-and evaluates analytic-function walk weightings on it: in the
+Works with the block upper-triangular edge-space transition matrix M of a
+sequence of graph snapshots, built from edge arrays each snapshot compiles
+once, and evaluates analytic-function walk weightings of it: in the
 standard setting, and with backtracking forbidden in space, in time, or both.
-A resolvent (Katz) weighting factors each snapshot's diagonal block of
-I - alpha M once per call and back-substitutes; other weightings sum the
-series with sparse products.  Node-level fast paths are provided for Katz
-total communicability in the standard and NBT-in-space modes.
+A resolvent (Katz) weighting never forms M: it factors one system per
+snapshot and back-substitutes, coupling the snapshots through running node
+sums.  That system is the n x n I - alpha A_t in the standard and NBT-in-time
+modes, and the Hashimoto block I - alpha B_t in edge space in the NBT-in-space
+and NBT-both modes, whose node-level cubic carries a spurious factor
+(1 - alpha^2).  Other weightings sum the series with sparse products on M.
+Node-level fast paths are provided for Katz total communicability in the
+standard and NBT-in-space modes.
 """
 
 from .centrality import (

@@ -1,21 +1,24 @@
 """Temporal f-total communicability and f-subgraph centrality in all four
 modes, plus the node-level fast paths available in the resolvent case.
 
-The edge-level route forms the global transition matrix M once, applies the
-shifted weight function to alpha*M, and projects back to the node space with
+The edge-level route applies the shifted weight function to alpha*M, with
+M the global transition matrix, and projects back to the node space with
 the global source/target matrices.  Total communicability applies it to the
 all-ones vector; subgraph centrality and the communicability matrix apply it
 to blocks of at most COLUMN_BLOCK columns of R_g.  M is block upper
-triangular with one diagonal block per snapshot, so a resolvent (Katz)
-weight factors each snapshot's diagonal block of I - alpha*delta*M once per
-call and back-substitutes every block of columns from the last snapshot to
-the first; any other weight sums its series with sparse x dense block
-products.
+triangular with one diagonal block per snapshot.  A resolvent (Katz) weight
+never forms M: ``matfun.resolvent_solver`` factors one system per snapshot
+and back-substitutes every block of columns from the last snapshot to the
+first, coupling the snapshots through running node sums.  In the standard
+and NBT-in-time modes that system is the n x n I - alpha*delta*A_t; in the
+NBT-in-space and NBT-both modes it is the Hashimoto block
+I - alpha*delta*B_t in edge space.  Any other weight sums its series on the
+assembled M with sparse x dense block products.
 
 For resolvent weights the standard mode also collapses to a product of n x n
-resolvents, and the NBT-in-space mode to a product of n x n cubic-polynomial
-inverses; both fast paths are cross checked against the edge-level route in
-the test suite.
+resolvents, and the NBT-in-space mode, for alpha < 1, to a product of n x n
+cubic-polynomial inverses; both fast paths are cross checked against the
+edge-level route in the test suite.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import matfun
-from .line_space import Mode, global_source_target, global_transition
+from .line_space import Mode, global_source_target, global_transition, katz_system
 from .matfun import DEFAULT_RMAX, DEFAULT_TOL, apply_series, partial_op, resolvent_solver
 from .spectral import mode_bound
-from .temporal_graph import sorted_csr
 
 
 #: columns of R_g per block application; bounds the dense m x k work arrays
@@ -78,29 +80,6 @@ def _check_alpha(net, alpha, mode, radius, force):
         )
 
 
-def _katz_system(snapshot, n, alpha, nbt):
-    """I - alpha A_t as n x n CSC or, with ``nbt``, the NBT-in-space cubic
-    I - alpha A_t + alpha^2 (D - I) + alpha^3 (A_t - S), where S holds the
-    snapshot's reciprocated edges and D counts them per source node.  Built
-    from the compiled edge arrays; each entry is evaluated in the order of
-    the sparse sums of ``oracle.reference_katz_system``, zeros dropped, so
-    the two are equal bit for bit."""
-    e = snapshot.arrays
-    off = np.full(len(e.src), 0.0 - alpha)
-    diag = np.ones(n)
-    if nbt:
-        paired = e.rev >= 0
-        diag = 1.0 + alpha**2 * (np.bincount(e.src[paired], minlength=n) - 1.0)
-        off[~paired] += alpha**3
-    nodes = np.arange(n)
-    rows, cols = np.concatenate((e.src, nodes)), np.concatenate((e.tgt, nodes))
-    values = np.concatenate((off, diag))
-    order = np.lexsort((rows, cols))
-    order = order[values[order] != 0]
-    # the CSR form of the transpose, read column by column, is CSC
-    return sorted_csr(cols[order], rows[order], values[order], (n, n)).T
-
-
 def _node_solve(P, v):
     """Solve the n x n system P x = v; a non-finite solution raises SolveError."""
     with warnings.catch_warnings():
@@ -118,7 +97,7 @@ def dynamic_katz_node_level(net, alpha, force=False):
     _check_alpha(net, alpha, Mode.STANDARD, 1.0, force)
     y = np.ones(net.n)
     for snap in reversed(net.snapshots):
-        y = _node_solve(_katz_system(snap, net.n, alpha, nbt=False), y)
+        y = _node_solve(katz_system(snap, net.n, alpha, nbt=False), y)
     return CentralityVector(
         values=y,
         measure="total-communicability",
@@ -130,11 +109,13 @@ def dynamic_katz_node_level(net, alpha, force=False):
 
 def nbt_space_katz_node_level(net, alpha, force=False):
     """NBT-in-space Katz centrality at node level:
-    y = (1 - alpha^2)^N prod_tau [I - a A + a^2 (D - I) + a^3 (A - S)]^-1 1."""
+    y = (1 - alpha^2)^N prod_tau [I - a A + a^2 (D - I) + a^3 (A - S)]^-1 1.
+    The factor (1 - alpha^2) is spurious: the cubic is singular at alpha = 1
+    and loses accuracy beyond it, so use the edge solve for alpha >= 1."""
     _check_alpha(net, alpha, Mode.NBT_SPACE, 1.0, force)
     y = np.ones(net.n)
     for snap in reversed(net.snapshots):
-        y = _node_solve(_katz_system(snap, net.n, alpha, nbt=True), y)
+        y = _node_solve(katz_system(snap, net.n, alpha, nbt=True), y)
     y *= (1.0 - alpha**2) ** net.N
     return CentralityVector(
         values=y,
@@ -148,10 +129,12 @@ def nbt_space_katz_node_level(net, alpha, force=False):
 def _shifted(net, alpha, f, mode, tol, rmax):
     """Return apply(v) -> (value, truncated) evaluating (shifted f)(alpha M) v,
     with M the mode's global transition matrix, for a vector or an m x k
-    block v; a resolvent factors each snapshot's diagonal block once, here."""
-    M = global_transition(net, mode)
+    block v.  A resolvent factors each snapshot once, here, and never forms
+    M (see :func:`matfun.resolvent_solver`); any other weight sums its series
+    on the assembled M."""
     g = partial_op(f)
     if f.geometric is None:
+        M = global_transition(net, mode)
 
         def series(v):
             result = apply_series(M, alpha, g, v, tol=tol, rmax=rmax)
@@ -159,10 +142,8 @@ def _shifted(net, alpha, f, mode, tol, rmax):
 
         return series
     gamma, delta = f.geometric
-    # shifted resolvent is gamma*delta / (1 - delta z): one factorization per
-    # snapshot, then back-substitution from the last snapshot to the first
-    sizes = [snap.m for snap in net.snapshots]
-    solve = resolvent_solver(M, alpha * delta, tol=tol, sizes=sizes)
+    # the shifted resolvent is gamma*delta / (1 - delta z)
+    solve = resolvent_solver(net, mode, alpha * delta, tol=tol)
     return lambda v: (gamma * delta * solve(v), False)
 
 

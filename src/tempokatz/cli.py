@@ -148,7 +148,9 @@ def cmd_rank(args):
     if args.function == "katz" and not args.no_fastpath and args.measure == "tc":
         if mode is Mode.STANDARD:
             fastpath = dynamic_katz_node_level
-        elif mode is Mode.NBT_SPACE:
+        elif mode is Mode.NBT_SPACE and args.alpha < 1:
+            # the cubic's spurious factor (1 - alpha^2) vanishes at alpha = 1
+            # and costs accuracy beyond it; the edge solve is checked
             fastpath = nbt_space_katz_node_level
     try:
         if fastpath is not None:

@@ -1,5 +1,7 @@
 """Edge-space matrices: source/target incidences, line-graph and Hashimoto
-matrices of a snapshot, and the global transition matrix.
+matrices of a snapshot, the node-level Katz systems, the global transition
+matrix, and the directed-pair numbering that finds reversals across
+snapshots.
 
 Edges are ordered globally by snapshot, then lexicographically by
 (source, target) within a snapshot.  The global transition matrix M is m x m
@@ -10,7 +12,7 @@ masked by snapshot order.  The four modes select which blocks
 also drop the immediately-reversed pairs (edge j leading back to edge i's
 source).
 
-Every matrix here is built directly in CSR form from the compiled edge
+Every matrix here is built directly in compressed form from the compiled edge
 arrays each ``Snapshot`` owns (``Snapshot.arrays``: sorted sources and
 targets, and each edge's reversal index).  The successors of an edge are a
 contiguous range of sorted sources, so W_t, B_t and M are concatenations of
@@ -86,12 +88,52 @@ def line_graph_matrix(snapshot, n):
     return _ones(rows, cols, (snapshot.m, snapshot.m))
 
 
-def hashimoto_matrix(snapshot, n):
-    """Hashimoto matrix B: W less each edge's reversal (B = W - W o W^T)."""
-    e = snapshot.arrays
+def _non_backtracking(e):
+    """(rows, cols) of B_t: the successors of each edge less its reversal."""
     rows, cols = _successors(e)
     keep = cols != e.rev[rows]
-    return _ones(rows[keep], cols[keep], (snapshot.m, snapshot.m))
+    return rows[keep], cols[keep]
+
+
+def hashimoto_matrix(snapshot, n):
+    """Hashimoto matrix B: W less each edge's reversal (B = W - W o W^T)."""
+    return _ones(*_non_backtracking(snapshot.arrays), (snapshot.m, snapshot.m))
+
+
+def _csc_with_diagonal(rows, cols, off, diag, dim):
+    """dim x dim CSC array of the entries ``off`` at (rows, cols), none on the
+    diagonal, plus the diagonal ``diag``; zero entries are dropped."""
+    nodes = np.arange(dim)
+    rows, cols = np.concatenate((rows, nodes)), np.concatenate((cols, nodes))
+    values = np.concatenate((off, diag))
+    order = np.lexsort((rows, cols))
+    order = order[values[order] != 0]
+    # the CSR form of the transpose, read column by column, is CSC
+    return sorted_csr(cols[order], rows[order], values[order], (dim, dim)).T
+
+
+def hashimoto_system(snapshot, alpha):
+    """I - alpha B_t as m_t x m_t CSC."""
+    rows, cols = _non_backtracking(snapshot.arrays)
+    off = np.full(len(rows), 0.0 - alpha)
+    return _csc_with_diagonal(rows, cols, off, np.ones(snapshot.m), snapshot.m)
+
+
+def katz_system(snapshot, n, alpha, nbt):
+    """I - alpha A_t as n x n CSC or, with ``nbt``, the NBT-in-space cubic
+    I - alpha A_t + alpha^2 (D - I) + alpha^3 (A_t - S), where S holds the
+    snapshot's reciprocated edges and D counts them per source node.  Each
+    entry is evaluated in the order of the sparse sums of
+    ``oracle.reference_katz_system``, zeros dropped, so the two are equal
+    bit for bit."""
+    e = snapshot.arrays
+    off = np.full(len(e.src), 0.0 - alpha)
+    diag = np.ones(n)
+    if nbt:
+        paired = e.rev >= 0
+        diag = 1.0 + alpha**2 * (np.bincount(e.src[paired], minlength=n) - 1.0)
+        off[~paired] += alpha**3
+    return _csc_with_diagonal(e.src, e.tgt, off, diag, n)
 
 
 def _global_arrays(net):
@@ -129,6 +171,20 @@ def global_transition(net, mode):
     if mode in _NBT_OFFDIAG:
         keep &= ~(reversal & ~within)
     return _ones(rows[keep], cols[keep], (len(src), len(src)))
+
+
+def pair_index(net):
+    """(pair, reverse, count) over all m edges: ``pair[i]`` numbers the
+    directed pair (src, tgt) of edge i among the network's ``count``
+    distinct pairs, and ``reverse[i]`` is the number of (tgt, src), or
+    ``count`` when no snapshot has that edge.  Edge j reverses edge i
+    exactly when pair[j] == reverse[i]."""
+    src, tgt, _ = _global_arrays(net)
+    pairs, pair = np.unique(src * net.n + tgt, return_inverse=True)
+    reversed_key = tgt * net.n + src
+    pos = np.searchsorted(pairs, reversed_key)
+    found = np.append(pairs, -1)[pos] == reversed_key
+    return pair, np.where(found, pos, len(pairs)), len(pairs)
 
 
 def dump_coordinate(matrix, stream):

@@ -5,6 +5,13 @@ A weight function f(z) = sum_r c_r z^r with c_r >= 0 turns walk counts into
 centrality scores.  The shift operator maps f to sum_r c_{r+1} z^r, which
 compensates for edge-space walks being one step shorter than the node-space
 walks they represent.
+
+A series is summed on an assembled matrix (``apply_series``).  The resolvent
+I - alpha M of a temporal network is solved snapshot by snapshot without M
+(``resolvent_solver``): the n x n node system I - alpha A_t for a line-graph
+block (standard and NBT-in-time), the m_t x m_t I - alpha B_t for a
+Hashimoto block (NBT-in-space and NBT-both).  ``resolvent_solve`` factors an
+assembled I - alpha M whole, and is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .line_space import Mode, hashimoto_system, katz_system, pair_index
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RMAX = 10_000
@@ -152,11 +161,12 @@ class SeriesResult(NamedTuple):
     terms: int
 
 
-def _block(M, v):
-    """``v`` as an m x k float array (k = 1 for a vector), checked against M."""
+def _block(v, shape):
+    """``v`` as an m x k float array (k = 1 for a vector), checked against a
+    square matrix of the given shape."""
     v = np.asarray(v, dtype=float)
-    if M.shape[0] != M.shape[1] or v.ndim not in (1, 2) or M.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: M is {M.shape}, v is {v.shape}")
+    if shape[0] != shape[1] or v.ndim not in (1, 2) or shape[0] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: the matrix is {shape}, v is {v.shape}")
     return v if v.ndim == 2 else v[:, None]
 
 
@@ -172,7 +182,7 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     sum overflows raises SolveError.  The caller is responsible for alpha
     being inside radius(g) / rho(M).
     """
-    power = _block(M, v)
+    power = _block(v, M.shape)
     acc = g(0) * power
     rstop = rmax if g.degree is None else min(rmax, g.degree)
     terms = 1
@@ -198,65 +208,157 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     return SeriesResult(acc.reshape(np.shape(v)), truncated, terms)
 
 
-def resolvent_solver(M, alpha, tol=DEFAULT_TOL, sizes=None):
-    """Factor I - alpha M by its diagonal blocks; return solve(v) for a vector
-    or m x k block v.
+def _factor(P):
+    """``splu`` of the square CSC matrix P; an exactly singular P raises
+    SolveError."""
+    try:
+        return spla.splu(P)
+    except RuntimeError as exc:
+        raise SolveError(f"I - alpha M is singular ({exc})") from None
 
-    ``sizes`` gives the dimensions of M's diagonal blocks (default: one block
-    of size m), and I - alpha M must have no entry below them; a temporal
-    walk never steps back in time, so the global transition matrix is block
-    upper triangular with one block per snapshot.  Each non-empty diagonal
-    block is factored once with ``splu``, and a solve back-substitutes from
-    the last block to the first, x_k = A_kk^-1 (v_k - sum_{j>k} A_kj x_j).
+
+def _colmax(X):
+    return np.max(np.abs(X), axis=0, initial=0.0)
+
+
+def _accept(resid, a_norm, X, V, tol):
+    """Raise SolveError unless every column x of X, solving A x = v for the
+    column v of V, has a normwise backward error resid / (||A||_inf
+    ||x||_inf + ||v||_inf) of at most tol, where ``resid`` holds each
+    column's ||A x - v||_inf and a_norm = ||A||_inf."""
+    scale = a_norm * _colmax(X) + _colmax(V)
+    bad = ~(resid <= tol * scale)  # NaN fails too
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SolveError(
+            f"backward error {resid[k] / scale[k]:.3e} exceeds {tol:.1e} "
+            "(system near singular?)"
+        )
+
+
+class _Block(NamedTuple):
+    """One non-empty snapshot's rows of I - alpha M."""
+
+    rows: slice
+    tgt: np.ndarray
+    #: the distinct sources of the snapshot's edges, and the first edge of each
+    nodes: np.ndarray
+    firsts: np.ndarray
+    #: splu of I - alpha A_t (n x n) or, for a Hashimoto block, of I - alpha B_t
+    lu: object
+    #: I - alpha B_t, or None for a line-graph block W_t = R_t L_t^T
+    system: Optional[sp.csc_array]
+
+
+def _sources(blk, values, n):
+    """L_t^T values (n x k): each edge's row added to its source node; the
+    sources are sorted, so each node's edges are one run."""
+    out = np.zeros((n, values.shape[1]))
+    out[blk.nodes] = np.add.reduceat(values, blk.firsts, axis=0)
+    return out
+
+
+def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
+    """Factor I - alpha M, with M the global transition matrix of ``net`` in
+    ``mode``, snapshot by snapshot without forming M; return solve(v) for a
+    vector or m x k block v over the edges.
+
+    M is block upper triangular, one diagonal block per snapshot, so a solve
+    back-substitutes from the last snapshot to the first.  Block row t of M
+    off the diagonal is R_t acc, where acc = sum over later snapshots s of
+    L_s^T x_s is a running n x k sum; in NBT-in-time and NBT-both it is less
+    the later reversals, a running sum of x keyed on the directed pair (see
+    ``line_space.pair_index``).  A line-graph diagonal block (standard and
+    NBT-in-time) is W_t = R_t L_t^T with L_t^T R_t = A_t, so it is solved at
+    node level,
+
+        (I - alpha W_t)^-1 b = b + alpha R_t (I - alpha A_t)^-1 L_t^T b,
+
+    with one n x n factorization per snapshot; by Sylvester's determinant
+    identity I - alpha A_t is singular exactly when I - alpha W_t is.  A
+    Hashimoto block B_t (NBT-in-space and NBT-both) is factored in edge
+    space, m_t x m_t: its node-level form, the NBT cubic, carries a
+    spurious factor (1 - alpha^2) and loses accuracy near alpha = 1.
 
     Each column x of the solution is accepted on its normwise backward error
     over the whole system, ||(I - alpha M) x - v||_inf <= tol (||I - alpha
-    M||_inf ||x||_inf + ||v||_inf); a column that fails it, or an exactly
-    singular diagonal block, raises SolveError.  Requires alpha * rho(M) < 1
-    for the result to mean a walk series.
+    M||_inf ||x||_inf + ||v||_inf), with the residual formed from the same
+    running sums; a column that fails it, or an exactly singular factor,
+    raises SolveError.  Requires alpha * rho(M) < 1 for the result to mean a
+    walk series.
     """
-    m = M.shape[0]
-    A = sp.csr_array(sp.eye_array(m, format="csr") - alpha * M)
-    sizes = np.asarray([m] if sizes is None else sizes, dtype=np.int64)
-    if sizes.sum() != m or (sizes < 0).any():
-        raise ValueError(f"block sizes {sizes.tolist()} do not partition m = {m}")
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    rows, cols = A.nonzero()
-    if (block[rows] > block[cols]).any():
-        raise ValueError("I - alpha M has an entry below its diagonal blocks")
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    factors = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        if s == e:
+    line_graph = mode in (Mode.STANDARD, Mode.NBT_TIME)
+    pair, reverse, pairs = pair_index(net)
+    if mode not in (Mode.NBT_TIME, Mode.NBT_BOTH):
+        reverse = None
+    blocks = []
+    # out-degrees and directed-pair counts over the snapshots after t, for
+    # the row counts of M: ||I - alpha M||_inf = 1 + alpha * (largest count)
+    later = np.zeros(net.n, dtype=np.int64)
+    later_pairs = np.zeros(pairs + 1, dtype=np.int64)
+    width = 0
+    start = net.m
+    for snap in reversed(net.snapshots):
+        start, stop = start - snap.m, start
+        if snap.m == 0:
             continue
-        try:
-            lu = spla.splu(sp.csc_array(A[s:e, s:e]))
-        except RuntimeError as exc:
-            raise SolveError(f"I - alpha M is singular ({exc})") from None
-        factors.append((s, e, lu, A[s:e, e:]))
-    a_norm = np.max(abs(A).sum(axis=1), initial=0.0)
+        e = snap.arrays
+        out = np.bincount(e.src, minlength=net.n)
+        count = out[e.tgt] + later[e.tgt]
+        if line_graph:
+            system = None
+            lu = _factor(katz_system(snap, net.n, alpha, nbt=False))
+        else:
+            system = hashimoto_system(snap, alpha)
+            lu = _factor(system)
+            count -= e.rev >= 0
+        if reverse is not None:
+            count -= later_pairs[reverse[start:stop]]
+        width = max(width, int(count.max()))
+        later += out
+        later_pairs[pair[start:stop]] += 1
+        firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
+        blocks.append(_Block(slice(start, stop), e.tgt, e.src[firsts], firsts, lu, system))
+    a_norm = 1.0 + alpha * width
 
     def solve(v):
-        b = _block(M, v)
-        x = np.empty_like(b)
-        for s, e, lu, coupling in reversed(factors):
-            x[s:e] = lu.solve(b[s:e] - coupling @ x[e:])
-        resid = np.max(np.abs(A @ x - b), axis=0, initial=0.0)
-        scale = a_norm * np.max(np.abs(x), axis=0, initial=0.0)
-        scale += np.max(np.abs(b), axis=0, initial=0.0)
-        bad = ~(resid <= tol * scale)  # NaN fails too
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SolveError(
-                f"backward error {resid[k] / scale[k]:.3e} exceeds {tol:.1e} "
-                "(system near singular?)"
-            )
+        V = _block(v, (net.m, net.m))
+        x = np.empty_like(V)
+        acc = np.zeros((net.n, V.shape[1]))
+        later_x = None if reverse is None else np.zeros((pairs + 1, V.shape[1]))
+        resid = np.zeros(V.shape[1])
+        for blk in blocks:
+            rows = blk.rows
+            coupling = acc[blk.tgt]
+            if later_x is not None:
+                coupling -= later_x[reverse[rows]]
+            b = V[rows] + alpha * coupling
+            if blk.system is None:
+                xt = b + alpha * blk.lu.solve(_sources(blk, b, net.n))[blk.tgt]
+                sums = _sources(blk, xt, net.n)
+                # (I - alpha W_t) x_t with W_t x_t = R_t L_t^T x_t
+                r = xt - alpha * sums[blk.tgt] - b
+            else:
+                xt = blk.lu.solve(b)
+                sums = _sources(blk, xt, net.n)
+                r = blk.system @ xt - b
+            x[rows] = xt
+            resid = np.maximum(resid, _colmax(r))
+            acc += sums
+            if later_x is not None:
+                later_x[pair[rows]] += xt
+        _accept(resid, a_norm, x, V, tol)
         return x.reshape(np.shape(v))
 
     return solve
 
 
 def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
-    """Solve (I - alpha M) x = v for a vector or m x k block v; see
-    :func:`resolvent_solver` for the acceptance test."""
-    return resolvent_solver(M, alpha, tol=tol)(v)
+    """Solve (I - alpha M) x = v for a vector or m x k block v with one
+    sparse LU of the whole matrix; the reference for :func:`resolvent_solver`,
+    with the same acceptance test."""
+    b = _block(v, M.shape)
+    A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
+    x = _factor(A).solve(b)
+    _accept(_colmax(A @ x - b), np.max(abs(A).sum(axis=1), initial=0.0), x, b, tol)
+    return x.reshape(np.shape(v))

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import tempokatz as tk
-from tempokatz import Mode
+from tempokatz import Mode, Snapshot, TemporalNetwork
 
 # 3-snapshot directed path 0->1 (t1), 1->2 (t2), 2->3 (t3): every edge-space
 # matrix for this network is known in closed form
@@ -70,3 +71,22 @@ def has_reciprocated_edge(net):
 def dense_radius(matrix):
     """Independent spectral-radius oracle (dense eigenvalues)."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix.todense())))))
+
+
+@st.composite
+def networks(draw):
+    """n <= 6 nodes (some may be isolated), N <= 4 snapshots (some may be
+    empty); each unordered pair appears forward, backward or reciprocated."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    snapshots = []
+    for tau in range(1, draw(st.integers(1, 4)) + 1):
+        edges = set()
+        for u, v in pairs:
+            kind = draw(st.sampled_from(("none", "none", "forward", "backward", "both")))
+            if kind in ("forward", "both"):
+                edges.add((u, v))
+            if kind in ("backward", "both"):
+                edges.add((v, u))
+        snapshots.append(Snapshot(tau, tuple(edges)))
+    return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))

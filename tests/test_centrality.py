@@ -148,8 +148,9 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
 
 
 def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
-    # one factorization per non-empty snapshot, of that snapshot's diagonal
-    # block, and none of the whole m x m system
+    # one factorization per non-empty snapshot: of the n x n node system
+    # I - alpha A_t for a line-graph block, of the m_t x m_t I - alpha B_t
+    # for a Hashimoto block, and never of the whole m x m system
     dims = []
     real = scipy.sparse.linalg.splu
 
@@ -158,12 +159,29 @@ def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
         return real(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-    assert fig1.N > 1
+    assert fig1.N > 1 and fig1.n not in [snap.m for snap in fig1.snapshots]
     for mode in Mode:
+        line_graph = mode in (Mode.STANDARD, Mode.NBT_TIME)
         dims.clear()
         tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
-        assert dims == [snap.m for snap in fig1.snapshots if snap.m]
+        expected = [fig1.n if line_graph else snap.m for snap in fig1.snapshots if snap.m]
+        assert dims == expected[::-1]
         assert fig1.m not in dims
+
+
+def test_katz_never_forms_the_global_transition_matrix(fig1, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("global_transition called")
+
+    monkeypatch.setattr(centrality, "global_transition", forbidden)
+    monkeypatch.setattr(tk.line_space, "global_transition", forbidden)
+    katz = tk.resolvent(1, 1)
+    for mode in Mode:
+        tk.temporal_f_total_communicability(fig1, 0.2, katz, mode)
+        tk.temporal_f_subgraph_centrality(fig1, 0.2, katz, mode)
+        tk.communicability_matrix(fig1, 0.2, katz, mode)
+    with pytest.raises(AssertionError, match="global_transition"):
+        tk.temporal_f_total_communicability(fig1, 0.2, tk.exponential(), Mode.STANDARD)
 
 
 def test_katz_subgraph_centrality_across_column_blocks():

@@ -440,6 +440,40 @@ def test_rank_edge_solve_matches_node_level_on_long_network(capsys, tmp_path):
     np.testing.assert_allclose(values["standard", ("--no-fastpath",)], y, rtol=1e-10)
 
 
+def test_rank_complete_digraph_closed_form(capsys, tmp_path):
+    # K_40 in each of 4 snapshots, m_t = 1560 >> n: every row sum of A_t is
+    # 39, so Katz TC is (1 - 39 alpha)^-4 at every node
+    path = tmp_path / "k40.txt"
+    path.write_text("".join(
+        f"{u} {v} {t}\n" for t in range(1, 5) for u in range(40) for v in range(40) if u != v
+    ))
+    alpha = 0.02
+    code, out, err = run(capsys, "rank", str(path), "--alpha", str(alpha), "--no-fastpath")
+    assert code == 0, err
+    meta, rows = parse_csv(out)
+    assert meta["fastpath"] == "False"
+    np.testing.assert_allclose([v for _, v, _ in rows], (1 - 39 * alpha) ** -4, rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", ["1.0", "1.00000001"])
+def test_rank_nbt_space_at_and_above_one_uses_the_edge_solve(capsys, tmp_path, alpha):
+    # ell = inf in nbt-space; the node-level cubic carries a factor
+    # (1 - alpha^2), singular at alpha = 1 and inaccurate beyond it.  Walks:
+    # 0->1->2 from node 0, 1->0 and 1->2 from node 1, 2->1 from node 2
+    path = tmp_path / "pairs.txt"
+    path.write_text("0 1 1\n1 0 1\n1 2 2\n2 1 2\n")
+    values = {}
+    for route in ((), ("--no-fastpath",)):
+        code, out, err = run(capsys, "rank", str(path), "--mode", "nbt-space", "--alpha", alpha, *route)
+        assert code == 0, err
+        meta, rows = parse_csv(out)
+        assert meta["ell"] == "inf" and meta["fastpath"] == "False"
+        values[route] = np.array([v for _, v, _ in sorted(rows)])
+    np.testing.assert_allclose(values[()], values[("--no-fastpath",)], rtol=1e-12)
+    a = float(alpha)
+    np.testing.assert_allclose(values[()], [1 + a + a * a, 1 + 2 * a, 1 + a], rtol=1e-12)
+
+
 # reciprocated 0 <-> 2 at t = 2; sum of every walk weight is finite
 THREE_NODES = "0 1 1\n1 2 1\n2 0 2\n0 2 2\n"
 

@@ -3,35 +3,17 @@ them, against the sparse-algebra referees of ``tempokatz.oracle``."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork, ValidationError, oracle, temporal_graph
-from tempokatz.centrality import _katz_system
+from tempokatz.line_space import hashimoto_system, katz_system
 from tempokatz.cli import main
 from tempokatz.spectral import mode_bound
 
-from conftest import FIG_NETWORK
-
-
-@st.composite
-def networks(draw):
-    """n <= 6 nodes (some may be isolated), N <= 4 snapshots (some may be
-    empty); each unordered pair appears forward, backward or reciprocated."""
-    n = draw(st.integers(1, 6))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    snapshots = []
-    for tau in range(1, draw(st.integers(1, 4)) + 1):
-        edges = set()
-        for u, v in pairs:
-            kind = draw(st.sampled_from(("none", "none", "forward", "backward", "both")))
-            if kind in ("forward", "both"):
-                edges.add((u, v))
-            if kind in ("backward", "both"):
-                edges.add((v, u))
-        snapshots.append(Snapshot(tau, tuple(edges)))
-    return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))
+from conftest import FIG_NETWORK, networks
 
 
 def assert_same(built, reference):
@@ -60,8 +42,11 @@ def test_builders_match_referees(net, alpha):
         assert_same(tk.hashimoto_matrix(snap, net.n), oracle.reference_hashimoto(snap, net.n))
         for nbt in (False, True):
             assert_same(
-                _katz_system(snap, net.n, alpha, nbt), oracle.reference_katz_system(A, alpha, nbt)
+                katz_system(snap, net.n, alpha, nbt), oracle.reference_katz_system(A, alpha, nbt)
             )
+        shifted = sp.csc_array(sp.eye_array(snap.m) - alpha * oracle.reference_hashimoto(snap, net.n))
+        shifted.eliminate_zeros()
+        assert_same(hashimoto_system(snap, alpha), shifted)
     for mode in Mode:
         assert_same(tk.global_transition(net, mode), oracle.reference_transition(net, mode))
 

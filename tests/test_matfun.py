@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork
 from tempokatz.matfun import SolveError, evaluate, resolvent_solver
 
-from conftest import TRIANGLE, dense_radius, random_network
+from conftest import TRIANGLE, dense_radius, networks, random_network
 
 
 def test_partial_exponential_is_psi1():
@@ -192,10 +194,26 @@ def test_block_solver_matches_one_block(N):
         for mode in Mode:
             M = tk.global_transition(net, mode)
             alpha = 0.5 / max(dense_radius(M), 1.0)
-            one = resolvent_solver(M, alpha)
-            block = resolvent_solver(M, alpha, sizes=snapshot_sizes(net))
+            block = resolvent_solver(net, mode, alpha)
             for v in (V[:, 0], V):
-                np.testing.assert_allclose(block(v), one(v), rtol=1e-12, atol=0)
+                np.testing.assert_allclose(
+                    block(v), tk.resolvent_solve(M, alpha, v), rtol=1e-12, atol=0
+                )
+
+
+@given(networks(), st.sampled_from(list(Mode)), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_block_solver_matches_whole_matrix_property(net, mode, fraction, seed):
+    # empty snapshots, isolated nodes and reciprocated pairs; alpha up to 0.9
+    # of the admissible bound 1 / rho(M), or up to 2 when M is nilpotent
+    assume(net.m > 0)
+    M = tk.global_transition(net, mode)
+    rho = dense_radius(M)
+    alpha = fraction / rho if rho > 1e-8 else 2 * fraction
+    V = np.random.default_rng(seed).random((net.m, 3))
+    solve = resolvent_solver(net, mode, alpha)
+    for v in (V[:, 0], V):
+        np.testing.assert_allclose(solve(v), tk.resolvent_solve(M, alpha, v), rtol=1e-12, atol=0)
 
 
 def test_block_solver_skips_empty_snapshot():
@@ -207,34 +225,43 @@ def test_block_solver_skips_empty_snapshot():
     )
     assert snapshot_sizes(net) == [1, 0, 2]
     M = tk.global_transition(net, Mode.STANDARD)
-    solve = resolvent_solver(M, 0.5, sizes=snapshot_sizes(net))
-    # edges in order 0->1, 1->2, 2->0; walks 0->1->2->0, 1->2->0
-    np.testing.assert_allclose(solve(np.ones(3)), [1.75, 1.5, 1.0], rtol=1e-15)
-    np.testing.assert_allclose(solve(np.eye(3)), resolvent_solver(M, 0.5)(np.eye(3)), rtol=1e-15)
+    for mode in Mode:
+        solve = resolvent_solver(net, mode, 0.5)
+        # edges in order 0->1, 1->2, 2->0; walks 0->1->2->0, 1->2->0
+        np.testing.assert_allclose(solve(np.ones(3)), [1.75, 1.5, 1.0], rtol=1e-15)
+        np.testing.assert_allclose(solve(np.eye(3)), tk.resolvent_solve(M, 0.5, np.eye(3)), rtol=1e-15)
 
 
-def test_block_solver_rejects_sizes_not_summing_to_m(fig1):
-    M = tk.global_transition(fig1, Mode.STANDARD)
-    for sizes in ([3, 2], [3, 2, 2, 1], [3, 5, -1]):
+def test_block_solver_rejects_vector_of_wrong_length(fig1):
+    solve = resolvent_solver(fig1, Mode.STANDARD, 0.2)
+    for v in (np.ones(fig1.m - 1), np.ones((fig1.m + 1, 2)), np.ones((fig1.m, 2, 2))):
         with pytest.raises(ValueError):
-            resolvent_solver(M, 0.2, sizes=sizes)
+            solve(v)
 
 
-def test_block_solver_rejects_entry_below_blocks(fig1):
-    # one block per edge: 3->0 then 0->1 within snapshot 1 lies below them
-    M = tk.global_transition(fig1, Mode.STANDARD)
-    with pytest.raises(ValueError):
-        resolvent_solver(M, 0.2, sizes=[1] * fig1.m)
-
-
-def test_block_solver_singular_later_block():
+@pytest.mark.parametrize("mode", list(Mode))
+def test_block_solver_singular_later_block(mode):
     # the triangle's line graph has rho = 2, so I - M/2 is singular on block 2
+    # in the line-graph modes, where the node system I - A/2 meets an exactly
+    # zero pivot; its Hashimoto matrix has rho = 1
     text = "0 1 1\n" + TRIANGLE.replace(" 1\n", " 2\n")
     net = tk.parse_temporal_edgelist(text)
     assert snapshot_sizes(net) == [1, 6]
-    M = tk.global_transition(net, Mode.STANDARD)
-    with pytest.raises(SolveError):
-        resolvent_solver(M, 0.5, sizes=snapshot_sizes(net))(np.ones(net.m))
+    katz = tk.resolvent(1, 1)
+    if mode in (Mode.STANDARD, Mode.NBT_TIME):
+        with pytest.raises(SolveError, match="singular"):
+            resolvent_solver(net, mode, 0.5)
+        # a vector (TC) and a block of columns (SC)
+        with pytest.raises(SolveError, match="singular"):
+            tk.temporal_f_total_communicability(net, 0.5, katz, mode, force=True)
+        with pytest.raises(SolveError, match="singular"):
+            tk.temporal_f_subgraph_centrality(net, 0.5, katz, mode, force=True)
+    else:
+        M = tk.global_transition(net, mode)
+        for v in (np.ones(net.m), np.eye(net.m)[:, :3]):
+            np.testing.assert_allclose(
+                resolvent_solver(net, mode, 0.5)(v), tk.resolvent_solve(M, 0.5, v), rtol=1e-12
+            )
 
 
 def test_monomial_and_polynomial():
