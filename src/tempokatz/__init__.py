@@ -50,7 +50,7 @@ from .oracle import (
     homogeneous_symmetric,
     weighted_walk_sum,
 )
-from .spectral import AlphaBound, alpha_bound, nbt_radius, spectral_radius
+from .spectral import AlphaBound, alpha_bound, spectral_radius
 from .temporal_graph import (
     ParseError,
     ParseReport,

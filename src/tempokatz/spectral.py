@@ -5,9 +5,11 @@ alpha below 1 / max_tau rho(A^[tau]).  For the modes that forbid
 within-snapshot backtracking they converge for alpha below
 min_tau 1 / rho(B^[tau]), which equals the smallest-modulus eigenvalue of a
 cubic matrix polynomial in the adjacency matrix (checked in the test suite).
-A mode's ell uses one family only: ``mode_bound`` computes that one and
-``alpha_bound`` both.  Radii above DENSE_DIRECT_MAX are certified upper
-bounds (Collatz-Wielandt brackets), so ell never exceeds the true supremum.
+``alpha_bound`` takes every radius of both families.  ``mode_bound`` needs
+only the largest of its mode's family: it brackets all small blocks at once
+in a block-diagonal stack and takes the radius of just those that may hold
+it.  Radii above DENSE_DIRECT_MAX are certified upper bounds
+(Collatz-Wielandt brackets), so ell never exceeds the true supremum.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .line_space import _NBT_DIAGONAL, Mode, hashimoto_matrix
-from .temporal_graph import adjacency_matrix
+from .line_space import _NBT_DIAGONAL, Mode, _non_backtracking, hashimoto_matrix
+from .temporal_graph import EdgeArrays, adjacency_matrix, sorted_csr
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXIT = 10_000
@@ -47,12 +49,17 @@ class AlphaBound:
     converged: bool = True
 
 
-#: up to this dimension the radius comes from dense eigenvalues outright;
-#: their cost grows as the cube of the dimension, ~20 ms at 200
+#: up to this dimension the radius comes from dense eigenvalues outright; they
+#: take ~27 ms at 200 rows of one strongly connected block (2-vCPU Xeon)
 DENSE_DIRECT_MAX = 200
 
 #: strongly connected components above this dimension get no dense fallback
 DENSE_FALLBACK_MAX = 4096
+
+#: mode_bound stacks blocks of at most DENSE_DIRECT_MAX rows, about STACK_ROWS
+#: rows at a time, for STACK_STEPS power steps; MARGIN is well above the dense
+#: eigensolver's error on a defective radius (1.7e-6 seen, 5.8e-5 contrived)
+STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 10, 1e-4
 
 
 def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
@@ -74,7 +81,7 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = m.shape[0]
-    coo = sp.coo_array(m)
+    coo = sp.csr_array(m).tocoo()  # in row order
     if n == 0 or coo.nnz == 0:
         return RadiusEstimate(0.0, True, 0)
     if n <= DENSE_DIRECT_MAX:
@@ -84,24 +91,13 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
         if value <= 1e-12 * max(1.0, float(np.abs(dense).sum())):
             value = 0.0
         return RadiusEstimate(value, True, 0)
-    ncomp, labels = connected_components(coo, directed=True, connection="strong")
-    inside = labels[coo.row] == labels[coo.col]
-    if not inside.any():
+    C, labels, _ = _inside_components(coo)
+    if C.nnz == 0:
         return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
-    C = sp.csr_array((coo.data[inside], (coo.row[inside], coo.col[inside])), shape=m.shape)
-    order = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[order], np.arange(ncomp))
-    x = np.ones(n)
-    for it in range(1, maxit + 1):
-        y = C @ x
-        ratio = (y / x)[order]
-        lo = float(np.minimum.reduceat(ratio, starts).max())
-        hi_k = np.maximum.reduceat(ratio, starts)
-        hi = float(hi_k.max())
-        if hi - lo <= tol * hi:
-            return RadiusEstimate(hi, True, it)
-        x += y
-        x /= np.maximum.reduceat(x[order], starts)[labels]  # per component, no underflow
+    lo_k, hi_k, it = _bracket(C, labels, tol, maxit)
+    lo, hi = float(lo_k.max()), float(hi_k.max())
+    if hi - lo <= tol * hi:
+        return RadiusEstimate(hi, True, it)
     blocks = [np.flatnonzero(labels == k) for k in np.flatnonzero(hi_k >= lo)]
     if max(map(len, blocks)) > DENSE_FALLBACK_MAX:
         return RadiusEstimate(hi, False, maxit)
@@ -109,45 +105,92 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     return RadiusEstimate(max(float(np.max(np.abs(e))) for e in eigs), True, maxit)
 
 
-def nbt_radius(snapshot, n, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """lambda_tau = 1 / rho(B^[tau]); +inf when the Hashimoto matrix is nilpotent."""
-    B = hashimoto_matrix(snapshot, n)
-    est = spectral_radius(B, tol=tol, maxit=maxit)
-    if not est.converged:
-        raise NonConvergenceError(est)
-    return _reciprocal(est.value)
+def _inside_components(coo):
+    """(C, labels, rows): the entries of ``coo`` (given in row order) inside
+    its strongly connected components, on the ``rows`` they lie in (no other
+    row is on a cycle), and the component of each such row, numbered from 0."""
+    _, labels = connected_components(coo, directed=True, connection="strong")
+    inside = labels[coo.row] == labels[coo.col]
+    row, col = coo.row[inside], coo.col[inside]
+    on_cycle = np.bincount(row, minlength=coo.shape[0]) > 0
+    index, rows = np.cumsum(on_cycle) - 1, np.flatnonzero(on_cycle)
+    C = sorted_csr(index[row], index[col], coo.data[inside], (len(rows), len(rows)))
+    return C, np.unique(labels[rows], return_inverse=True)[1], rows
 
 
-class NonConvergenceError(RuntimeError):
-    """The radius bracket stayed open; carries the last estimate."""
+def _bracket(C, labels, tol, maxit):
+    """(lo_k, hi_k, iterations): Collatz-Wielandt bounds lo_k <= rho_k <= hi_k
+    of each component k, after power steps on I + C that stop once the
+    largest bracket closes to ``tol``."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+    x = np.ones(len(labels))
+    for it in range(1, maxit + 1):
+        y = C @ x
+        ratio = (y / x)[order]
+        lo_k, hi_k = np.minimum.reduceat(ratio, starts), np.maximum.reduceat(ratio, starts)
+        hi = hi_k.max()
+        if hi - lo_k.max() <= tol * hi:
+            break
+        x += y
+        x /= np.maximum.reduceat(x[order], starts)[labels]  # per component, no underflow
+    return lo_k, hi_k, it
 
-    def __init__(self, estimate):
-        super().__init__(
-            f"spectral radius did not converge in {estimate.iterations} iterations "
-            f"(last value {estimate.value})"
-        )
-        self.estimate = estimate
 
-
-def snapshot_radii(net, hashimoto, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau], tau = 1..N."""
-    def block(tau):
+def snapshot_radii(net, hashimoto, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT, taus=None):
+    """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for the
+    0-based snapshot indices ``taus``, by default all of them."""
+    def block(t):
         if hashimoto:
-            return hashimoto_matrix(net.snapshot(tau), net.n)
-        return adjacency_matrix(net, tau)
-    return [spectral_radius(block(tau), tol, maxit) for tau in range(1, net.N + 1)]
+            return hashimoto_matrix(net.snapshots[t], net.n)
+        return adjacency_matrix(net, t + 1)
+    taus = range(net.N) if taus is None else taus
+    return [spectral_radius(block(t), tol, maxit) for t in taus]
 
 
 def _reciprocal(rho):
     return math.inf if rho == 0.0 else 1.0 / rho
 
 
+def _stack(net, taus, hashimoto):
+    """COO block-diagonal stack of B^[tau] (``hashimoto``) or A^[tau] over
+    the 0-based ``taus``, from their edge arrays joined into those of one
+    disjoint union: the k-th one's nodes shifted by k n, its edges by the
+    edges before it."""
+    sizes = [net.snapshots[t].m for t in taus]
+    src, tgt, rev = (np.concatenate(f) for f in zip(*(net.snapshots[t].arrays for t in taus)))
+    shift = np.repeat(np.arange(len(sizes)) * net.n, sizes)
+    rows, cols, dim = src + shift, tgt + shift, len(sizes) * net.n
+    if hashimoto:
+        rev = np.where(rev < 0, -1, rev + np.repeat(np.cumsum(sizes) - sizes, sizes))
+        (rows, cols), dim = _non_backtracking(EdgeArrays(rows, cols, rev)), len(src)
+    return sp.coo_array((np.ones(len(rows)), (rows, cols)), (dim, dim))
+
+
 def mode_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     """(ell, converged) for ``mode`` from the one family of radii it uses:
     ell = 1 / max_tau rho(B^[tau]) for NBT-in-space / NBT-both and
-    1 / max_tau rho(A^[tau]) for standard / NBT-in-time."""
-    radii = snapshot_radii(net, mode in _NBT_DIAGONAL, tol, maxit)
-    return _reciprocal(max(e.value for e in radii)), all(e.converged for e in radii)
+    1 / max_tau rho(A^[tau]) for standard / NBT-in-time.
+
+    The maximum is that of :func:`snapshot_radii`, bit for bit, from the radii
+    of only the blocks that may hold it: those above DENSE_DIRECT_MAX rows, and
+    each smaller one whose upper bound from the stacked brackets reaches
+    (1 - MARGIN) times the largest lower bound; the rest are proven smaller."""
+    hashimoto = mode in _NBT_DIAGONAL
+    dims = np.array([s.m if hashimoto else net.n for s in net.snapshots])
+    small = np.flatnonzero(dims <= DENSE_DIRECT_MAX)
+    group = np.cumsum(dims[small]) // STACK_ROWS
+    lower, found = 0.0, []
+    for taus in (small[group == g] for g in np.unique(group)):
+        C, labels, rows = _inside_components(_stack(net, taus, hashimoto))
+        if C.nnz:
+            lo_k, hi_k, _ = _bracket(C, labels, tol, STACK_STEPS)
+            lower = max(lower, float(lo_k.max()))
+            found.append((np.repeat(taus, dims[taus])[rows], hi_k[labels]))
+    maybe = {t for owner, hi in found for t in owner[hi >= (1 - MARGIN) * lower]}
+    taus = sorted(maybe) + list(np.flatnonzero(dims > DENSE_DIRECT_MAX))
+    radii = snapshot_radii(net, hashimoto, tol, maxit, taus)
+    return _reciprocal(max((e.value for e in radii), default=0.0)), all(e.converged for e in radii)
 
 
 def alpha_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):

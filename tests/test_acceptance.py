@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 import tempokatz as tk
-from tempokatz import Mode
+from tempokatz import Mode, spectral
 
 from conftest import (
     FIG_NETWORK,
@@ -172,8 +172,8 @@ def test_criterion_6_convergence_bound():
     checked = 0
     while checked < 10:
         net = random_network(rng, n=int(rng.integers(4, 9)), N=1, density=0.35)
-        snap = net.snapshot(1)
-        lam = tk.nbt_radius(snap, net.n)
+        (rho_b,) = spectral.snapshot_radii(net, hashimoto=True)
+        lam = math.inf if rho_b.value == 0.0 else 1.0 / rho_b.value
         if not math.isfinite(lam):
             continue
         worst_gap = max(

@@ -294,6 +294,14 @@ def test_rank_computes_only_the_radii_of_its_mode(
     _count_calls(monkeypatch, spectral, "adjacency_matrix", counts, "rho_A")
     _count_calls(monkeypatch, spectral, "hashimoto_matrix", counts, "B")
     _count_calls(monkeypatch, line_space, "hashimoto_matrix", counts, "B")
+    # the stacked bound of mode_bound builds one family from the edge arrays
+    stack = spectral._stack
+
+    def counted_stack(net, taus, hashimoto):
+        counts["B" if hashimoto else "rho_A"] += 1
+        return stack(net, taus, hashimoto)
+
+    monkeypatch.setattr(spectral, "_stack", counted_stack)
     code, _, _ = run(capsys, "rank", fig_file, "--alpha", "0.2", "--mode", mode)
     assert code == 0
     if hashimoto:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
 
 import tempokatz as tk
 from tempokatz import Mode, spectral
-from tempokatz.spectral import NonConvergenceError, RadiusEstimate
+from tempokatz.spectral import RadiusEstimate
 
-from conftest import TRIANGLE, dense_radius, random_network
+from conftest import TRIANGLE, dense_radius, networks, random_network
 
 
 def directed_cycle(n):
@@ -106,18 +107,25 @@ def test_deg_matrices_single_reciprocated_pair():
     assert S.nnz == 2
 
 
+def nbt_lambda(net):
+    """1 / rho(B) of a one-snapshot network, +inf when B is nilpotent."""
+    (est,) = spectral.snapshot_radii(net, hashimoto=True)
+    assert est.converged
+    return math.inf if est.value == 0.0 else 1.0 / est.value
+
+
 def test_nbt_radius_triangle(triangle):
-    assert tk.nbt_radius(triangle.snapshot(1), 3) == pytest.approx(1.0, abs=1e-8)
+    assert nbt_lambda(triangle) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_nbt_radius_single_edge():
     net = tk.parse_temporal_edgelist("0 1 1")
-    assert tk.nbt_radius(net.snapshot(1), 2) == math.inf
+    assert nbt_lambda(net) == math.inf
 
 
 def test_nbt_radius_directed_cycle_no_reciprocals():
     net = tk.parse_temporal_edgelist("0 1 1\n1 2 1\n2 0 1")
-    assert tk.nbt_radius(net.snapshot(1), 3) == pytest.approx(1.0, abs=1e-8)
+    assert nbt_lambda(net) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_alpha_bound_nilpotent_standard(ex5):
@@ -164,14 +172,28 @@ def test_nbt_radius_matches_cubic_polynomial():
     checked = 0
     while checked < 8:
         net = random_network(rng, n=6, N=1, density=0.35)
-        snap = net.snapshot(1)
-        lam = tk.nbt_radius(snap, net.n)
+        lam = nbt_lambda(net)
         if not math.isfinite(lam):
             continue
         assert lam == pytest.approx(
             cubic_polynomial_min_root(tk.adjacency_matrix(net, 1)), abs=1e-6
         )
         checked += 1
+
+
+NBT = (Mode.NBT_SPACE, Mode.NBT_BOTH)
+
+
+def every_radius_bound(net, mode):
+    """(ell, converged) from the radius of every snapshot of the mode's family."""
+    radii = spectral.snapshot_radii(net, hashimoto=mode in NBT)
+    rho = max(e.value for e in radii)
+    return (math.inf if rho == 0.0 else 1.0 / rho), all(e.converged for e in radii)
+
+
+def assert_bound_equal(net):
+    for mode in Mode:
+        assert spectral.mode_bound(net, mode) == every_radius_bound(net, mode), mode
 
 
 def undirected(pairs, n):
@@ -211,6 +233,7 @@ def test_closed_form_radii_above_old_cutoff(net, rho_a, rho_b):
         sup = lam_b if mode in (Mode.NBT_SPACE, Mode.NBT_BOTH) else 1.0 / rho_a
         assert bound.ell <= sup
         assert bound.ell == pytest.approx(sup, rel=1e-9)
+        assert spectral.mode_bound(net, mode) == (bound.ell, True)
 
 
 def test_radius_components_do_not_underflow():
@@ -238,5 +261,122 @@ def test_radius_open_bracket_above_fallback_limit(monkeypatch):
     est = tk.spectral_radius(tk.adjacency_matrix(STAR, 1), maxit=3)
     assert not est.converged
     assert est.value >= math.sqrt(600)
-    with pytest.raises(NonConvergenceError):
-        tk.nbt_radius(K_20_30.snapshot(1), K_20_30.n, maxit=3)
+    (est,) = spectral.snapshot_radii(K_20_30, hashimoto=True, maxit=3)
+    assert est.converged is False
+    assert est.value >= math.sqrt(19 * 29)
+
+
+# --- mode_bound against the radius of every snapshot ------------------------
+
+
+def network(n, *snapshots):
+    """A network of the given edge sets, one snapshot each."""
+    snaps = tuple(tk.Snapshot(tau, tuple(edges)) for tau, edges in enumerate(snapshots, 1))
+    return tk.TemporalNetwork(n, snaps, tuple(range(len(snaps))))
+
+
+def both_ways(pairs):
+    return [e for u, v in pairs for e in ((u, v), (v, u))]
+
+
+@given(networks())
+@settings(max_examples=150, deadline=None)
+def test_mode_bound_equals_every_radius_property(net):
+    assert_bound_equal(net)
+
+
+def test_mode_bound_empty_and_acyclic_snapshots(ex5):
+    empty = network(3, [], [], [])
+    dag = network(4, [(0, 1), (1, 2), (0, 2)], [], [(3, 0), (2, 3)])
+    for net in (ex5, empty, dag):
+        assert_bound_equal(net)
+        assert all(spectral.mode_bound(net, mode) == (math.inf, True) for mode in Mode)
+    # one 2-cycle: rho(A) = 1, while its Hashimoto matrix is nilpotent
+    mixed = network(4, [], [(0, 1), (1, 0)], [(1, 2)])
+    assert_bound_equal(mixed)
+    assert spectral.mode_bound(mixed, Mode.STANDARD) == (1.0, True)
+    assert spectral.mode_bound(mixed, Mode.NBT_SPACE) == (math.inf, True)
+
+
+def chain_of_two_cycles(k, perm):
+    """k 2-cycles joined in a row by single edges: rho(A) = 1, defective for
+    k > 1, so dense eigenvalues may put it above 1 (by 5.8e-5 for one k = 4
+    labelling); the nodes are relabelled by ``perm``."""
+    edges = both_ways((2 * i, 2 * i + 1) for i in range(k))
+    edges += [(2 * i - 1, 2 * i) for i in range(1, k)]
+    return [(int(perm[u]), int(perm[v])) for u, v in edges]
+
+
+def test_mode_bound_defective_radius_next_to_equal_radii():
+    n = 9
+    rng = np.random.default_rng(24)
+    snapshots = [chain_of_two_cycles(2, np.arange(n))]
+    # a directed 5-cycle, radius exactly 1, and relabelled chains whose dense
+    # radii come out as 1 or up to ~2e-6 above it
+    snapshots.append([(i, (i + 1) % 5) for i in range(5)])
+    snapshots += [chain_of_two_cycles(k, rng.permutation(n)) for k in (2, 3, 4) for _ in range(5)]
+    net = network(n, *snapshots)
+    radii = [e.value for e in spectral.snapshot_radii(net, hashimoto=False)]
+    assert all(abs(r - 1.0) < 1e-4 for r in radii)
+    assert len(set(radii)) > 1  # the dense values differ, so the order matters
+    assert_bound_equal(net)
+
+
+def test_mode_bound_blocks_both_sides_of_the_direct_cutoff():
+    # B of K20,30 has 1200 rows and the largest radius, sqrt(19 * 29); the
+    # undirected 700-cycle's has 1400 rows and the smallest, 1
+    k6 = both_ways((u, v) for u in range(6) for v in range(u + 1, 6))  # rho(B) = 4
+    k20_30 = both_ways((u, v) for u in range(20) for v in range(20, 50))
+    cycle = both_ways((i, (i + 1) % 700) for i in range(700))
+    for big in (k20_30, cycle):
+        net = network(700, k6, big, [(0, 1), (1, 2), (2, 0)], k6)
+        hashimoto_rows = [s.m for s in net.snapshots]
+        assert max(hashimoto_rows) > spectral.DENSE_DIRECT_MAX >= min(hashimoto_rows)
+        assert_bound_equal(net)
+
+
+def seeded_network(n, N, seed, wide_every=0):
+    """N snapshots of about m_t = n random directed edges, or 3 n on every
+    ``wide_every``-th snapshot; an eighth of the draws add both directions."""
+    rng = np.random.default_rng(seed)
+    snapshots = []
+    for tau in range(N):
+        m = 3 * n if wide_every and tau % wide_every == 0 else n
+        edges = set()
+        while len(edges) < m:
+            u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+            edges.update([(u, v), (v, u)] if rng.random() < 0.125 else [(u, v)])
+        snapshots.append(sorted(edges))
+    return network(n, *snapshots)
+
+
+def test_mode_bound_takes_few_dense_radii(monkeypatch):
+    net = seeded_network(100, 160, seed=25, wide_every=40)
+    expected = {mode: every_radius_bound(net, mode) for mode in (Mode.STANDARD, Mode.NBT_SPACE)}
+    eigvals, stacked = np.linalg.eigvals, []
+    calls = {"eigvals": 0}
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def recorded_stack(net, taus, hashimoto):
+        stacked.append([net.snapshots[t].m if hashimoto else net.n for t in taus])
+        return stack(net, taus, hashimoto)
+
+    stack = spectral._stack
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(spectral, "_stack", recorded_stack)
+    monkeypatch.setattr(spectral, "STACK_ROWS", 2000)
+    for mode, bound in expected.items():
+        calls["eigvals"] = 0
+        assert spectral.mode_bound(net, mode) == bound
+        # a few of the 160 snapshots get dense eigenvalues, not all of them
+        assert 1 <= calls["eigvals"] <= 12, (mode, calls)
+    assert stacked
+    for dims in stacked:
+        assert max(dims) <= spectral.DENSE_DIRECT_MAX
+        assert sum(dims) <= 2000 + spectral.DENSE_DIRECT_MAX
+    # every block of at most DENSE_DIRECT_MAX rows was stacked once per family
+    small = sum(s.m <= spectral.DENSE_DIRECT_MAX for s in net.snapshots)
+    assert sum(map(len, stacked)) == net.N + small
