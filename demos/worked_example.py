@@ -43,7 +43,7 @@ def main():
     print("its (0,3) entry is beta^3 =", BETA**3, "-- six times too large,")
     print("because each snapshot factor re-weights the walk independently.")
 
-    katz = tk.dynamic_katz_node_level(net, 0.5)
+    katz = tk.temporal_f_total_communicability(net, 0.5, tk.resolvent(1.0, 1.0), Mode.STANDARD)
     print("\nKatz centrality at alpha=0.5 (node-level product of resolvents):")
     for i, v in enumerate(katz.values):
         print(f"  node {i}: {v:.6f}")

@@ -4,14 +4,12 @@ Works with the block upper-triangular edge-space transition matrix M of a
 sequence of graph snapshots, built from edge arrays each snapshot compiles
 once, and evaluates analytic-function walk weightings of it: in the
 standard setting, and with backtracking forbidden in space, in time, or both.
-A resolvent (Katz) weighting never forms M: it factors one system per
-snapshot and back-substitutes, coupling the snapshots through running node
-sums.  That system is the n x n I - alpha A_t in the standard and NBT-in-time
-modes, and the Hashimoto block I - alpha B_t in edge space in the NBT-in-space
-and NBT-both modes, whose node-level cubic carries a spurious factor
-(1 - alpha^2).  Other weightings sum the series with sparse products on M.
-Node-level fast paths are provided for Katz total communicability in the
-standard and NBT-in-space modes.
+A resolvent (Katz) weighting never forms M.  In the standard mode, and in
+the NBT-in-space mode for alpha < 1, it is a product of one n x n system per
+snapshot: I - alpha A_t, or the non-backtracking cubic, whose spurious factor
+(1 - alpha^2) is divided out.  Otherwise it factors one system per snapshot
+and back-substitutes over the edges, coupling the snapshots through running
+node sums.  Other weightings sum the series with sparse products on M.
 """
 
 from .centrality import (

@@ -1,43 +1,38 @@
-"""Temporal f-total communicability and f-subgraph centrality in all four
-modes, plus the node-level fast paths available in the resolvent case.
+"""Temporal f-total communicability, f-subgraph centrality and the
+communicability matrix in all four modes.
 
-The edge-level route applies the shifted weight function to alpha*M, with
-M the global transition matrix, and projects back to the node space with
-the global source/target matrices.  Total communicability applies it to the
-all-ones vector; subgraph centrality and the communicability matrix apply it
-to blocks of at most COLUMN_BLOCK columns of R_g.  M is block upper
-triangular with one diagonal block per snapshot.  A resolvent (Katz) weight
-never forms M: ``matfun.resolvent_solver`` factors one system per snapshot
-and back-substitutes every block of columns from the last snapshot to the
-first, coupling the snapshots through running node sums.  In the standard
-and NBT-in-time modes that system is the n x n I - alpha*delta*A_t; in the
-NBT-in-space and NBT-both modes it is the Hashimoto block
-I - alpha*delta*B_t in edge space.  Any other weight sums its series on the
-assembled M with sparse x dense block products.
-
-For resolvent weights the standard mode also collapses to a product of n x n
-resolvents, and the NBT-in-space mode, for alpha < 1, to a product of n x n
-cubic-polynomial inverses; both fast paths are cross checked against the
-edge-level route in the test suite.
+Each measure applies one node-block map, W -> c_0 W + alpha L_g^T (shifted
+f)(alpha M) R_g W, with M the global transition matrix and L_g, R_g the
+global source/target matrices: total communicability to the all-ones vector,
+subgraph centrality and the communicability matrix to blocks of at most
+COLUMN_BLOCK unit columns.  A resolvent (Katz) weight runs the engine
+``matfun.resolvent_solver``, which never forms M; any other weight sums its
+series on the assembled M with sparse x dense block products.
+``dynamic_katz_node_level`` and ``nbt_space_katz_node_level`` are Katz total
+communicability through the same engine, kept under their old names.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from . import matfun
-from .line_space import Mode, global_source_target, global_transition, katz_system
-from .matfun import DEFAULT_RMAX, DEFAULT_TOL, apply_series, partial_op, resolvent_solver
+from .line_space import Mode, global_source_target, global_transition
+from .matfun import (
+    DEFAULT_RMAX,
+    DEFAULT_TOL,
+    SolveError,
+    apply_series,
+    partial_op,
+    resolvent,
+    resolvent_solver,
+)
 from .spectral import mode_bound
 
 
-#: columns of R_g per block application; bounds the dense m x k work arrays
+#: columns per block application; bounds the dense n x k and m x k work arrays
 COLUMN_BLOCK = 32
 
 
@@ -71,7 +66,9 @@ def _check_alpha(net, alpha, mode, radius, force):
     check_alpha_value(alpha)
     if force:
         return
-    ell, _ = mode_bound(net, mode)
+    ell, converged = mode_bound(net, mode)
+    if not converged:
+        raise SolveError("spectral radius estimation did not converge")
     sup = radius * ell
     if alpha >= sup:
         raise ParameterError(
@@ -80,85 +77,49 @@ def _check_alpha(net, alpha, mode, radius, force):
         )
 
 
-def _node_solve(P, v):
-    """Solve the n x n system P x = v; a non-finite solution raises SolveError."""
-    with warnings.catch_warnings():
-        # a singular system surfaces through the finiteness check below
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = np.asarray(spla.spsolve(P, v)).ravel()
-    if not np.isfinite(x).all():
-        raise matfun.SolveError("node-level solve is not finite (system singular?)")
-    return x
-
-
 def dynamic_katz_node_level(net, alpha, force=False):
-    """Katz centrality y = prod_tau (I - alpha A^[tau])^-1 1, computed
-    right-to-left as N sparse n x n solves; never forms the edge-space matrix."""
-    _check_alpha(net, alpha, Mode.STANDARD, 1.0, force)
-    y = np.ones(net.n)
-    for snap in reversed(net.snapshots):
-        y = _node_solve(katz_system(snap, net.n, alpha, nbt=False), y)
-    return CentralityVector(
-        values=y,
-        measure="total-communicability",
-        mode=Mode.STANDARD,
-        alpha=alpha,
-        function="katz",
-    )
+    """Katz total communicability prod_t (I - alpha A_t)^-1 1."""
+    return temporal_f_total_communicability(net, alpha, resolvent(), Mode.STANDARD, force=force)
 
 
 def nbt_space_katz_node_level(net, alpha, force=False):
-    """NBT-in-space Katz centrality at node level:
-    y = (1 - alpha^2)^N prod_tau [I - a A + a^2 (D - I) + a^3 (A - S)]^-1 1.
-    The factor (1 - alpha^2) is spurious: the cubic is singular at alpha = 1
-    and loses accuracy beyond it, so use the edge solve for alpha >= 1."""
-    _check_alpha(net, alpha, Mode.NBT_SPACE, 1.0, force)
-    y = np.ones(net.n)
-    for snap in reversed(net.snapshots):
-        y = _node_solve(katz_system(snap, net.n, alpha, nbt=True), y)
-    y *= (1.0 - alpha**2) ** net.N
-    return CentralityVector(
-        values=y,
-        measure="total-communicability",
-        mode=Mode.NBT_SPACE,
-        alpha=alpha,
-        function="katz",
-    )
+    """Katz total communicability in the NBT-in-space mode."""
+    return temporal_f_total_communicability(net, alpha, resolvent(), Mode.NBT_SPACE, force=force)
 
 
-def _shifted(net, alpha, f, mode, tol, rmax):
-    """Return apply(v) -> (value, truncated) evaluating (shifted f)(alpha M) v,
-    with M the mode's global transition matrix, for a vector or an m x k
-    block v.  A resolvent factors each snapshot once, here, and never forms
-    M (see :func:`matfun.resolvent_solver`); any other weight sums its series
-    on the assembled M."""
+def _node_block(net, alpha, f, mode, tol, rmax):
+    """Return apply(W) -> (Y, truncated) with Y = c_0 W + alpha L_g^T
+    (shifted f)(alpha M) R_g W, for an n-vector or n x k block W.  A
+    resolvent factors each snapshot once, here, and never forms M; any other
+    weight sums its series on the assembled M."""
+    if f.geometric is not None:
+        gamma, delta = f.geometric
+        # c_0 = gamma, and the shifted resolvent is gamma delta / (1 - delta z)
+        solve = resolvent_solver(net, mode, alpha * delta, tol=tol)
+        return lambda W: (gamma * solve(W), False)
     g = partial_op(f)
-    if f.geometric is None:
-        M = global_transition(net, mode)
+    Lg, Rg = global_source_target(net)
+    M = global_transition(net, mode)
 
-        def series(v):
-            result = apply_series(M, alpha, g, v, tol=tol, rmax=rmax)
-            return result.value, result.truncated
+    def series(W):
+        result = apply_series(M, alpha, g, Rg @ W, tol=tol, rmax=rmax)
+        return f(0) * W + alpha * (Lg.T @ result.value), result.truncated
 
-        return series
-    gamma, delta = f.geometric
-    # the shifted resolvent is gamma*delta / (1 - delta z)
-    solve = resolvent_solver(net, mode, alpha * delta, tol=tol)
-    return lambda v: (gamma * delta * solve(v), False)
+    return series
 
 
 def _column_blocks(net, alpha, f, mode, tol, rmax):
-    """Yield (nodes, P, truncated) with P = L_g^T (shifted f)(alpha M) R_g[:, nodes]
-    (n x len(nodes)), over blocks of at most COLUMN_BLOCK nodes; nodes that
-    are never a target have a zero column and are left out."""
-    Lg, Rg = global_source_target(net)
-    apply = _shifted(net, alpha, f, mode, tol, rmax)
-    Rg = sp.csc_array(Rg)
-    targets = np.flatnonzero(np.diff(Rg.indptr))
+    """Yield (nodes, Y, truncated) with Y the node-block map of the unit
+    columns of ``nodes`` (n x len(nodes)), over blocks of at most
+    COLUMN_BLOCK nodes; a node that is never a target maps its unit column
+    to c_0 times itself and is left out."""
+    apply = _node_block(net, alpha, f, mode, tol, rmax)
+    targets = np.unique(np.concatenate([snap.arrays.tgt for snap in net.snapshots]))
     for start in range(0, len(targets), COLUMN_BLOCK):
         nodes = targets[start : start + COLUMN_BLOCK]
-        Z, truncated = apply(Rg[:, nodes].toarray())
-        yield nodes, Lg.T @ Z, truncated
+        units = np.zeros((net.n, len(nodes)))
+        units[nodes, np.arange(len(nodes))] = 1.0
+        yield (nodes, *apply(units))
 
 
 def temporal_f_total_communicability(
@@ -167,9 +128,7 @@ def temporal_f_total_communicability(
     """y = c_0 1 + alpha L_g^T [(shifted f)(alpha M) 1_m] with L_g the global
     source matrix and M the mode's global transition matrix."""
     _check_alpha(net, alpha, mode, f.radius, force)
-    Lg, _ = global_source_target(net)
-    z, truncated = _shifted(net, alpha, f, mode, tol, rmax)(np.ones(net.m))
-    y = f(0) * np.ones(net.n) + alpha * (Lg.T @ z)
+    y, truncated = _node_block(net, alpha, f, mode, tol, rmax)(np.ones(net.n))
     return CentralityVector(
         values=y,
         measure="total-communicability",
@@ -184,13 +143,13 @@ def temporal_f_subgraph_centrality(
     net, alpha, f, mode, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX, force=False, threads=None
 ):
     """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, applied to
-    blocks of R_g's columns; nodes that are never a target stay at c_0.
+    blocks of unit columns; nodes that are never a target stay at c_0.
     ``threads`` is accepted for compatibility and ignored."""
     _check_alpha(net, alpha, mode, f.radius, force)
     values = np.full(net.n, float(f(0)))
     truncated = False
-    for nodes, P, trunc in _column_blocks(net, alpha, f, mode, tol, rmax):
-        values[nodes] += alpha * P[nodes, np.arange(len(nodes))]
+    for nodes, Y, trunc in _column_blocks(net, alpha, f, mode, tol, rmax):
+        values[nodes] = Y[nodes, np.arange(len(nodes))]
         truncated = truncated or trunc
     return CentralityVector(
         values=values,
@@ -209,6 +168,6 @@ def communicability_matrix(
     f)(alpha M) R_g.  Dense output; intended for small n (tests, debugging)."""
     _check_alpha(net, alpha, mode, f.radius, force)
     Q = f(0) * np.eye(net.n)
-    for nodes, P, _ in _column_blocks(net, alpha, f, mode, tol, rmax):
-        Q[:, nodes] += alpha * P
+    for nodes, Y, _ in _column_blocks(net, alpha, f, mode, tol, rmax):
+        Q[:, nodes] = Y
     return Q

@@ -22,8 +22,6 @@ from . import matfun
 from .centrality import (
     ParameterError,
     check_alpha_value,
-    dynamic_katz_node_level,
-    nbt_space_katz_node_level,
     temporal_f_subgraph_centrality,
     temporal_f_total_communicability,
 )
@@ -35,7 +33,7 @@ from .line_space import (
     hashimoto_matrix,
     line_graph_matrix,
 )
-from .matfun import SolveError
+from .matfun import SolveError, in_node_space
 from .spectral import alpha_bound, mode_bound
 from .temporal_graph import (
     ParseError,
@@ -144,25 +142,11 @@ def cmd_rank(args):
         )
         return EXIT_ALPHA
 
-    fastpath = None
-    if args.function == "katz" and not args.no_fastpath and args.measure == "tc":
-        if mode is Mode.STANDARD:
-            fastpath = dynamic_katz_node_level
-        elif mode is Mode.NBT_SPACE and args.alpha < 1:
-            # the cubic's spurious factor (1 - alpha^2) vanishes at alpha = 1
-            # and costs accuracy beyond it; the edge solve is checked
-            fastpath = nbt_space_katz_node_level
+    measure = (
+        temporal_f_total_communicability if args.measure == "tc" else temporal_f_subgraph_centrality
+    )
     try:
-        if fastpath is not None:
-            result = fastpath(net, args.alpha, force=True)
-        elif args.measure == "tc":
-            result = temporal_f_total_communicability(
-                net, args.alpha, f, mode, tol=args.tol, force=True
-            )
-        else:
-            result = temporal_f_subgraph_centrality(
-                net, args.alpha, f, mode, tol=args.tol, force=True
-            )
+        result = measure(net, args.alpha, f, mode, tol=args.tol, force=True)
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -179,7 +163,7 @@ def cmd_rank(args):
         "measure": args.measure,
         "forced": bool(args.force),
         "truncated": bool(result.truncated),
-        "fastpath": fastpath is not None,
+        "fastpath": args.function == "katz" and in_node_space(mode, args.alpha),
     }
     render = _render_csv if args.format == "csv" else _render_json
     _write_output(render(meta, rows), args.output)
@@ -271,16 +255,12 @@ def build_parser():
     p_rank.add_argument("--format", choices=["csv", "json"], default="csv")
     p_rank.add_argument(
         "--tol", type=float, default=matfun.DEFAULT_TOL,
-        help="bound on each edge-space solve's normwise backward error, and the "
-        "relative size of the last series term summed",
+        help="bound on each solve's normwise backward error, and the relative "
+        "size of the last series term summed",
     )
     p_rank.add_argument(
         "--force", action="store_true",
         help="allow alpha outside the proven interval",
-    )
-    p_rank.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable node-level Katz shortcuts (for cross-validation)",
     )
     p_rank.add_argument("-o", "--output", default=None)
     p_rank.set_defaults(func=cmd_rank)

@@ -61,8 +61,11 @@ def _ranges(starts, ends):
 
 def _successors(e):
     """(rows, cols) of W_t: edge f follows edge i when src[f] == tgt[i], and
-    those f are one contiguous range of the sorted sources."""
-    return _ranges(np.searchsorted(e.src, e.tgt, "left"), np.searchsorted(e.src, e.tgt, "right"))
+    those f are one contiguous range of the sorted sources, from first[v],
+    the number of sources below v, to first[v + 1]."""
+    first = np.zeros(max(e.src.max(initial=-1), e.tgt.max(initial=-1)) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(e.src, minlength=len(first) - 1), out=first[1:])
+    return _ranges(first[e.tgt], first[e.tgt + 1])
 
 
 def _ones(rows, cols, shape):
@@ -106,10 +109,11 @@ def _csc_with_diagonal(rows, cols, off, diag, dim):
     nodes = np.arange(dim)
     rows, cols = np.concatenate((rows, nodes)), np.concatenate((cols, nodes))
     values = np.concatenate((off, diag))
-    order = np.lexsort((rows, cols))
+    order = np.argsort(cols * dim + rows)  # by column, then row; no duplicates
     order = order[values[order] != 0]
-    # the CSR form of the transpose, read column by column, is CSC
-    return sorted_csr(cols[order], rows[order], values[order], (dim, dim)).T
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[order], minlength=dim), out=indptr[1:])
+    return sp.csc_array((values[order], rows[order], indptr), shape=(dim, dim))
 
 
 def hashimoto_system(snapshot, alpha):

@@ -6,12 +6,12 @@ centrality scores.  The shift operator maps f to sum_r c_{r+1} z^r, which
 compensates for edge-space walks being one step shorter than the node-space
 walks they represent.
 
-A series is summed on an assembled matrix (``apply_series``).  The resolvent
-I - alpha M of a temporal network is solved snapshot by snapshot without M
-(``resolvent_solver``): the n x n node system I - alpha A_t for a line-graph
-block (standard and NBT-in-time), the m_t x m_t I - alpha B_t for a
-Hashimoto block (NBT-in-space and NBT-both).  ``resolvent_solve`` factors an
-assembled I - alpha M whole, and is the tests' reference for it.
+A series is summed on an assembled matrix (``apply_series``).  The Katz
+engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
+to blocks of node values snapshot by snapshot, without M: as a product of
+n x n node systems in the standard mode and, for alpha < 1, in NBT-in-space;
+by back-substitution over the edges otherwise.  ``resolvent_solve`` factors
+an assembled I - alpha M whole, and is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -208,25 +208,27 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     return SeriesResult(acc.reshape(np.shape(v)), truncated, terms)
 
 
-def _factor(P):
-    """``splu`` of the square CSC matrix P; an exactly singular P raises
-    SolveError."""
+def _factor(P, **options):
+    """``splu`` of the square CSC matrix P with ``options``; an exactly
+    singular P raises SolveError."""
     try:
-        return spla.splu(P)
+        return spla.splu(P, **options)
     except RuntimeError as exc:
         raise SolveError(f"I - alpha M is singular ({exc})") from None
 
 
 def _colmax(X):
-    return np.max(np.abs(X), axis=0, initial=0.0)
+    """The max-norm of each column of X, or of each block X[i] stacked in X."""
+    return np.max(np.abs(X), axis=-2, initial=0.0)
 
 
-def _accept(resid, a_norm, X, V, tol):
-    """Raise SolveError unless every column x of X, solving A x = v for the
-    column v of V, has a normwise backward error resid / (||A||_inf
-    ||x||_inf + ||v||_inf) of at most tol, where ``resid`` holds each
-    column's ||A x - v||_inf and a_norm = ||A||_inf."""
-    scale = a_norm * _colmax(X) + _colmax(V)
+def _accept(norms, a_norm, tol):
+    """Raise SolveError unless every column x of a solution of A x = v has a
+    normwise backward error resid / (||A||_inf ||x||_inf + ||v||_inf) of at
+    most tol, where ``norms`` stacks each column's resid = ||A x - v||_inf,
+    ||x||_inf and ||v||_inf (3 x k), and a_norm = ||A||_inf."""
+    resid, x_norm, v_norm = norms
+    scale = a_norm * x_norm + v_norm
     bad = ~(resid <= tol * scale)  # NaN fails too
     if bad.any():
         k = int(np.argmax(bad))
@@ -234,6 +236,74 @@ def _accept(resid, a_norm, X, V, tol):
             f"backward error {resid[k] / scale[k]:.3e} exceeds {tol:.1e} "
             "(system near singular?)"
         )
+
+
+#: splu options for the sparse n x n node systems, where supernodes cost more
+#: than they save: 23 ms in place of 30 ms for the 160 of perfbench's
+#: long-horizon node network on a 2-vCPU x86 host
+_NODE_LU = {"relax": 1, "panel_size": 1}
+
+
+def in_node_space(mode, alpha):
+    """Whether :func:`resolvent_solver` runs ``mode`` at ``alpha`` in node
+    space: always in the standard mode, and in NBT-in-space for alpha < 1,
+    where the NBT cubic's spurious factor (1 - alpha^2) is nonzero."""
+    return mode is Mode.STANDARD or (mode is Mode.NBT_SPACE and alpha < 1)
+
+
+def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
+    """Factor I - alpha M, with M the global transition matrix of ``net`` in
+    ``mode``, snapshot by snapshot without forming M; return apply(W) =
+    W + alpha L_g^T (I - alpha M)^-1 R_g W for an n-vector or n x k block W
+    of node values (W = 1 gives Katz total communicability).
+
+    Where :func:`in_node_space` holds, every reversal across snapshots is
+    allowed, and apply(W) is the node-level product s_1 P_1^-1 ... s_N P_N^-1 W
+    with P_t = ``katz_system(snap, n, alpha, nbt)``: I - alpha A_t with
+    s_t = 1, or the NBT cubic of Arrigo, Grindrod, Higham & Noferini (2018)
+    with s_t = 1 - alpha^2.  Each solve is accepted on its normwise backward
+    error, ||P_t x - b||_inf <= tol (||P_t||_inf ||x||_inf + ||b||_inf).
+    Otherwise the back-substitution runs in edge space (:func:`_edge_solver`).
+    A column that fails its acceptance test, or an exactly singular factor,
+    raises SolveError.  Requires alpha * rho(M) < 1 for the result to mean a
+    walk series.
+    """
+    if in_node_space(mode, alpha):
+        return _node_solver(net, mode is Mode.NBT_SPACE, alpha, tol)
+    return _edge_solver(net, mode, alpha, tol)
+
+
+def _node_solver(net, nbt, alpha, tol):
+    """apply(W) = s_1 P_1^-1 ... s_N P_N^-1 W over the non-empty snapshots (an
+    empty one's s_t P_t^-1 is I).  Each step adds the walk increment
+    P_t^-1 (s_t I - P_t) Y to Y, so its rounding error scales with the
+    increment, not with Y."""
+    scale = 1.0 - alpha**2 if nbt else 1.0
+    steps = []
+    for snap in reversed(net.snapshots):
+        if snap.m:
+            P = katz_system(snap, net.n, alpha, nbt)
+            lu = _factor(P, **_NODE_LU)
+            # P is CSC, so its indices are row numbers
+            norm = np.bincount(P.indices, np.abs(P.data), minlength=net.n).max()
+            # reuse P's pattern for Q = s I - P; the factor holds P.  P is a
+            # Z-matrix whose diagonal entries, 1 or 1 + alpha^2 (D - 1) with
+            # alpha < 1, are all stored and are its only positive entries
+            Q = P
+            Q.data = np.where(P.data > 0, scale - P.data, -P.data)
+            steps.append((Q, lu, norm))
+
+    def apply(W):
+        Y = _block(W, (net.n, net.n))
+        for Q, lu, norm in steps:
+            B = Q @ Y
+            D = lu.solve(B)
+            # the residual P D - B, with P = s I - Q
+            _accept(_colmax(np.array((scale * D - Q @ D - B, D, B))), norm, tol)
+            Y = Y + D
+        return Y.reshape(np.shape(W))
+
+    return apply
 
 
 class _Block(NamedTuple):
@@ -258,44 +328,33 @@ def _sources(blk, values, n):
     return out
 
 
-def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
-    """Factor I - alpha M, with M the global transition matrix of ``net`` in
-    ``mode``, snapshot by snapshot without forming M; return solve(v) for a
-    vector or m x k block v over the edges.
+def _edge_solver(net, mode, alpha, tol):
+    """apply(W) by back-substitution over the edges, from the last snapshot
+    to the first.  M is block upper triangular; block row t off the diagonal
+    is R_t acc, with acc = sum over later snapshots s of L_s^T x_s a running
+    n x k sum, less the later reversals in NBT-in-time and NBT-both (a
+    running sum of x keyed on the directed pair, ``line_space.pair_index``).
+    Block t reads the rows (W + alpha acc)[tgt_t], and the result is
+    W + alpha acc after the first snapshot.
 
-    M is block upper triangular, one diagonal block per snapshot, so a solve
-    back-substitutes from the last snapshot to the first.  Block row t of M
-    off the diagonal is R_t acc, where acc = sum over later snapshots s of
-    L_s^T x_s is a running n x k sum; in NBT-in-time and NBT-both it is less
-    the later reversals, a running sum of x keyed on the directed pair (see
-    ``line_space.pair_index``).  A line-graph diagonal block (standard and
-    NBT-in-time) is W_t = R_t L_t^T with L_t^T R_t = A_t, so it is solved at
-    node level,
-
-        (I - alpha W_t)^-1 b = b + alpha R_t (I - alpha A_t)^-1 L_t^T b,
-
-    with one n x n factorization per snapshot; by Sylvester's determinant
-    identity I - alpha A_t is singular exactly when I - alpha W_t is.  A
-    Hashimoto block B_t (NBT-in-space and NBT-both) is factored in edge
-    space, m_t x m_t: its node-level form, the NBT cubic, carries a
-    spurious factor (1 - alpha^2) and loses accuracy near alpha = 1.
-
-    Each column x of the solution is accepted on its normwise backward error
-    over the whole system, ||(I - alpha M) x - v||_inf <= tol (||I - alpha
-    M||_inf ||x||_inf + ||v||_inf), with the residual formed from the same
-    running sums; a column that fails it, or an exactly singular factor,
-    raises SolveError.  Requires alpha * rho(M) < 1 for the result to mean a
-    walk series.
+    A line-graph diagonal block (NBT-in-time) W_t = R_t L_t^T is solved
+    through one n x n factor, (I - alpha W_t)^-1 b = b + alpha R_t
+    (I - alpha A_t)^-1 L_t^T b; by Sylvester's identity I - alpha A_t is
+    singular exactly when I - alpha W_t is.  A Hashimoto block B_t is
+    factored m_t x m_t.  Each column x is accepted on its normwise backward
+    error over the whole system, ||(I - alpha M) x - R_g W||_inf <= tol
+    (||I - alpha M||_inf ||x||_inf + ||R_g W||_inf), with the residual formed
+    from the same running sums.
     """
-    line_graph = mode in (Mode.STANDARD, Mode.NBT_TIME)
-    pair, reverse, pairs = pair_index(net)
-    if mode not in (Mode.NBT_TIME, Mode.NBT_BOTH):
-        reverse = None
+    line_graph = mode is Mode.NBT_TIME
+    reverse = None
+    if mode in (Mode.NBT_TIME, Mode.NBT_BOTH):
+        pair, reverse, pairs = pair_index(net)
+        later_pairs = np.zeros(pairs + 1, dtype=np.int64)
     blocks = []
     # out-degrees and directed-pair counts over the snapshots after t, for
     # the row counts of M: ||I - alpha M||_inf = 1 + alpha * (largest count)
     later = np.zeros(net.n, dtype=np.int64)
-    later_pairs = np.zeros(pairs + 1, dtype=np.int64)
     width = 0
     start = net.m
     for snap in reversed(net.snapshots):
@@ -307,32 +366,29 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
         count = out[e.tgt] + later[e.tgt]
         if line_graph:
             system = None
-            lu = _factor(katz_system(snap, net.n, alpha, nbt=False))
+            lu = _factor(katz_system(snap, net.n, alpha, nbt=False), **_NODE_LU)
         else:
             system = hashimoto_system(snap, alpha)
             lu = _factor(system)
             count -= e.rev >= 0
         if reverse is not None:
             count -= later_pairs[reverse[start:stop]]
+            later_pairs[pair[start:stop]] += 1
         width = max(width, int(count.max()))
         later += out
-        later_pairs[pair[start:stop]] += 1
         firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
         blocks.append(_Block(slice(start, stop), e.tgt, e.src[firsts], firsts, lu, system))
     a_norm = 1.0 + alpha * width
 
-    def solve(v):
-        V = _block(v, (net.m, net.m))
-        x = np.empty_like(V)
-        acc = np.zeros((net.n, V.shape[1]))
+    def apply(W):
+        V = _block(W, (net.n, net.n))
+        Y = V.copy()  # W + alpha acc
         later_x = None if reverse is None else np.zeros((pairs + 1, V.shape[1]))
-        resid = np.zeros(V.shape[1])
+        norms = np.zeros((3, V.shape[1]))  # resid, x and v, as in _accept
         for blk in blocks:
-            rows = blk.rows
-            coupling = acc[blk.tgt]
+            b = Y[blk.tgt]
             if later_x is not None:
-                coupling -= later_x[reverse[rows]]
-            b = V[rows] + alpha * coupling
+                b -= alpha * later_x[reverse[blk.rows]]
             if blk.system is None:
                 xt = b + alpha * blk.lu.solve(_sources(blk, b, net.n))[blk.tgt]
                 sums = _sources(blk, xt, net.n)
@@ -342,15 +398,14 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
                 xt = blk.lu.solve(b)
                 sums = _sources(blk, xt, net.n)
                 r = blk.system @ xt - b
-            x[rows] = xt
-            resid = np.maximum(resid, _colmax(r))
-            acc += sums
+            norms = np.maximum(norms, _colmax(np.array((r, xt, V[blk.tgt]))))
+            Y += alpha * sums
             if later_x is not None:
-                later_x[pair[rows]] += xt
-        _accept(resid, a_norm, x, V, tol)
-        return x.reshape(np.shape(v))
+                later_x[pair[blk.rows]] += xt
+        _accept(norms, a_norm, tol)
+        return Y.reshape(np.shape(W))
 
-    return solve
+    return apply
 
 
 def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
@@ -360,5 +415,6 @@ def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
     b = _block(v, M.shape)
     A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
     x = _factor(A).solve(b)
-    _accept(_colmax(A @ x - b), np.max(abs(A).sum(axis=1), initial=0.0), x, b, tol)
+    a_norm = np.max(abs(A).sum(axis=1), initial=0.0)
+    _accept(_colmax(np.array((A @ x - b, x, b))), a_norm, tol)
     return x.reshape(np.shape(v))

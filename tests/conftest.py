@@ -73,6 +73,14 @@ def dense_radius(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix.todense())))))
 
 
+def katz_referee(net, mode, alpha, W):
+    """W + alpha L_g^T (I - alpha M)^-1 R_g W, by one LU of the whole
+    I - alpha M (``resolvent_solve``)."""
+    L, R = tk.global_source_target(net)
+    M = tk.global_transition(net, mode)
+    return W + alpha * (L.T @ tk.resolvent_solve(M, alpha, R @ W))
+
+
 @st.composite
 def networks(draw):
     """n <= 6 nodes (some may be isolated), N <= 4 snapshots (some may be

@@ -22,6 +22,7 @@ from conftest import (
     WORKED_EXAMPLE,
     finite_ell,
     has_reciprocated_edge,
+    katz_referee,
     random_network,
     random_network_with,
 )
@@ -94,10 +95,11 @@ def test_criterion_3_node_edge_katz_agreement():
             rng, lambda s: finite_ell(s, Mode.STANDARD), density=0.35
         )
         alpha = 0.9 * tk.alpha_bound(net, Mode.STANDARD).ell
-        y_node = tk.dynamic_katz_node_level(net, alpha).values
-        y_edge = tk.temporal_f_total_communicability(
+        y_node = tk.temporal_f_total_communicability(
             net, alpha, tk.resolvent(1, 1), Mode.STANDARD
         ).values
+        # the edge-space walk sum, by one LU of the whole I - alpha M
+        y_edge = katz_referee(net, Mode.STANDARD, alpha, np.ones(net.n))
         worst = max(worst, float(np.max(np.abs(y_node - y_edge) / np.abs(y_edge))))
     _report(3, worst <= 1e-10, f"max relative difference {worst:.3e}")
 
@@ -112,11 +114,20 @@ def test_criterion_4_nbt_space_node_level_formula():
             density=0.45,
         )
         alpha = 0.9 * tk.alpha_bound(net, Mode.NBT_SPACE).ell
-        y_node = tk.nbt_space_katz_node_level(net, alpha).values
-        y_edge = tk.temporal_f_total_communicability(
-            net, alpha, tk.resolvent(1, 1), Mode.NBT_SPACE
-        ).values
-        worst = max(worst, float(np.max(np.abs(y_node - y_edge) / np.abs(y_edge))))
+        # y = (1 - alpha^2)^N prod_t [I - aA + a^2 (D - I) + a^3 (A - S)]^-1 1,
+        # densely, against the engine and the edge-space walk sum
+        y_node = np.ones(net.n)
+        for tau in range(net.N, 0, -1):
+            A = tk.adjacency_matrix(net, tau).toarray()
+            D, S = (X.toarray() for X in tk.deg_matrices(A))
+            eye = np.eye(net.n)
+            cubic = eye - alpha * A + alpha**2 * (D - eye) + alpha**3 * (A - S)
+            y_node = (1 - alpha**2) * np.linalg.solve(cubic, y_node)
+        for y in (
+            tk.temporal_f_total_communicability(net, alpha, tk.resolvent(1, 1), Mode.NBT_SPACE).values,
+            katz_referee(net, Mode.NBT_SPACE, alpha, np.ones(net.n)),
+        ):
+            worst = max(worst, float(np.max(np.abs(y_node - y) / np.abs(y))))
     _report(4, worst <= 1e-10, f"max relative difference {worst:.3e}")
 
 

@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, ParameterError, Snapshot, TemporalNetwork, centrality
+from tempokatz.matfun import SolveError
 from tempokatz.oracle import naive_exponential_product
 
 from conftest import (
     finite_ell,
     has_reciprocated_edge,
+    katz_referee,
     random_network,
     random_network_with,
 )
@@ -57,9 +63,7 @@ def test_dynamic_katz_matches_edge_level():
         net = random_network_with(rng, lambda s: finite_ell(s, Mode.STANDARD))
         alpha = 0.9 * tk.alpha_bound(net, Mode.STANDARD).ell
         y_node = tk.dynamic_katz_node_level(net, alpha).values
-        y_edge = tk.temporal_f_total_communicability(
-            net, alpha, tk.resolvent(1, 1), Mode.STANDARD
-        ).values
+        y_edge = katz_referee(net, Mode.STANDARD, alpha, np.ones(net.n))
         np.testing.assert_allclose(y_node, y_edge, rtol=1e-10)
 
 
@@ -88,9 +92,7 @@ def test_nbt_space_katz_matches_edge_level():
         )
         alpha = 0.9 * tk.alpha_bound(net, Mode.NBT_SPACE).ell
         y_node = tk.nbt_space_katz_node_level(net, alpha).values
-        y_edge = tk.temporal_f_total_communicability(
-            net, alpha, tk.resolvent(1, 1), Mode.NBT_SPACE
-        ).values
+        y_edge = katz_referee(net, Mode.NBT_SPACE, alpha, np.ones(net.n))
         np.testing.assert_allclose(y_node, y_edge, rtol=1e-10)
 
 
@@ -149,8 +151,9 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
 
 def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
     # one factorization per non-empty snapshot: of the n x n node system
-    # I - alpha A_t for a line-graph block, of the m_t x m_t I - alpha B_t
-    # for a Hashimoto block, and never of the whole m x m system
+    # I - alpha A_t or, in nbt-space at alpha < 1, the NBT cubic; of the
+    # m_t x m_t I - alpha B_t for an nbt-both Hashimoto block; and never of
+    # the whole m x m system
     dims = []
     real = scipy.sparse.linalg.splu
 
@@ -161,10 +164,10 @@ def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     assert fig1.N > 1 and fig1.n not in [snap.m for snap in fig1.snapshots]
     for mode in Mode:
-        line_graph = mode in (Mode.STANDARD, Mode.NBT_TIME)
+        node_systems = mode is not Mode.NBT_BOTH
         dims.clear()
         tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
-        expected = [fig1.n if line_graph else snap.m for snap in fig1.snapshots if snap.m]
+        expected = [fig1.n if node_systems else snap.m for snap in fig1.snapshots if snap.m]
         assert dims == expected[::-1]
         assert fig1.m not in dims
 
@@ -182,6 +185,54 @@ def test_katz_never_forms_the_global_transition_matrix(fig1, monkeypatch):
         tk.communicability_matrix(fig1, 0.2, katz, mode)
     with pytest.raises(AssertionError, match="global_transition"):
         tk.temporal_f_total_communicability(fig1, 0.2, tk.exponential(), Mode.STANDARD)
+
+
+@st.composite
+def acyclic_networks(draw):
+    """n <= 5 nodes and N <= 3 snapshots, each snapshot acyclic: its edges
+    run forward along its own random order of the nodes, so M is nilpotent
+    and every walk has at most m edges, while walks still turn back across
+    snapshots."""
+    n = draw(st.integers(1, 5))
+    snapshots = []
+    for tau in range(1, draw(st.integers(1, 3)) + 1):
+        order = draw(st.permutations(range(n)))
+        edges = [
+            (order[i], order[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+        ]
+        snapshots.append(Snapshot(tau, tuple(edges)))
+    return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))
+
+
+@given(acyclic_networks(), st.sampled_from([0.5, 1.0, 2.0]))
+@settings(max_examples=100, deadline=None)
+def test_katz_matches_walk_oracle_property(net, alpha):
+    # alpha on both sides of 1, so nbt-space runs in node and in edge space;
+    # ell = inf, so no force is needed
+    katz = tk.resolvent(1, 1)
+    for mode in Mode:
+        counts = tk.enumerate_temporal_walks(net, net.m, mode, guard=math.inf)
+        Q = tk.weighted_walk_sum(counts, katz, alpha)
+        tc = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
+        sc = tk.temporal_f_subgraph_centrality(net, alpha, katz, mode).values
+        np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(sc, np.diag(Q), rtol=1e-10, atol=0)
+
+
+def test_unconverged_bound_raises_without_force(fig1, monkeypatch):
+    # rank exits 3 on an unconverged bound; the library raises SolveError
+    monkeypatch.setattr(centrality, "mode_bound", lambda net, mode: (1.0, False))
+    katz = tk.resolvent(1, 1)
+    for measure in (
+        tk.temporal_f_total_communicability,
+        tk.temporal_f_subgraph_centrality,
+        tk.communicability_matrix,
+    ):
+        with pytest.raises(SolveError, match="did not converge"):
+            measure(fig1, 0.1, katz, Mode.STANDARD)
+        measure(fig1, 0.1, katz, Mode.STANDARD, force=True)
+    with pytest.raises(SolveError, match="did not converge"):
+        tk.dynamic_katz_node_level(fig1, 0.1)
 
 
 def test_katz_subgraph_centrality_across_column_blocks():

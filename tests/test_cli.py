@@ -9,7 +9,7 @@ import tempokatz as tk
 from tempokatz import Mode, line_space, spectral
 from tempokatz.cli import main
 
-from conftest import FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE
+from conftest import FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE, katz_referee
 
 
 @pytest.fixture
@@ -97,21 +97,34 @@ def test_rank_json_matches_csv_digits(capsys, fig_file):
             assert f'"value": {value},' in json_out
 
 
-def test_rank_fastpath_consistent(capsys, fig_file):
-    base = ["rank", fig_file, "--alpha", "0.3"]
-    code, fast, _ = run(capsys, *base)
+def test_rank_fastpath_consistent(capsys, fig_file, fig1):
+    # standard Katz runs in node space and matches the whole-matrix solve
+    code, out, _ = run(capsys, "rank", fig_file, "--alpha", "0.3")
     assert code == 0
-    code, slow, _ = run(capsys, *base, "--no-fastpath")
-    assert code == 0
-    _, fast_rows = parse_csv(fast)
-    _, slow_rows = parse_csv(slow)
-    for (n1, v1, r1), (n2, v2, r2) in zip(fast_rows, slow_rows):
-        assert (n1, r1) == (n2, r2)
-        assert v1 == pytest.approx(v2, abs=1e-10)
-    fast_meta, _ = parse_csv(fast)
-    slow_meta, _ = parse_csv(slow)
-    assert fast_meta["fastpath"] == "True"
-    assert slow_meta["fastpath"] == "False"
+    meta, rows = parse_csv(out)
+    assert meta["fastpath"] == "True"
+    want = katz_referee(fig1, Mode.STANDARD, 0.3, np.ones(fig1.n))
+    assert [node for node, _, _ in rows] == sorted(range(fig1.n), key=lambda i: -want[i])
+    for node, value, _ in rows:
+        assert value == pytest.approx(want[node], abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv, node_space",
+    [
+        (("--measure", "sc"), True),
+        (("--measure", "sc", "--mode", "nbt-space"), True),
+        (("--mode", "nbt-space", "--alpha", "1.5", "--force"), False),
+        (("--mode", "nbt-time"), False),
+        (("--mode", "nbt-both", "--measure", "sc"), False),
+        (("--function", "exponential"), False),
+    ],
+)
+def test_rank_fastpath_reports_node_space(capsys, fig_file, argv, node_space):
+    code, out, err = run(capsys, "rank", fig_file, "--alpha", "0.3", *argv)
+    assert code == 0, err
+    meta, _ = parse_csv(out)
+    assert meta["fastpath"] == str(node_space)
 
 
 def test_rank_subgraph_measure(capsys, triangle_file):
@@ -141,10 +154,7 @@ def test_rank_force_overrides_interval(capsys, triangle_file):
 
 
 def test_rank_singular_system_exit_code(capsys, triangle_file):
-    code, _, err = run(
-        capsys, "rank", triangle_file, "--alpha", "0.5",
-        "--force", "--no-fastpath",
-    )
+    code, _, err = run(capsys, "rank", triangle_file, "--alpha", "0.5", "--force")
     assert code == 3
     assert "error" in err
 
@@ -369,12 +379,22 @@ def complete_k6_file(tmp_path):
 
 
 def test_rank_edge_solve_accepts_large_well_conditioned_solution(capsys, complete_k6_file):
-    # ||x|| grows to 2^16 here; a residual test scaled by ||v|| alone rejects it
-    code, out, err = run(capsys, "rank", complete_k6_file, "--alpha", "0.1", "--no-fastpath")
-    assert code == 0, err
-    meta, rows = parse_csv(out)
-    assert float(meta["ell"]) == pytest.approx(0.2, rel=1e-12)
-    np.testing.assert_allclose([value for _, value, _ in rows], 65536.0, rtol=1e-10)
+    # ||x|| grows to 2^16 here; a residual test scaled by ||v|| alone rejects
+    # it.  Node space (standard) and edge space (nbt-time), against the
+    # whole-matrix solve
+    with open(complete_k6_file, encoding="utf-8") as fh:
+        net = tk.parse_temporal_edgelist(fh)
+    values = {}
+    for mode, node_space in (("standard", True), ("nbt-time", False)):
+        code, out, err = run(capsys, "rank", complete_k6_file, "--alpha", "0.1", "--mode", mode)
+        assert code == 0, err
+        meta, rows = parse_csv(out)
+        assert float(meta["ell"]) == pytest.approx(0.2, rel=1e-12)
+        assert meta["fastpath"] == str(node_space)
+        values[mode] = [value for _, value, _ in sorted(rows)]
+        want = katz_referee(net, Mode(mode), 0.1, np.ones(net.n))
+        np.testing.assert_allclose(values[mode], want, rtol=1e-10)
+    np.testing.assert_allclose(values["standard"], 65536.0, rtol=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["nbt-time", "nbt-both"])
@@ -401,17 +421,15 @@ def test_rank_singular_later_block_exits_3(capsys, tmp_path):
     # snapshot 2 is the triangle, whose diagonal block I - M/2 is singular
     path = tmp_path / "later.txt"
     path.write_text("0 1 1\n" + TRIANGLE.replace(" 1\n", " 2\n"))
-    code, out, err = run(
-        capsys, "rank", str(path), "--alpha", "0.5", "--no-fastpath", "--force"
-    )
+    code, out, err = run(capsys, "rank", str(path), "--alpha", "0.5", "--force")
     assert code == 3
     assert out == ""
     assert "error" in err and "Traceback" not in err
 
 
 def test_rank_edge_solve_matches_node_level_on_long_network(capsys, tmp_path):
-    # n = 60, N = 40, m = 3495: the block solver against both node-level
-    # routes, and in standard mode against the dense product of resolvents
+    # n = 60, N = 40, m = 3495: the node-space engine against the whole-matrix
+    # edge solve, and in standard mode against the dense product of resolvents
     rng = np.random.default_rng(2021)
     n, N = 60, 40
     lines, adjacency = [f"%n {n}"], []
@@ -427,40 +445,57 @@ def test_rank_edge_solve_matches_node_level_on_long_network(capsys, tmp_path):
         adjacency.append(A)
     path = tmp_path / "long.txt"
     path.write_text("\n".join(lines) + "\n")
+    net = tk.parse_temporal_edgelist("\n".join(lines))
     rho = max(np.max(np.abs(np.linalg.eigvals(A))) for A in adjacency)
     alpha = repr(float(0.5 / rho))
     values = {}
     for mode in ("standard", "nbt-space"):
-        for route in ((), ("--no-fastpath",)):
-            code, out, err = run(
-                capsys, "rank", str(path), "--alpha", alpha, "--mode", mode, *route
-            )
-            assert code == 0, err
-            meta, rows = parse_csv(out)
-            assert meta["fastpath"] == str(not route)
-            values[mode, route] = np.array([v for _, v, _ in sorted(rows)])
-        np.testing.assert_allclose(
-            values[mode, ("--no-fastpath",)], values[mode, ()], rtol=1e-10
-        )
+        code, out, err = run(capsys, "rank", str(path), "--alpha", alpha, "--mode", mode)
+        assert code == 0, err
+        meta, rows = parse_csv(out)
+        assert meta["fastpath"] == "True"
+        values[mode] = np.array([v for _, v, _ in sorted(rows)])
+        want = katz_referee(net, Mode(mode), float(alpha), np.ones(n))
+        np.testing.assert_allclose(values[mode], want, rtol=1e-10)
     y = np.ones(n)
     for A in reversed(adjacency):
         y = np.linalg.solve(np.eye(n) - float(alpha) * A, y)
-    np.testing.assert_allclose(values["standard", ("--no-fastpath",)], y, rtol=1e-10)
+    np.testing.assert_allclose(values["standard"], y, rtol=1e-10)
+
+
+def nbt_time_complete_digraph_katz(k, N, alpha):
+    """Katz TC of the complete digraph K_k repeated over N snapshots in
+    nbt-time.  By symmetry every edge of snapshot t has the same value x_t,
+    and x_t = 1 + alpha (k - 1) x_t + alpha (k - 2) (x_{t+1} + ... + x_N):
+    the edges leaving its target in its own snapshot, then in later ones
+    less its reversal."""
+    later, total = 0.0, 0.0
+    for _ in range(N):
+        x = (1 + alpha * (k - 2) * later) / (1 - alpha * (k - 1))
+        later += x
+        total += x
+    return 1 + alpha * (k - 1) * total
 
 
 def test_rank_complete_digraph_closed_form(capsys, tmp_path):
     # K_40 in each of 4 snapshots, m_t = 1560 >> n: every row sum of A_t is
-    # 39, so Katz TC is (1 - 39 alpha)^-4 at every node
+    # 39, so standard Katz TC is (1 - 39 alpha)^-4 at every node (node
+    # space); nbt-time solves 1560-edge blocks in edge space
     path = tmp_path / "k40.txt"
     path.write_text("".join(
         f"{u} {v} {t}\n" for t in range(1, 5) for u in range(40) for v in range(40) if u != v
     ))
     alpha = 0.02
-    code, out, err = run(capsys, "rank", str(path), "--alpha", str(alpha), "--no-fastpath")
-    assert code == 0, err
-    meta, rows = parse_csv(out)
-    assert meta["fastpath"] == "False"
-    np.testing.assert_allclose([v for _, v, _ in rows], (1 - 39 * alpha) ** -4, rtol=1e-10)
+    expected = {
+        "standard": (1 - 39 * alpha) ** -4,
+        "nbt-time": nbt_time_complete_digraph_katz(40, 4, alpha),
+    }
+    for mode, want in expected.items():
+        code, out, err = run(capsys, "rank", str(path), "--alpha", str(alpha), "--mode", mode)
+        assert code == 0, err
+        meta, rows = parse_csv(out)
+        assert meta["fastpath"] == str(mode == "standard")
+        np.testing.assert_allclose([v for _, v, _ in rows], want, rtol=1e-10)
 
 
 @pytest.mark.parametrize("alpha", ["1.0", "1.00000001"])
@@ -468,18 +503,18 @@ def test_rank_nbt_space_at_and_above_one_uses_the_edge_solve(capsys, tmp_path, a
     # ell = inf in nbt-space; the node-level cubic carries a factor
     # (1 - alpha^2), singular at alpha = 1 and inaccurate beyond it.  Walks:
     # 0->1->2 from node 0, 1->0 and 1->2 from node 1, 2->1 from node 2
+    text = "0 1 1\n1 0 1\n1 2 2\n2 1 2\n"
     path = tmp_path / "pairs.txt"
-    path.write_text("0 1 1\n1 0 1\n1 2 2\n2 1 2\n")
-    values = {}
-    for route in ((), ("--no-fastpath",)):
-        code, out, err = run(capsys, "rank", str(path), "--mode", "nbt-space", "--alpha", alpha, *route)
-        assert code == 0, err
-        meta, rows = parse_csv(out)
-        assert meta["ell"] == "inf" and meta["fastpath"] == "False"
-        values[route] = np.array([v for _, v, _ in sorted(rows)])
-    np.testing.assert_allclose(values[()], values[("--no-fastpath",)], rtol=1e-12)
+    path.write_text(text)
+    code, out, err = run(capsys, "rank", str(path), "--mode", "nbt-space", "--alpha", alpha)
+    assert code == 0, err
+    meta, rows = parse_csv(out)
+    assert meta["ell"] == "inf" and meta["fastpath"] == "False"
+    values = np.array([v for _, v, _ in sorted(rows)])
     a = float(alpha)
-    np.testing.assert_allclose(values[()], [1 + a + a * a, 1 + 2 * a, 1 + a], rtol=1e-12)
+    want = katz_referee(tk.parse_temporal_edgelist(text), Mode.NBT_SPACE, a, np.ones(3))
+    np.testing.assert_allclose(values, want, rtol=1e-12)
+    np.testing.assert_allclose(values, [1 + a + a * a, 1 + 2 * a, 1 + a], rtol=1e-12)
 
 
 # reciprocated 0 <-> 2 at t = 2; sum of every walk weight is finite

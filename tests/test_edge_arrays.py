@@ -13,7 +13,7 @@ from tempokatz.line_space import hashimoto_system, katz_system
 from tempokatz.cli import main
 from tempokatz.spectral import mode_bound
 
-from conftest import FIG_NETWORK, networks
+from conftest import FIG_NETWORK, katz_referee, networks
 
 
 def assert_same(built, reference):
@@ -54,14 +54,21 @@ def test_builders_match_referees(net, alpha):
 @given(networks())
 @settings(max_examples=60, deadline=None)
 def test_node_level_katz_matches_edge_solve(net):
+    # the node-space engine (standard; nbt-space below alpha = 1) against one
+    # LU of the whole edge-space I - alpha M
     katz = tk.resolvent(1.0, 1.0)
-    for mode, node_level in (
-        (Mode.STANDARD, tk.dynamic_katz_node_level),
-        (Mode.NBT_SPACE, tk.nbt_space_katz_node_level),
-    ):
+    for mode in (Mode.STANDARD, Mode.NBT_SPACE):
         alpha = 0.5 * min(mode_bound(net, mode)[0], 1.0)
-        edge = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
-        np.testing.assert_allclose(node_level(net, alpha).values, edge, rtol=1e-12, atol=0)
+        y = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
+        if net.m == 0:
+            np.testing.assert_array_equal(y, np.ones(net.n))
+            continue
+        edge = katz_referee(net, mode, alpha, np.ones(net.n))
+        np.testing.assert_allclose(y, edge, rtol=1e-12, atol=0)
+        Q = tk.communicability_matrix(net, alpha, katz, mode)
+        np.testing.assert_allclose(Q, katz_referee(net, mode, alpha, np.eye(net.n)), rtol=1e-10, atol=1e-12)
+        sc = tk.temporal_f_subgraph_centrality(net, alpha, katz, mode).values
+        np.testing.assert_array_equal(sc, np.diag(Q))
 
 
 def test_reversal_index_of_fig_network(fig1):

@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tempokatz as tk
-from tempokatz import Mode, Snapshot, TemporalNetwork
+from tempokatz import Mode, Snapshot, TemporalNetwork, matfun
 from tempokatz.matfun import SolveError, evaluate, resolvent_solver
 
-from conftest import TRIANGLE, dense_radius, networks, random_network
+from conftest import TRIANGLE, dense_radius, katz_referee, networks, random_network
 
 
 def test_partial_exponential_is_psi1():
@@ -190,14 +190,14 @@ def test_block_solver_matches_one_block(N):
     rng = np.random.default_rng(33 + N)
     for _ in range(4):
         net = random_network(rng, N=N, density=0.5)
-        V = rng.random((net.m, 3))
+        W = rng.random((net.n, 3))
         for mode in Mode:
             M = tk.global_transition(net, mode)
             alpha = 0.5 / max(dense_radius(M), 1.0)
             block = resolvent_solver(net, mode, alpha)
-            for v in (V[:, 0], V):
+            for w in (W[:, 0], W):
                 np.testing.assert_allclose(
-                    block(v), tk.resolvent_solve(M, alpha, v), rtol=1e-12, atol=0
+                    block(w), katz_referee(net, mode, alpha, w), rtol=1e-12, atol=0
                 )
 
 
@@ -205,15 +205,16 @@ def test_block_solver_matches_one_block(N):
 @settings(max_examples=200, deadline=None)
 def test_block_solver_matches_whole_matrix_property(net, mode, fraction, seed):
     # empty snapshots, isolated nodes and reciprocated pairs; alpha up to 0.9
-    # of the admissible bound 1 / rho(M), or up to 2 when M is nilpotent
+    # of the admissible bound 1 / rho(M), or up to 2 when M is nilpotent, so
+    # nbt-space runs on both sides of alpha = 1
     assume(net.m > 0)
     M = tk.global_transition(net, mode)
     rho = dense_radius(M)
     alpha = fraction / rho if rho > 1e-8 else 2 * fraction
-    V = np.random.default_rng(seed).random((net.m, 3))
+    W = np.random.default_rng(seed).random((net.n, 3))
     solve = resolvent_solver(net, mode, alpha)
-    for v in (V[:, 0], V):
-        np.testing.assert_allclose(solve(v), tk.resolvent_solve(M, alpha, v), rtol=1e-12, atol=0)
+    for w in (W[:, 0], W):
+        np.testing.assert_allclose(solve(w), katz_referee(net, mode, alpha, w), rtol=1e-12, atol=0)
 
 
 def test_block_solver_skips_empty_snapshot():
@@ -224,19 +225,24 @@ def test_block_solver_skips_empty_snapshot():
         timestamps=(1, 2, 3),
     )
     assert snapshot_sizes(net) == [1, 0, 2]
-    M = tk.global_transition(net, Mode.STANDARD)
     for mode in Mode:
         solve = resolvent_solver(net, mode, 0.5)
-        # edges in order 0->1, 1->2, 2->0; walks 0->1->2->0, 1->2->0
-        np.testing.assert_allclose(solve(np.ones(3)), [1.75, 1.5, 1.0], rtol=1e-15)
-        np.testing.assert_allclose(solve(np.eye(3)), tk.resolvent_solve(M, 0.5, np.eye(3)), rtol=1e-15)
+        # walks 0->1->2->0 from node 0, 1->2->0 from node 1, 2->0 from node 2
+        np.testing.assert_allclose(solve(np.ones(3)), [1.875, 1.75, 1.5], rtol=1e-15)
+        np.testing.assert_allclose(
+            solve(np.eye(3)), katz_referee(net, mode, 0.5, np.eye(3)), rtol=1e-15
+        )
 
 
 def test_block_solver_rejects_vector_of_wrong_length(fig1):
-    solve = resolvent_solver(fig1, Mode.STANDARD, 0.2)
-    for v in (np.ones(fig1.m - 1), np.ones((fig1.m + 1, 2)), np.ones((fig1.m, 2, 2))):
-        with pytest.raises(ValueError):
-            solve(v)
+    # node space (standard) and edge space (nbt-both); an edge vector is wrong too
+    for mode in (Mode.STANDARD, Mode.NBT_BOTH):
+        solve = resolvent_solver(fig1, mode, 0.2)
+        for w in (
+            np.ones(fig1.n - 1), np.ones((fig1.n + 1, 2)), np.ones((fig1.n, 2, 2)), np.ones(fig1.m)
+        ):
+            with pytest.raises(ValueError):
+                solve(w)
 
 
 def test_block_solver_singular_later_block():
@@ -256,11 +262,30 @@ def test_block_solver_singular_later_block():
         with pytest.raises(SolveError, match="singular"):
             tk.temporal_f_subgraph_centrality(net, 0.5, katz, mode, force=True)
     for mode in (Mode.NBT_SPACE, Mode.NBT_BOTH):
-        M = tk.global_transition(net, mode)
-        for v in (np.ones(net.m), np.eye(net.m)[:, :3]):
+        for w in (np.ones(net.n), np.eye(net.n)[:, :2]):
             np.testing.assert_allclose(
-                resolvent_solver(net, mode, 0.5)(v), tk.resolvent_solve(M, 0.5, v), rtol=1e-12
+                resolvent_solver(net, mode, 0.5)(w), katz_referee(net, mode, 0.5, w), rtol=1e-12
             )
+
+
+def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch):
+    # factors whose solves are off by a relative 1e-8 miss the default
+    # backward-error bound, in node space (standard, nbt-space) and in edge
+    # space (nbt-time, nbt-both)
+    real = matfun._factor
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1 + 1e-8)
+
+    monkeypatch.setattr(matfun, "_factor", lambda P, **options: Perturbed(real(P, **options)))
+    for mode in Mode:
+        solve = resolvent_solver(fig1, mode, 0.2)
+        with pytest.raises(SolveError, match="backward error"):
+            solve(np.ones(fig1.n))
 
 
 def test_monomial_and_polynomial():
