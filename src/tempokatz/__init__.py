@@ -4,12 +4,13 @@ Works with the block upper-triangular edge-space transition matrix M of a
 sequence of graph snapshots, built from edge arrays each snapshot compiles
 once, and evaluates analytic-function walk weightings of it: in the
 standard setting, and with backtracking forbidden in space, in time, or both.
-A resolvent (Katz) weighting never forms M.  In the standard mode, and in
-the NBT-in-space mode for alpha < 1, it is a product of one n x n system per
-snapshot: I - alpha A_t, or the non-backtracking cubic, whose spurious factor
-(1 - alpha^2) is divided out.  Otherwise it factors one system per snapshot
-and back-substitutes over the edges, coupling the snapshots through running
-node sums.  Other weightings sum the series with sparse products on M.
+A resolvent (Katz) weighting never forms M: it factors one system per
+snapshot and back-substitutes from the last snapshot to the first, coupling
+the snapshots through running node sums (and, where reversals across
+snapshots are forbidden, running sums over directed pairs).  The system is
+n x n, I - alpha A_t or the non-backtracking cubic, except in NBT-both and
+in NBT-in-space for alpha >= 1, which factor the Hashimoto block.  Other
+weightings sum the series with sparse products on M.
 """
 
 from .centrality import (

@@ -6,8 +6,9 @@ f)(alpha M) R_g W, with M the global transition matrix and L_g, R_g the
 global source/target matrices: total communicability to the all-ones vector,
 subgraph centrality and the communicability matrix to blocks of at most
 COLUMN_BLOCK unit columns.  A resolvent (Katz) weight runs the engine
-``matfun.resolvent_solver``, which never forms M; any other weight sums its
-series on the assembled M with sparse x dense block products.
+``matfun.resolvent_solver``, one back-substitution over the snapshots that
+never forms M; any other weight sums its series on the assembled M with
+sparse x dense block products.
 ``dynamic_katz_node_level`` and ``nbt_space_katz_node_level`` are Katz total
 communicability through the same engine, kept under their old names.
 """

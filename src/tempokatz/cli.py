@@ -206,14 +206,17 @@ def cmd_dump_matrix(args):
         kind, _, tau_s = which.partition(":")
         try:
             tau = int(tau_s)
+            snap = net.snapshot(tau)
         except ValueError:
             raise ValueError(f"bad snapshot index in {which!r}") from None
+        except IndexError as exc:
+            raise ValueError(exc) from None
         if kind == "A":
             matrix = adjacency_matrix(net, tau)
         elif kind == "W":
-            matrix = line_graph_matrix(net.snapshot(tau), net.n)
+            matrix = line_graph_matrix(snap, net.n)
         elif kind == "B":
-            matrix = hashimoto_matrix(net.snapshot(tau), net.n)
+            matrix = hashimoto_matrix(snap, net.n)
         else:
             raise ValueError(f"unknown matrix kind {kind!r}")
     else:

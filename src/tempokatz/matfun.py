@@ -8,10 +8,11 @@ walks they represent.
 
 A series is summed on an assembled matrix (``apply_series``).  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
-to blocks of node values snapshot by snapshot, without M: as a product of
-n x n node systems in the standard mode and, for alpha < 1, in NBT-in-space;
-by back-substitution over the edges otherwise.  ``resolvent_solve`` factors
-an assembled I - alpha M whole, and is the tests' reference for it.
+to blocks of node values without M, in one back-substitution from the last
+snapshot to the first.  Each step factors one system, n x n where it can and
+an m_t x m_t Hashimoto block otherwise, and is accepted on that system's
+backward error.  ``resolvent_solve`` factors an assembled I - alpha M whole,
+and is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -245,10 +246,11 @@ _NODE_LU = {"relax": 1, "panel_size": 1}
 
 
 def in_node_space(mode, alpha):
-    """Whether :func:`resolvent_solver` runs ``mode`` at ``alpha`` in node
-    space: always in the standard mode, and in NBT-in-space for alpha < 1,
-    where the NBT cubic's spurious factor (1 - alpha^2) is nonzero."""
-    return mode is Mode.STANDARD or (mode is Mode.NBT_SPACE and alpha < 1)
+    """Whether every system :func:`resolvent_solver` factors for ``mode`` at
+    ``alpha`` is n x n: in the standard and NBT-in-time modes, and in
+    NBT-in-space for alpha < 1, where the NBT cubic's spurious factor
+    (1 - alpha^2) is nonzero."""
+    return mode in (Mode.STANDARD, Mode.NBT_TIME) or (mode is Mode.NBT_SPACE and alpha < 1)
 
 
 def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
@@ -257,155 +259,102 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     W + alpha L_g^T (I - alpha M)^-1 R_g W for an n-vector or n x k block W
     of node values (W = 1 gives Katz total communicability).
 
-    Where :func:`in_node_space` holds, every reversal across snapshots is
-    allowed, and apply(W) is the node-level product s_1 P_1^-1 ... s_N P_N^-1 W
-    with P_t = ``katz_system(snap, n, alpha, nbt)``: I - alpha A_t with
-    s_t = 1, or the NBT cubic of Arrigo, Grindrod, Higham & Noferini (2018)
-    with s_t = 1 - alpha^2.  Each solve is accepted on its normwise backward
-    error, ||P_t x - b||_inf <= tol (||P_t||_inf ||x||_inf + ||b||_inf).
-    Otherwise the back-substitution runs in edge space (:func:`_edge_solver`).
-    A column that fails its acceptance test, or an exactly singular factor,
-    raises SolveError.  Requires alpha * rho(M) < 1 for the result to mean a
-    walk series.
+    apply back-substitutes from the last non-empty snapshot to the first.
+    It carries Y = W + alpha acc, with acc the running n x k sum of L_s^T x_s
+    over the later snapshots s, and in NBT-in-time and NBT-both the running
+    sums ``later`` of x keyed on the directed pair (``line_space.pair_index``):
+    c = alpha later[reverse_t] removes the later reversals (c = 0 otherwise).
+    Snapshot t solves (I - alpha M_tt) x_t = Y[tgt_t] - c and adds
+    alpha L_t^T x_t to Y.
+
+    Where :func:`in_node_space` holds, the step factors the n x n
+    P_t = ``katz_system(snap, n, alpha, nbt)``, I - alpha A_t with s = 1 or
+    the NBT-in-space cubic of Arrigo, Grindrod, Higham & Noferini (2018)
+    with s = 1 - alpha^2.  It solves P_t D = (s I - P_t) Y - alpha L_t^T c,
+    adds the walk increment D to Y, so that rounding scales with D and not
+    with Y, and takes x_t = Y[tgt_t] - c.  With c = 0 this is
+    Y -> s P_t^-1 Y; in NBT-in-time it is the line-graph step, by
+    (I - alpha W_t)^-1 = I + alpha R_t (I - alpha A_t)^-1 L_t^T.  Otherwise
+    the step factors the m_t x m_t Hashimoto block I - alpha B_t.
+
+    Each step is accepted on the normwise backward error of the system P it
+    factored, ||P x - b||_inf <= tol (||P||_inf ||x||_inf + ||b||_inf) for
+    every column; a failed column, or an exactly singular factor, raises
+    SolveError.  A block row of I - alpha M splits into its diagonal block
+    and its coupling, each of norm at most ||I - alpha M||_inf, so Hashimoto
+    steps that pass at tol bound the whole backward error by about 2 tol.
+    Requires alpha * rho(M) < 1 for the result to mean a walk series.
     """
-    if in_node_space(mode, alpha):
-        return _node_solver(net, mode is Mode.NBT_SPACE, alpha, tol)
-    return _edge_solver(net, mode, alpha, tol)
-
-
-def _node_solver(net, nbt, alpha, tol):
-    """apply(W) = s_1 P_1^-1 ... s_N P_N^-1 W over the non-empty snapshots (an
-    empty one's s_t P_t^-1 is I).  Each step adds the walk increment
-    P_t^-1 (s_t I - P_t) Y to Y, so its rounding error scales with the
-    increment, not with Y."""
-    scale = 1.0 - alpha**2 if nbt else 1.0
-    steps = []
-    for snap in reversed(net.snapshots):
-        if snap.m:
-            P = katz_system(snap, net.n, alpha, nbt)
-            lu = _factor(P, **_NODE_LU)
-            # P is CSC, so its indices are row numbers
-            norm = np.bincount(P.indices, np.abs(P.data), minlength=net.n).max()
-            # reuse P's pattern for Q = s I - P; the factor holds P.  P is a
-            # Z-matrix whose diagonal entries, 1 or 1 + alpha^2 (D - 1) with
-            # alpha < 1, are all stored and are its only positive entries
-            Q = P
-            Q.data = np.where(P.data > 0, scale - P.data, -P.data)
-            steps.append((Q, lu, norm))
-
-    def apply(W):
-        Y = _block(W, (net.n, net.n))
-        for Q, lu, norm in steps:
-            B = Q @ Y
-            D = lu.solve(B)
-            # the residual P D - B, with P = s I - Q
-            _accept(_colmax(np.array((scale * D - Q @ D - B, D, B))), norm, tol)
-            Y = Y + D
-        return Y.reshape(np.shape(W))
-
-    return apply
-
-
-class _Block(NamedTuple):
-    """One non-empty snapshot's rows of I - alpha M."""
-
-    rows: slice
-    tgt: np.ndarray
-    #: the distinct sources of the snapshot's edges, and the first edge of each
-    nodes: np.ndarray
-    firsts: np.ndarray
-    #: splu of I - alpha A_t (n x n) or, for a Hashimoto block, of I - alpha B_t
-    lu: object
-    #: I - alpha B_t, or None for a line-graph block W_t = R_t L_t^T
-    system: Optional[sp.csc_array]
-
-
-def _sources(blk, values, n):
-    """L_t^T values (n x k): each edge's row added to its source node; the
-    sources are sorted, so each node's edges are one run."""
-    out = np.zeros((n, values.shape[1]))
-    out[blk.nodes] = np.add.reduceat(values, blk.firsts, axis=0)
-    return out
-
-
-def _edge_solver(net, mode, alpha, tol):
-    """apply(W) by back-substitution over the edges, from the last snapshot
-    to the first.  M is block upper triangular; block row t off the diagonal
-    is R_t acc, with acc = sum over later snapshots s of L_s^T x_s a running
-    n x k sum, less the later reversals in NBT-in-time and NBT-both (a
-    running sum of x keyed on the directed pair, ``line_space.pair_index``).
-    Block t reads the rows (W + alpha acc)[tgt_t], and the result is
-    W + alpha acc after the first snapshot.
-
-    A line-graph diagonal block (NBT-in-time) W_t = R_t L_t^T is solved
-    through one n x n factor, (I - alpha W_t)^-1 b = b + alpha R_t
-    (I - alpha A_t)^-1 L_t^T b; by Sylvester's identity I - alpha A_t is
-    singular exactly when I - alpha W_t is.  A Hashimoto block B_t is
-    factored m_t x m_t.  Each column x is accepted on its normwise backward
-    error over the whole system, ||(I - alpha M) x - R_g W||_inf <= tol
-    (||I - alpha M||_inf ||x||_inf + ||R_g W||_inf), with the residual formed
-    from the same running sums.
-    """
-    line_graph = mode is Mode.NBT_TIME
-    reverse = None
-    if mode in (Mode.NBT_TIME, Mode.NBT_BOTH):
+    node_space = in_node_space(mode, alpha)
+    nbt = mode is Mode.NBT_SPACE
+    scale = 1.0 - alpha**2 if nbt and node_space else 1.0
+    paired = mode in (Mode.NBT_TIME, Mode.NBT_BOTH)
+    if paired:
         pair, reverse, pairs = pair_index(net)
-        later_pairs = np.zeros(pairs + 1, dtype=np.int64)
-    blocks = []
-    # out-degrees and directed-pair counts over the snapshots after t, for
-    # the row counts of M: ||I - alpha M||_inf = 1 + alpha * (largest count)
-    later = np.zeros(net.n, dtype=np.int64)
-    width = 0
+    steps = []
     start = net.m
     for snap in reversed(net.snapshots):
         start, stop = start - snap.m, start
         if snap.m == 0:
             continue
         e = snap.arrays
-        out = np.bincount(e.src, minlength=net.n)
-        count = out[e.tgt] + later[e.tgt]
-        if line_graph:
-            system = None
-            lu = _factor(katz_system(snap, net.n, alpha, nbt=False), **_NODE_LU)
+        if node_space:
+            P = katz_system(snap, net.n, alpha, nbt)
+            lu = _factor(P, **_NODE_LU)
         else:
-            system = hashimoto_system(snap, alpha)
-            lu = _factor(system)
-            count -= e.rev >= 0
-        if reverse is not None:
-            count -= later_pairs[reverse[start:stop]]
-            later_pairs[pair[start:stop]] += 1
-        width = max(width, int(count.max()))
-        later += out
-        firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
-        blocks.append(_Block(slice(start, stop), e.tgt, e.src[firsts], firsts, lu, system))
-    a_norm = 1.0 + alpha * width
+            P = hashimoto_system(snap, alpha)
+            lu = _factor(P)
+        # P is CSC, so its indices are row numbers
+        norm = np.bincount(P.indices, np.abs(P.data), minlength=P.shape[0]).max()
+        # reuse P's pattern for Q = s I - P; the factor holds P.  P is a
+        # Z-matrix whose diagonal entries, 1 or 1 + alpha^2 (D - 1) with
+        # alpha < 1, are all stored and are its only positive entries
+        Q = P
+        Q.data = np.where(P.data > 0, scale - P.data, -P.data)
+        heads = None
+        if paired or not node_space:
+            firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
+            heads = (e.src[firsts], firsts)
+        steps.append((slice(start, stop), e.tgt, heads, Q, lu, norm))
 
     def apply(W):
-        V = _block(W, (net.n, net.n))
-        Y = V.copy()  # W + alpha acc
-        later_x = None if reverse is None else np.zeros((pairs + 1, V.shape[1]))
-        norms = np.zeros((3, V.shape[1]))  # resid, x and v, as in _accept
-        for blk in blocks:
-            b = Y[blk.tgt]
-            if later_x is not None:
-                b -= alpha * later_x[reverse[blk.rows]]
-            if blk.system is None:
-                xt = b + alpha * blk.lu.solve(_sources(blk, b, net.n))[blk.tgt]
-                sums = _sources(blk, xt, net.n)
-                # (I - alpha W_t) x_t with W_t x_t = R_t L_t^T x_t
-                r = xt - alpha * sums[blk.tgt] - b
+        Y = _block(W, (net.n, net.n)).copy()
+        if paired:
+            later = np.zeros((pairs + 1, Y.shape[1]))
+        for rows, tgt, heads, Q, lu, norm in steps:
+            c = alpha * later[reverse[rows]] if paired else 0.0
+            if node_space:
+                b = Q @ Y
+                if paired:
+                    b -= alpha * _sources(heads, c, net.n)
+                Y += _solve(lu, Q, scale, b, norm, tol)
+                x = Y[tgt] - c if paired else None
             else:
-                xt = blk.lu.solve(b)
-                sums = _sources(blk, xt, net.n)
-                r = blk.system @ xt - b
-            norms = np.maximum(norms, _colmax(np.array((r, xt, V[blk.tgt]))))
-            Y += alpha * sums
-            if later_x is not None:
-                later_x[pair[blk.rows]] += xt
-        _accept(norms, a_norm, tol)
+                x = _solve(lu, Q, scale, Y[tgt] - c, norm, tol)
+                Y += alpha * _sources(heads, x, net.n)
+            if paired:
+                later[pair[rows]] += x
         return Y.reshape(np.shape(W))
 
     return apply
+
+
+def _solve(lu, Q, s, b, norm, tol):
+    """lu.solve(b), with lu the factor of P = s I - Q and norm = ||P||_inf,
+    accepted by :func:`_accept`."""
+    x = lu.solve(b)
+    _accept(_colmax(np.array((s * x - Q @ x - b, x, b))), norm, tol)
+    return x
+
+
+def _sources(heads, values, n):
+    """L_t^T values (n x k), with ``heads`` the distinct sources of the
+    snapshot's edges and the first edge of each: each edge's row is added to
+    its source node; the sources are sorted, so each node's edges are one run."""
+    nodes, firsts = heads
+    out = np.zeros((n, values.shape[1]))
+    out[nodes] = np.add.reduceat(values, firsts, axis=0)
+    return out
 
 
 def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):

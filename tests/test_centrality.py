@@ -204,17 +204,27 @@ def acyclic_networks(draw):
     return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))
 
 
-@given(acyclic_networks(), st.sampled_from([0.5, 1.0, 2.0]))
-@settings(max_examples=100, deadline=None)
-def test_katz_matches_walk_oracle_property(net, alpha):
-    # alpha on both sides of 1, so nbt-space runs in node and in edge space;
-    # ell = inf, so no force is needed
-    katz = tk.resolvent(1, 1)
+#: Katz, the exponential and a random polynomial of degree at most 5, whose
+#: coefficients are zero or far enough from it that no product underflows
+weights = st.one_of(
+    st.just(tk.resolvent(1, 1)),
+    st.just(tk.exponential()),
+    st.lists(st.just(0.0) | st.floats(1e-3, 2), min_size=1, max_size=6).map(tk.polynomial),
+)
+
+
+@given(acyclic_networks(), st.sampled_from([0.5, 1.0, 2.0]), weights)
+@settings(max_examples=150, deadline=None)
+def test_katz_matches_walk_oracle_property(net, alpha, f):
+    # Katz runs the resolvent engine, alpha on both sides of 1 so that
+    # nbt-space factors both n x n and Hashimoto systems; the other weights
+    # sum their series on M.  ell = inf, so no force is needed, and both
+    # sides are exact up to rounding: M is nilpotent
     for mode in Mode:
         counts = tk.enumerate_temporal_walks(net, net.m, mode, guard=math.inf)
-        Q = tk.weighted_walk_sum(counts, katz, alpha)
-        tc = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
-        sc = tk.temporal_f_subgraph_centrality(net, alpha, katz, mode).values
+        Q = tk.weighted_walk_sum(counts, f, alpha)
+        tc = tk.temporal_f_total_communicability(net, alpha, f, mode).values
+        sc = tk.temporal_f_subgraph_centrality(net, alpha, f, mode).values
         np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-10, atol=0)
         np.testing.assert_allclose(sc, np.diag(Q), rtol=1e-10, atol=0)
 

@@ -115,7 +115,7 @@ def test_rank_fastpath_consistent(capsys, fig_file, fig1):
         (("--measure", "sc"), True),
         (("--measure", "sc", "--mode", "nbt-space"), True),
         (("--mode", "nbt-space", "--alpha", "1.5", "--force"), False),
-        (("--mode", "nbt-time"), False),
+        (("--mode", "nbt-time"), True),
         (("--mode", "nbt-both", "--measure", "sc"), False),
         (("--function", "exponential"), False),
     ],
@@ -260,6 +260,12 @@ def test_dump_matrix_unknown(capsys, ex5_file):
     code, _, err = run(capsys, "dump-matrix", ex5_file, "Q")
     assert code == 1
     assert "unknown matrix" in err
+    # the worked example has 3 snapshots
+    for which, tau in (("A:0", 0), ("W:4", 4), ("B:-1", -1)):
+        code, out, err = run(capsys, "dump-matrix", ex5_file, which)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: tau={tau} out of range [1, 3]\n"
 
 
 def test_help_exits_zero(capsys):
@@ -380,17 +386,17 @@ def complete_k6_file(tmp_path):
 
 def test_rank_edge_solve_accepts_large_well_conditioned_solution(capsys, complete_k6_file):
     # ||x|| grows to 2^16 here; a residual test scaled by ||v|| alone rejects
-    # it.  Node space (standard) and edge space (nbt-time), against the
-    # whole-matrix solve
+    # it.  Both modes factor n x n systems (standard without and nbt-time
+    # with the pair sums), against the whole-matrix solve
     with open(complete_k6_file, encoding="utf-8") as fh:
         net = tk.parse_temporal_edgelist(fh)
     values = {}
-    for mode, node_space in (("standard", True), ("nbt-time", False)):
+    for mode in ("standard", "nbt-time"):
         code, out, err = run(capsys, "rank", complete_k6_file, "--alpha", "0.1", "--mode", mode)
         assert code == 0, err
         meta, rows = parse_csv(out)
         assert float(meta["ell"]) == pytest.approx(0.2, rel=1e-12)
-        assert meta["fastpath"] == str(node_space)
+        assert meta["fastpath"] == "True"
         values[mode] = [value for _, value, _ in sorted(rows)]
         want = katz_referee(net, Mode(mode), 0.1, np.ones(net.n))
         np.testing.assert_allclose(values[mode], want, rtol=1e-10)
@@ -479,8 +485,9 @@ def nbt_time_complete_digraph_katz(k, N, alpha):
 
 def test_rank_complete_digraph_closed_form(capsys, tmp_path):
     # K_40 in each of 4 snapshots, m_t = 1560 >> n: every row sum of A_t is
-    # 39, so standard Katz TC is (1 - 39 alpha)^-4 at every node (node
-    # space); nbt-time solves 1560-edge blocks in edge space
+    # 39, so standard Katz TC is (1 - 39 alpha)^-4 at every node.  nbt-time
+    # factors the same 40 x 40 systems and couples the 1560-edge blocks
+    # through the pair sums
     path = tmp_path / "k40.txt"
     path.write_text("".join(
         f"{u} {v} {t}\n" for t in range(1, 5) for u in range(40) for v in range(40) if u != v
@@ -494,7 +501,7 @@ def test_rank_complete_digraph_closed_form(capsys, tmp_path):
         code, out, err = run(capsys, "rank", str(path), "--alpha", str(alpha), "--mode", mode)
         assert code == 0, err
         meta, rows = parse_csv(out)
-        assert meta["fastpath"] == str(mode == "standard")
+        assert meta["fastpath"] == "True"
         np.testing.assert_allclose([v for _, v, _ in rows], want, rtol=1e-10)
 
 

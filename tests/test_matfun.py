@@ -268,11 +268,14 @@ def test_block_solver_singular_later_block():
             )
 
 
-def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch):
-    # factors whose solves are off by a relative 1e-8 miss the default
-    # backward-error bound, in node space (standard, nbt-space) and in edge
-    # space (nbt-time, nbt-both)
+@pytest.mark.parametrize("step", range(3))
+def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch, step):
+    # one snapshot's factor, counted from the last of fig1's three, solves
+    # off by a relative 1e-8; that step misses the default backward-error
+    # bound on its own, in every mode: n x n systems (standard, nbt-space,
+    # nbt-time) and Hashimoto blocks (nbt-both)
     real = matfun._factor
+    factored = []
 
     class Perturbed:
         def __init__(self, lu):
@@ -281,11 +284,17 @@ def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch):
         def solve(self, b):
             return self.lu.solve(b) * (1 + 1e-8)
 
-    monkeypatch.setattr(matfun, "_factor", lambda P, **options: Perturbed(real(P, **options)))
+    def factor(P, **options):
+        lu = real(P, **options)
+        factored.append(P)
+        return Perturbed(lu) if (len(factored) - 1) % 3 == step else lu
+
+    monkeypatch.setattr(matfun, "_factor", factor)
     for mode in Mode:
         solve = resolvent_solver(fig1, mode, 0.2)
         with pytest.raises(SolveError, match="backward error"):
             solve(np.ones(fig1.n))
+    assert len(factored) == 3 * len(Mode)
 
 
 def test_monomial_and_polynomial():
