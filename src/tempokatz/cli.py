@@ -5,7 +5,9 @@ debugging.
 Subcommands: ``rank`` (default), ``check-alpha``, ``validate``,
 ``dump-matrix``.  Exit codes: 1 parse/validation failure or a bad option
 value, 2 alpha negative or not finite (even with --force) or outside the
-admissible interval without --force, 3 numerical failure.
+admissible interval without --force, 3 numerical failure.  ``rank`` parses,
+makes one call of a centrality measure, which checks alpha and the bound
+itself, and formats its result.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import tempfile
 from . import matfun
 from .centrality import (
     ParameterError,
-    check_alpha_value,
     temporal_f_subgraph_centrality,
     temporal_f_total_communicability,
 )
@@ -33,8 +34,8 @@ from .line_space import (
     hashimoto_matrix,
     line_graph_matrix,
 )
-from .matfun import SolveError, in_node_space
-from .spectral import alpha_bound, mode_bound
+from .matfun import SolveError
+from .spectral import alpha_bound
 from .temporal_graph import (
     ParseError,
     ParseReport,
@@ -46,13 +47,6 @@ from .temporal_graph import (
 EXIT_PARSE = 1
 EXIT_ALPHA = 2
 EXIT_NUMERIC = 3
-
-_MODES = {
-    "standard": Mode.STANDARD,
-    "nbt-space": Mode.NBT_SPACE,
-    "nbt-time": Mode.NBT_TIME,
-    "nbt-both": Mode.NBT_BOTH,
-}
 
 
 def _fmt(x):
@@ -123,30 +117,16 @@ def _render_json(meta, rows):
 
 
 def cmd_rank(args):
-    check_alpha_value(args.alpha)
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     net, _ = _parse_input(args.input)
-    mode = _MODES[args.mode]
+    mode = Mode(args.mode)
     f = _load_function(args.function)
-    ell, converged = mode_bound(net, mode)
-    if not converged:
-        print("error: spectral radius estimation did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    sup = f.radius * ell
-    if args.alpha >= sup and not args.force:
-        print(
-            f"error: alpha={args.alpha} is outside the admissible interval "
-            f"(0, {_fmt(sup)}) for mode {mode.value}; pass --force to override",
-            file=sys.stderr,
-        )
-        return EXIT_ALPHA
-
     measure = (
         temporal_f_total_communicability if args.measure == "tc" else temporal_f_subgraph_centrality
     )
     try:
-        result = measure(net, args.alpha, f, mode, tol=args.tol, force=True)
+        result = measure(net, args.alpha, f, mode, tol=args.tol, force=args.force)
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -157,13 +137,13 @@ def cmd_rank(args):
     rows = [(i, _fmt(values[i]), r) for i, r in zip(order, ranks)]
     meta = {
         "alpha": _fmt(args.alpha),
-        "ell": _fmt(ell),
+        "ell": _fmt(result.ell),
         "mode": mode.value,
         "function": args.function,
         "measure": args.measure,
         "forced": bool(args.force),
         "truncated": bool(result.truncated),
-        "fastpath": args.function == "katz" and in_node_space(mode, args.alpha),
+        "fastpath": result.node_space,
     }
     render = _render_csv if args.format == "csv" else _render_json
     _write_output(render(meta, rows), args.output)
@@ -172,7 +152,7 @@ def cmd_rank(args):
 
 def cmd_check_alpha(args):
     net, _ = _parse_input(args.input)
-    mode = _MODES[args.mode]
+    mode = Mode(args.mode)
     bound = alpha_bound(net, mode)
     if not bound.converged:
         print("error: spectral radius estimation did not converge", file=sys.stderr)
@@ -195,7 +175,7 @@ def cmd_validate(args):
 def cmd_dump_matrix(args):
     net, _ = _parse_input(args.input)
     which = args.which
-    mode = _MODES[args.mode]
+    mode = Mode(args.mode)
     if which == "M":
         matrix = global_transition(net, mode)
     elif which == "L":
@@ -232,7 +212,7 @@ def cmd_dump_matrix(args):
 def _add_common(p):
     p.add_argument("input", help="temporal edge-list file (u v t per line)")
     p.add_argument(
-        "--mode", choices=sorted(_MODES), default="standard",
+        "--mode", choices=sorted(m.value for m in Mode), default="standard",
         help="which backtracking steps to forbid",
     )
 

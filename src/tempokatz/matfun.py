@@ -10,9 +10,10 @@ A series is summed on an assembled matrix (``apply_series``).  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
 to blocks of node values without M, in one back-substitution from the last
 snapshot to the first.  Each step factors one system, n x n where it can and
-an m_t x m_t Hashimoto block otherwise, and is accepted on that system's
-backward error.  ``resolvent_solve`` factors an assembled I - alpha M whole,
-and is the tests' reference for it.
+an m_t x m_t Hashimoto block otherwise, with one set of LU options that
+pivots on the diagonal, and is accepted on that system's backward error.
+``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
+partial pivoting, and is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -239,10 +240,19 @@ def _accept(norms, a_norm, tol):
         )
 
 
-#: splu options for the sparse n x n node systems, where supernodes cost more
-#: than they save: 23 ms in place of 30 ms for the 160 of perfbench's
-#: long-horizon node network on a 2-vCPU x86 host
-_NODE_LU = {"relax": 1, "panel_size": 1}
+#: splu options for every system :func:`resolvent_solver` factors.  With
+#: diag_pivot_thresh = 0 SuperLU pivots on the diagonal wherever it is
+#: nonzero.  I - alpha A_t and I - alpha B_t are nonsingular M-matrices for
+#: alpha below 1 / rho of the block, which is every alpha on an acyclic one;
+#: their LU without pivoting exists and is stable, while partial pivoting
+#: lost digits, or called them exactly singular, on acyclic blocks at large
+#: alpha.  Supernodes cost more than they save on these sparse systems: 23
+#: in place of 30 ms for the 160 n x n systems of perfbench's long-horizon
+#: node network.  The diagonal pivot costs about the same as partial
+#: pivoting: 19.2 against 18.8 ms for those 160, and 242 against 256 ms for
+#: the Hashimoto blocks of the dense-snapshots node network with SciPy's
+#: default options (2-vCPU Xeon host, medians of 15 interleaved runs)
+_NODE_LU = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
 
 
 def in_node_space(mode, alpha):
@@ -277,8 +287,9 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     (I - alpha W_t)^-1 = I + alpha R_t (I - alpha A_t)^-1 L_t^T.  Otherwise
     the step factors the m_t x m_t Hashimoto block I - alpha B_t.
 
-    Each step is accepted on the normwise backward error of the system P it
-    factored, ||P x - b||_inf <= tol (||P||_inf ||x||_inf + ||b||_inf) for
+    Every step factors its P with the options ``_NODE_LU``, which pivot on
+    the diagonal, and is accepted on the normwise backward error of that
+    system, ||P x - b||_inf <= tol (||P||_inf ||x||_inf + ||b||_inf) for
     every column; a failed column, or an exactly singular factor, raises
     SolveError.  A block row of I - alpha M splits into its diagonal block
     and its coupling, each of norm at most ||I - alpha M||_inf, so Hashimoto
@@ -298,12 +309,8 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
         if snap.m == 0:
             continue
         e = snap.arrays
-        if node_space:
-            P = katz_system(snap, net.n, alpha, nbt)
-            lu = _factor(P, **_NODE_LU)
-        else:
-            P = hashimoto_system(snap, alpha)
-            lu = _factor(P)
+        P = katz_system(snap, net.n, alpha, nbt) if node_space else hashimoto_system(snap, alpha)
+        lu = _factor(P, **_NODE_LU)
         # P is CSC, so its indices are row numbers
         norm = np.bincount(P.indices, np.abs(P.data), minlength=P.shape[0]).max()
         # reuse P's pattern for Q = s I - P; the factor holds P.  P is a

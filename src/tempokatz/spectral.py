@@ -167,7 +167,7 @@ def _stack(net, taus, hashimoto):
     return sp.coo_array((np.ones(len(rows)), (rows, cols)), (dim, dim))
 
 
-def mode_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def mode_bound(net, mode):
     """(ell, converged) for ``mode`` from the one family of radii it uses:
     ell = 1 / max_tau rho(B^[tau]) for NBT-in-space / NBT-both and
     1 / max_tau rho(A^[tau]) for standard / NBT-in-time.
@@ -184,19 +184,19 @@ def mode_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     for taus in (small[group == g] for g in np.unique(group)):
         C, labels, rows = _inside_components(_stack(net, taus, hashimoto))
         if C.nnz:
-            lo_k, hi_k, _ = _bracket(C, labels, tol, STACK_STEPS)
+            lo_k, hi_k, _ = _bracket(C, labels, DEFAULT_TOL, STACK_STEPS)
             lower = max(lower, float(lo_k.max()))
             found.append((np.repeat(taus, dims[taus])[rows], hi_k[labels]))
     maybe = {t for owner, hi in found for t in owner[hi >= (1 - MARGIN) * lower]}
     taus = sorted(maybe) + list(np.flatnonzero(dims > DENSE_DIRECT_MAX))
-    radii = snapshot_radii(net, hashimoto, tol, maxit, taus)
+    radii = snapshot_radii(net, hashimoto, taus=taus)
     return _reciprocal(max((e.value for e in radii), default=0.0)), all(e.converged for e in radii)
 
 
-def alpha_bound(net, mode, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def alpha_bound(net, mode):
     """Supremum ell for ``mode`` (see :func:`mode_bound`) with both radii of
     every snapshot.  An all-empty network gives ell = +inf."""
-    rho_a, rho_b = (snapshot_radii(net, h, tol, maxit) for h in (False, True))
+    rho_a, rho_b = (snapshot_radii(net, h) for h in (False, True))
     own = rho_b if mode in _NBT_DIAGONAL else rho_a
     return AlphaBound(
         ell=_reciprocal(max(e.value for e in own)),

@@ -15,6 +15,7 @@ from conftest import (
     finite_ell,
     has_reciprocated_edge,
     katz_referee,
+    networks,
     random_network,
     random_network_with,
 )
@@ -113,13 +114,14 @@ def test_total_communicability_empty_network():
 
 
 def test_total_communicability_alpha_bound_enforced(triangle):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"admissible interval .*--force"):
         tk.temporal_f_total_communicability(
             triangle, 0.7, tk.resolvent(1, 1), Mode.STANDARD
         )
-    tk.temporal_f_total_communicability(
+    y = tk.temporal_f_total_communicability(
         triangle, 0.4, tk.resolvent(1, 1), Mode.STANDARD
     )
+    assert y.ell == pytest.approx(0.5, abs=1e-12) and y.node_space
 
 
 def test_subgraph_centrality_acyclic_is_constant(ex5):
@@ -204,24 +206,32 @@ def acyclic_networks(draw):
     return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))
 
 
-#: Katz, the exponential and a random polynomial of degree at most 5, whose
-#: coefficients are zero or far enough from it that no product underflows
-weights = st.one_of(
-    st.just(tk.resolvent(1, 1)),
-    st.just(tk.exponential()),
-    st.lists(st.just(0.0) | st.floats(1e-3, 2), min_size=1, max_size=6).map(tk.polynomial),
+#: a random polynomial of degree at most 5, whose coefficients are zero or
+#: far enough from it that no product underflows
+polynomials = st.lists(st.just(0.0) | st.floats(1e-3, 2), min_size=1, max_size=6).map(
+    tk.polynomial
+)
+
+#: Katz, the exponential or a polynomial on acyclic snapshots, where M is
+#: nilpotent; a polynomial on any network, cyclic snapshots included
+cases = st.one_of(
+    st.tuples(acyclic_networks(), st.just(tk.resolvent(1, 1)) | st.just(tk.exponential())),
+    st.tuples(acyclic_networks() | networks(), polynomials),
 )
 
 
-@given(acyclic_networks(), st.sampled_from([0.5, 1.0, 2.0]), weights)
+@given(cases, st.sampled_from([0.5, 1.0, 2.0, 1e3]))
 @settings(max_examples=150, deadline=None)
-def test_katz_matches_walk_oracle_property(net, alpha, f):
+def test_katz_matches_walk_oracle_property(case, alpha):
     # Katz runs the resolvent engine, alpha on both sides of 1 so that
     # nbt-space factors both n x n and Hashimoto systems; the other weights
-    # sum their series on M.  ell = inf, so no force is needed, and both
-    # sides are exact up to rounding: M is nilpotent
+    # sum their series on M.  Both sides are exact up to rounding: on acyclic
+    # snapshots M is nilpotent, so walks have at most m edges (and ell = inf,
+    # so no force is needed), and a polynomial counts walks up to its degree
+    net, f = case
+    max_len = net.m if f.degree is None else f.degree
     for mode in Mode:
-        counts = tk.enumerate_temporal_walks(net, net.m, mode, guard=math.inf)
+        counts = tk.enumerate_temporal_walks(net, max_len, mode, guard=math.inf)
         Q = tk.weighted_walk_sum(counts, f, alpha)
         tc = tk.temporal_f_total_communicability(net, alpha, f, mode).values
         sc = tk.temporal_f_subgraph_centrality(net, alpha, f, mode).values
@@ -229,8 +239,40 @@ def test_katz_matches_walk_oracle_property(net, alpha, f):
         np.testing.assert_allclose(sc, np.diag(Q), rtol=1e-10, atol=0)
 
 
+def test_katz_exact_on_acyclic_snapshot_at_large_alpha():
+    # ell = inf, so alpha = 1000 needs no force; every walk count is an
+    # integer and each value below 2^53, so pivoting on the diagonal of the
+    # M-matrix I - alpha A gives them exactly in every mode
+    net = tk.parse_temporal_edgelist(
+        "0 2 1\n1 0 1\n1 2 1\n2 5 1\n3 0 1\n3 1 1\n3 2 1\n3 4 1\n5 4 1\n"
+    )
+    katz = tk.resolvent(1, 1)
+    for mode in Mode:
+        tc = tk.temporal_f_total_communicability(net, 1000.0, katz, mode).values
+        sc = tk.temporal_f_subgraph_centrality(net, 1000.0, katz, mode).values
+        assert tc.tolist() == [1001001001, 1002002002001, 1001001, 1003004004004001, 1, 1001]
+        assert sc.tolist() == [1.0] * 6
+
+
+def test_katz_random_acyclic_snapshots_at_alpha_1e5():
+    # 300 seeded acyclic snapshots on 22 nodes with 50 edges: I - alpha A is
+    # far from singular (its determinant is 1), and the oracle is exact
+    # because A is nilpotent
+    rng = np.random.default_rng(2)
+    katz = tk.resolvent(1, 1)
+    for _ in range(300):
+        order = rng.permutation(22)
+        pairs = [(order[i], order[j]) for i in range(22) for j in range(i + 1, 22)]
+        edges = [pairs[k] for k in rng.choice(len(pairs), size=50, replace=False)]
+        net = TemporalNetwork(n=22, snapshots=(Snapshot(1, tuple(edges)),), timestamps=(0,))
+        counts = tk.enumerate_temporal_walks(net, net.m, Mode.STANDARD, guard=math.inf)
+        want = tk.weighted_walk_sum(counts, katz, 1e5).sum(axis=1)
+        got = tk.temporal_f_total_communicability(net, 1e5, katz, Mode.STANDARD).values
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
 def test_unconverged_bound_raises_without_force(fig1, monkeypatch):
-    # rank exits 3 on an unconverged bound; the library raises SolveError
+    # an unconverged bound raises SolveError (rank exits 3) unless forced
     monkeypatch.setattr(centrality, "mode_bound", lambda net, mode: (1.0, False))
     katz = tk.resolvent(1, 1)
     for measure in (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tempokatz as tk
-from tempokatz import Mode, line_space, spectral
+from tempokatz import Mode, centrality, line_space, spectral
 from tempokatz.cli import main
 
 from conftest import FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE, katz_referee
@@ -140,7 +140,20 @@ def test_rank_subgraph_measure(capsys, triangle_file):
 def test_rank_alpha_out_of_interval(capsys, triangle_file):
     code, _, err = run(capsys, "rank", triangle_file, "--alpha", "0.6")
     assert code == 2
-    assert "admissible interval" in err
+    assert "admissible interval" in err and "--force" in err
+
+
+def test_rank_unconverged_bound_exits_3_unless_forced(capsys, fig_file, monkeypatch):
+    # rank makes the library's check, the only one
+    monkeypatch.setattr(centrality, "mode_bound", lambda net, mode: (1.0, False))
+    code, out, err = run(capsys, "rank", fig_file, "--alpha", "0.1")
+    assert code == 3
+    assert out == ""
+    assert "did not converge" in err
+    code, out, err = run(capsys, "rank", fig_file, "--alpha", "0.1", "--force")
+    assert code == 0, err
+    meta, _ = parse_csv(out)
+    assert meta["ell"] == "1"
 
 
 def test_rank_force_overrides_interval(capsys, triangle_file):
