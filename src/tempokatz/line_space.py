@@ -178,17 +178,20 @@ def global_transition(net, mode):
 
 
 def pair_index(net):
-    """(pair, reverse, count) over all m edges: ``pair[i]`` numbers the
-    directed pair (src, tgt) of edge i among the network's ``count``
-    distinct pairs, and ``reverse[i]`` is the number of (tgt, src), or
-    ``count`` when no snapshot has that edge.  Edge j reverses edge i
-    exactly when pair[j] == reverse[i]."""
+    """(pair, reverse, first) over all m edges: ``pair[i]`` numbers the
+    directed pair (src, tgt) of edge i among the network's distinct pairs in
+    (source, target) order, so the pairs leaving node v are numbered
+    first[v] to first[v + 1] - 1, and ``reverse[i]`` is the number of
+    (tgt, src), or first[n], the count of pairs, when no snapshot has that
+    edge.  Edge j reverses edge i exactly when pair[j] == reverse[i]."""
     src, tgt, _ = _global_arrays(net)
     pairs, pair = np.unique(src * net.n + tgt, return_inverse=True)
     reversed_key = tgt * net.n + src
     pos = np.searchsorted(pairs, reversed_key)
     found = np.append(pairs, -1)[pos] == reversed_key
-    return pair, np.where(found, pos, len(pairs)), len(pairs)
+    first = np.zeros(net.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // net.n, minlength=net.n), out=first[1:])
+    return pair, np.where(found, pos, len(pairs)), first
 
 
 def dump_coordinate(matrix, stream):

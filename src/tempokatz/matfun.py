@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .line_space import Mode, hashimoto_system, katz_system, pair_index
+from .line_space import Mode, _ranges, hashimoto_system, katz_system, pair_index
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RMAX = 10_000
@@ -271,19 +271,23 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
 
     apply back-substitutes from the last non-empty snapshot to the first.
     It carries Y = W + alpha acc, with acc the running n x k sum of L_s^T x_s
-    over the later snapshots s, and in NBT-in-time and NBT-both the running
-    sums ``later`` of x keyed on the directed pair (``line_space.pair_index``):
-    c = alpha later[reverse_t] removes the later reversals (c = 0 otherwise).
-    Snapshot t solves (I - alpha M_tt) x_t = Y[tgt_t] - c and adds
-    alpha L_t^T x_t to Y.
+    over the later snapshots s.  Snapshot t solves (I - alpha M_tt) x_t = b
+    and adds alpha L_t^T x_t to Y.  In the standard and NBT-in-space modes
+    b = Y[tgt_t].  In NBT-in-time and NBT-both, b_e sums the later walks
+    from the target v of e = (u, v) that do not start back along (v, u):
+    W[v] plus alpha times the running sums ``later`` of x over v's directed
+    pairs (v, w), w != u (``line_space.pair_index``).  :func:`_paired_rhs`
+    forms it from these nonnegative terms wherever Y[v] - alpha later[(v, u)]
+    would cancel.
 
     Where :func:`in_node_space` holds, the step factors the n x n
     P_t = ``katz_system(snap, n, alpha, nbt)``, I - alpha A_t with s = 1 or
     the NBT-in-space cubic of Arrigo, Grindrod, Higham & Noferini (2018)
-    with s = 1 - alpha^2.  It solves P_t D = (s I - P_t) Y - alpha L_t^T c,
-    adds the walk increment D to Y, so that rounding scales with D and not
-    with Y, and takes x_t = Y[tgt_t] - c.  With c = 0 this is
-    Y -> s P_t^-1 Y; in NBT-in-time it is the line-graph step, by
+    with s = 1 - alpha^2, and adds the walk increment D to Y, so that
+    rounding scales with D and not with Y.  In the standard and NBT-in-space
+    modes it solves P_t D = (s I - P_t) Y, which is Y -> s P_t^-1 Y.  In
+    NBT-in-time it solves P_t D = alpha L_t^T b, a nonnegative right side,
+    and takes x_t = b + D[tgt_t]: the line-graph step, by
     (I - alpha W_t)^-1 = I + alpha R_t (I - alpha A_t)^-1 L_t^T.  Otherwise
     the step factors the m_t x m_t Hashimoto block I - alpha B_t.
 
@@ -301,7 +305,7 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     scale = 1.0 - alpha**2 if nbt and node_space else 1.0
     paired = mode in (Mode.NBT_TIME, Mode.NBT_BOTH)
     if paired:
-        pair, reverse, pairs = pair_index(net)
+        pair, reverse, first = pair_index(net)
     steps = []
     start = net.m
     for snap in reversed(net.snapshots):
@@ -325,23 +329,24 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
         steps.append((slice(start, stop), e.tgt, heads, Q, lu, norm))
 
     def apply(W):
-        Y = _block(W, (net.n, net.n)).copy()
+        shape, W = np.shape(W), _block(W, (net.n, net.n))
+        Y = W.copy()
         if paired:
-            later = np.zeros((pairs + 1, Y.shape[1]))
+            later = np.zeros((first[-1] + 1, Y.shape[1]))
         for rows, tgt, heads, Q, lu, norm in steps:
-            c = alpha * later[reverse[rows]] if paired else 0.0
+            if paired:
+                b = _paired_rhs(W, Y, later, alpha, tgt, reverse[rows], first)
             if node_space:
-                b = Q @ Y
-                if paired:
-                    b -= alpha * _sources(heads, c, net.n)
-                Y += _solve(lu, Q, scale, b, norm, tol)
-                x = Y[tgt] - c if paired else None
+                rhs = alpha * _sources(heads, b, net.n) if paired else Q @ Y
+                D = _solve(lu, Q, scale, rhs, norm, tol)
+                Y += D
+                x = b + D[tgt] if paired else None
             else:
-                x = _solve(lu, Q, scale, Y[tgt] - c, norm, tol)
+                x = _solve(lu, Q, scale, b if paired else Y[tgt], norm, tol)
                 Y += alpha * _sources(heads, x, net.n)
             if paired:
                 later[pair[rows]] += x
-        return Y.reshape(np.shape(W))
+        return Y.reshape(shape)
 
     return apply
 
@@ -352,6 +357,23 @@ def _solve(lu, Q, s, b, norm, tol):
     x = lu.solve(b)
     _accept(_colmax(np.array((s * x - Q @ x - b, x, b))), norm, tol)
     return x
+
+
+def _paired_rhs(W, Y, later, alpha, tgt, skip, first):
+    """b_e = W[v] + alpha sum_{w != u} later[(v, w)] for each edge e = (u, v)
+    of a snapshot, with ``skip`` the number of (v, u).  It is taken as
+    b = Y[v] - c, c = alpha later[(v, u)], where c <= b: the difference then
+    keeps its digits.  Elsewhere c is most of Y[v], and b is summed from its
+    nonnegative terms over v's run of pairs."""
+    c = alpha * later[skip]
+    b = Y[tgt] - c
+    edges, cols = np.nonzero(c > b)
+    if len(edges):
+        nodes = tgt[edges]
+        entry, pairs = _ranges(first[nodes], first[nodes + 1])
+        terms = np.where(pairs == skip[edges][entry], 0.0, later[pairs, cols[entry]])
+        b[edges, cols] = W[nodes, cols] + alpha * np.bincount(entry, terms, minlength=len(edges))
+    return b
 
 
 def _sources(heads, values, n):

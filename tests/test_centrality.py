@@ -220,7 +220,7 @@ cases = st.one_of(
 )
 
 
-@given(cases, st.sampled_from([0.5, 1.0, 2.0, 1e3]))
+@given(cases, st.sampled_from([0.5, 1.0, 2.0, 1e3, 1e5]))
 @settings(max_examples=150, deadline=None)
 def test_katz_matches_walk_oracle_property(case, alpha):
     # Katz runs the resolvent engine, alpha on both sides of 1 so that
@@ -237,6 +237,21 @@ def test_katz_matches_walk_oracle_property(case, alpha):
         sc = tk.temporal_f_subgraph_centrality(net, alpha, f, mode).values
         np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-10, atol=0)
         np.testing.assert_allclose(sc, np.diag(Q), rtol=1e-10, atol=0)
+
+
+def test_katz_without_cancellation_when_walks_turn_back_across_snapshots():
+    # ell = inf.  Almost every later walk from node 2 starts back along the
+    # reversal of its first edge, so Y[2] - alpha later[(2, 1)] lost half
+    # the value: nbt-time printed 10000198305 and nbt-both 10000200001 for
+    # node 2, and 1000010000100001 for node 1
+    net = tk.parse_temporal_edgelist("1 0 1\n2 1 1\n0 1 2\n1 2 2\n0 1 3\n2 0 3\n")
+    for mode in (Mode.NBT_TIME, Mode.NBT_BOTH):
+        tc = tk.temporal_f_total_communicability(net, 1e5, tk.resolvent(1, 1), mode).values
+        assert tc[1] == 1000010000200001 and tc[2] == 20000200001, mode
+        # node 0 is above 2^53
+        counts = tk.enumerate_temporal_walks(net, net.m, mode, guard=math.inf)
+        Q = tk.weighted_walk_sum(counts, tk.resolvent(1, 1), 1e5)
+        np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-15, atol=0)
 
 
 def test_katz_exact_on_acyclic_snapshot_at_large_alpha():

@@ -322,17 +322,38 @@ def test_mode_bound_defective_radius_next_to_equal_radii():
     assert_bound_equal(net)
 
 
-def test_mode_bound_blocks_both_sides_of_the_direct_cutoff():
+def recorded_radii(monkeypatch):
+    """The 0-based snapshots that get a radius from snapshot_radii, one list
+    per call, recorded while ``monkeypatch`` is active."""
+    calls, snapshot_radii = [], spectral.snapshot_radii
+
+    def recorded(net, hashimoto, tol=spectral.DEFAULT_TOL, maxit=spectral.DEFAULT_MAXIT, taus=None):
+        calls.append(list(range(net.N) if taus is None else taus))
+        return snapshot_radii(net, hashimoto, tol, maxit, taus)
+
+    monkeypatch.setattr(spectral, "snapshot_radii", recorded)
+    return calls
+
+
+def test_mode_bound_blocks_both_sides_of_the_direct_cutoff(monkeypatch):
     # B of K20,30 has 1200 rows and the largest radius, sqrt(19 * 29); the
-    # undirected 700-cycle's has 1400 rows and the smallest, 1
+    # undirected 700-cycle's has 1400 rows and the smallest, 1.  A has 700
+    # rows, and its largest radius is sqrt(600) with K20,30, else K6's 5
     k6 = both_ways((u, v) for u in range(6) for v in range(u + 1, 6))  # rho(B) = 4
     k20_30 = both_ways((u, v) for u in range(20) for v in range(20, 50))
     cycle = both_ways((i, (i + 1) % 700) for i in range(700))
-    for big in (k20_30, cycle):
+    for big, holders in ((k20_30, [1]), (cycle, [0, 3])):
         net = network(700, k6, big, [(0, 1), (1, 2), (2, 0)], k6)
         hashimoto_rows = [s.m for s in net.snapshots]
         assert max(hashimoto_rows) > spectral.DENSE_DIRECT_MAX >= min(hashimoto_rows)
-        assert_bound_equal(net)
+        expected = {mode: every_radius_bound(net, mode) for mode in Mode}
+        with monkeypatch.context() as patch:
+            calls = recorded_radii(patch)
+            for mode in Mode:
+                calls.clear()
+                assert spectral.mode_bound(net, mode) == expected[mode], mode
+                # the stacked bracket proves every other block smaller
+                assert calls == [holders], mode
 
 
 def seeded_network(n, N, seed, wide_every=0):
@@ -350,33 +371,28 @@ def seeded_network(n, N, seed, wide_every=0):
     return network(n, *snapshots)
 
 
-def test_mode_bound_takes_few_dense_radii(monkeypatch):
+def test_mode_bound_takes_few_radii(monkeypatch):
     net = seeded_network(100, 160, seed=25, wide_every=40)
     expected = {mode: every_radius_bound(net, mode) for mode in (Mode.STANDARD, Mode.NBT_SPACE)}
-    eigvals, stacked = np.linalg.eigvals, []
-    calls = {"eigvals": 0}
-
-    def counted_eigvals(a):
-        calls["eigvals"] += 1
-        return eigvals(a)
+    stacked, stack = [], spectral._stack
 
     def recorded_stack(net, taus, hashimoto):
-        stacked.append([net.snapshots[t].m if hashimoto else net.n for t in taus])
+        stacked.append([(t, net.snapshots[t].m if hashimoto else net.n) for t in taus])
         return stack(net, taus, hashimoto)
 
-    stack = spectral._stack
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(spectral, "_stack", recorded_stack)
     monkeypatch.setattr(spectral, "STACK_ROWS", 2000)
+    calls = recorded_radii(monkeypatch)
     for mode, bound in expected.items():
-        calls["eigvals"] = 0
+        calls.clear()
         assert spectral.mode_bound(net, mode) == bound
-        # a few of the 160 snapshots get dense eigenvalues, not all of them
-        assert 1 <= calls["eigvals"] <= 12, (mode, calls)
-    assert stacked
-    for dims in stacked:
-        assert max(dims) <= spectral.DENSE_DIRECT_MAX
-        assert sum(dims) <= 2000 + spectral.DENSE_DIRECT_MAX
-    # every block of at most DENSE_DIRECT_MAX rows was stacked once per family
-    small = sum(s.m <= spectral.DENSE_DIRECT_MAX for s in net.snapshots)
-    assert sum(map(len, stacked)) == net.N + small
+        # a few of the 160 snapshots get a radius, not all of them
+        (radii,) = calls
+        assert 1 <= len(radii) <= 12, (mode, radii)
+    # every block was stacked once per family, in stacks of at most 2000
+    # rows plus one block
+    for blocks in stacked:
+        dims = [dim for _, dim in blocks]
+        assert sum(dims) <= 2000 + max(dims)
+    taus = sorted(t for blocks in stacked for t, _ in blocks)
+    assert taus == sorted(list(range(net.N)) * 2)
