@@ -1,8 +1,8 @@
 """Walk-based centrality measures for temporal networks.
 
 Works with the block upper-triangular edge-space transition matrix M of a
-sequence of graph snapshots, built from edge arrays each snapshot compiles
-once, and evaluates analytic-function walk weightings of it: in the
+sequence of graph snapshots, built from the edge arrays the parser makes,
+and evaluates analytic-function walk weightings of it: in the
 standard setting, and with backtracking forbidden in space, in time, or both.
 A resolvent (Katz) weighting never forms M: it factors one system per
 snapshot and back-substitutes from the last snapshot to the first, coupling

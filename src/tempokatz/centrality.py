@@ -129,7 +129,7 @@ def _column_blocks(apply, net):
     of the unit columns of ``nodes`` (n x len(nodes)), over blocks of at
     most COLUMN_BLOCK nodes; a node that is never a target maps its unit
     column to c_0 times itself and is left out."""
-    targets = np.unique(np.concatenate([snap.arrays.tgt for snap in net.snapshots]))
+    targets = np.unique(net.arrays.tgt)
     for start in range(0, len(targets), COLUMN_BLOCK):
         nodes = targets[start : start + COLUMN_BLOCK]
         units = np.zeros((net.n, len(nodes)))

@@ -66,7 +66,7 @@ def _load_function(spec):
 
 def _parse_input(path):
     report = ParseReport()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         net = parse_temporal_edgelist(fh, report=report)
     return net, report
 

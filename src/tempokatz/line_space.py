@@ -12,9 +12,10 @@ masked by snapshot order.  The four modes select which blocks
 also drop the immediately-reversed pairs (edge j leading back to edge i's
 source).
 
-Every matrix here is built directly in compressed form from the compiled edge
-arrays each ``Snapshot`` owns (``Snapshot.arrays``: sorted sources and
-targets, and each edge's reversal index).  The successors of an edge are a
+Every matrix here is built directly in compressed form from the edge arrays
+the parser makes: a snapshot's slice (``Snapshot.arrays``: sorted sources and
+targets, and each edge's reversal index) or all of them
+(``TemporalNetwork.arrays``).  The successors of an edge are a
 contiguous range of sorted sources, so W_t, B_t and M are concatenations of
 such ranges, less the reversals their mode forbids.  This module keeps no
 cache of its own: each call builds its matrix afresh from the arrays.
@@ -140,25 +141,17 @@ def katz_system(snapshot, n, alpha, nbt):
     return _csc_with_diagonal(e.src, e.tgt, off, diag, n)
 
 
-def _global_arrays(net):
-    """Global source, target and 0-based snapshot index of all m edges."""
-    src = np.concatenate([snap.arrays.src for snap in net.snapshots])
-    tgt = np.concatenate([snap.arrays.tgt for snap in net.snapshots])
-    snapshot = np.repeat(np.arange(net.N), [snap.m for snap in net.snapshots])
-    return src, tgt, snapshot
-
-
 def global_source_target(net):
     """Vertical stacks L_g, R_g of the per-snapshot L and R matrices (m x n)."""
-    src, tgt, _ = _global_arrays(net)
-    return _incidences(src, tgt, net.n)
+    return _incidences(net.arrays.src, net.arrays.tgt, net.n)
 
 
 def global_transition(net, mode):
     """The m x m block upper-triangular global transition matrix of ``mode``:
     R_g L_g^T restricted to snapshot(i) <= snapshot(j), less the reversals
     the mode forbids."""
-    src, tgt, snapshot = _global_arrays(net)
+    src, tgt, _ = net.arrays
+    snapshot = np.repeat(np.arange(net.N), np.diff(net.offsets))
     # by source, then snapshot, then target: the successors of edge i are the
     # edges leaving tgt(i) in snapshot(i) or later, one contiguous range here,
     # in increasing global order
@@ -184,7 +177,7 @@ def pair_index(net):
     first[v] to first[v + 1] - 1, and ``reverse[i]`` is the number of
     (tgt, src), or first[n], the count of pairs, when no snapshot has that
     edge.  Edge j reverses edge i exactly when pair[j] == reverse[i]."""
-    src, tgt, _ = _global_arrays(net)
+    src, tgt, _ = net.arrays
     pairs, pair = np.unique(src * net.n + tgt, return_inverse=True)
     reversed_key = tgt * net.n + src
     pos = np.searchsorted(pairs, reversed_key)

@@ -9,10 +9,13 @@ reproduce length-consistent walk weights (only the resolvent family can).
 The referees form A_t, W_t = R L^T, B_t = W - W o W^T, M and the node-level
 Katz systems by sparse products and sums of incidence matrices read from
 ``Snapshot.edges``, independently of the compiled edge arrays.
+``reference_parse`` reads an edge list line by line into Python sets, the
+referee of the vectorized parser.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,7 +25,13 @@ import scipy.sparse as sp
 
 from .line_space import _NBT_DIAGONAL, _NBT_OFFDIAG, Mode
 from .matfun import evaluate
-from .temporal_graph import adjacency_matrix
+from .temporal_graph import (
+    ParseError,
+    Snapshot,
+    TemporalNetwork,
+    ValidationError,
+    adjacency_matrix,
+)
 
 GUARD_DEFAULT = 10**8
 
@@ -250,3 +259,57 @@ def reference_katz_system(A, alpha, nbt):
     eye = sp.eye_array(A.shape[0], format="csc")
     D, S = deg_matrices(A)
     return sp.csc_array(eye - alpha * A + alpha**2 * (D - eye) + alpha**3 * (A - S))
+
+
+def reference_parse(text, report=None):
+    """``parse_temporal_edgelist`` one line at a time: the same network,
+    :class:`ParseReport` and errors, from per-timestamp sets of tuples."""
+    if isinstance(text, str):
+        text = io.StringIO(text)
+    n_override = None
+    by_time: dict[int, set[tuple[int, int]]] = {}
+    duplicates = 0
+    lineno = 0
+    for raw in text:
+        lineno += 1
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("%n"):
+            try:
+                n_override = int(line[2:].strip())
+            except ValueError:
+                raise ParseError(f"bad %n header {line!r}", lineno) from None
+            if n_override <= 0:
+                raise ParseError("%n must be positive", lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'u v t', got {line!r}", lineno)
+        try:
+            u, v, t = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", lineno) from None
+        if not all(-(2**63) <= x < 2**63 for x in (u, v, t)):
+            raise ParseError(f"field outside int64 in {line!r}", lineno)
+        if u < 0 or v < 0:
+            raise ValidationError(f"line {lineno}: negative node id in {line!r}")
+        if u == v:
+            raise ValidationError(f"line {lineno}: self-loop {u}->{v}")
+        edges = by_time.setdefault(t, set())
+        if (u, v) in edges:
+            duplicates += 1
+        edges.add((u, v))
+    if not by_time:
+        raise ParseError("no edges in input")
+    if report is not None:
+        report.duplicates_collapsed = duplicates
+        report.lines_read = lineno
+    timestamps = tuple(sorted(by_time))
+    max_id = max(max(max(u, v) for u, v in by_time[t]) for t in timestamps)
+    n = n_override if n_override is not None else max_id + 1
+    snapshots = tuple(
+        Snapshot(tau=k + 1, edges=tuple(sorted(by_time[t])))
+        for k, t in enumerate(timestamps)
+    )
+    return TemporalNetwork(n=n, snapshots=snapshots, timestamps=timestamps)

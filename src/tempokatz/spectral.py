@@ -5,9 +5,12 @@ alpha below 1 / max_tau rho(A^[tau]).  For the modes that forbid
 within-snapshot backtracking they converge for alpha below
 min_tau 1 / rho(B^[tau]), which equals the smallest-modulus eigenvalue of a
 cubic matrix polynomial in the adjacency matrix (checked in the test suite).
-``alpha_bound`` takes every radius of both families.  ``mode_bound`` needs
-only the largest of its mode's family: it brackets every block at once in
-block-diagonal stacks and takes the radius of just those that may hold it.
+``alpha_bound`` takes every radius of both families: one stacked pass finds
+the blocks without a cycle, radius 0.0, and each other block of at most
+DENSE_DIRECT_MAX rows gets whole-matrix dense eigenvalues straight from its
+edge arrays.  ``mode_bound`` needs only the largest of its mode's family: it
+brackets every block at once in block-diagonal stacks and takes the radius
+of just those that may hold it.
 Radii above DENSE_DIRECT_MAX are certified upper bounds (Collatz-Wielandt
 brackets), so ell never exceeds the true supremum.
 """
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .line_space import _NBT_DIAGONAL, Mode, _non_backtracking, hashimoto_matrix
+from .line_space import _NBT_DIAGONAL, Mode, _non_backtracking, _ranges, hashimoto_matrix
 from .temporal_graph import EdgeArrays, adjacency_matrix, sorted_csr
 
 DEFAULT_TOL = 1e-10
@@ -88,12 +91,7 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     if n == 0 or coo.nnz == 0:
         return RadiusEstimate(0.0, True, 0)
     if n <= DENSE_DIRECT_MAX:
-        dense = coo.toarray()
-        value = float(np.max(np.abs(np.linalg.eigvals(dense))))
-        # tiny moduli on a nilpotent matrix are eigensolver noise
-        if value <= 1e-12 * max(1.0, float(np.abs(dense).sum())):
-            value = 0.0
-        return RadiusEstimate(value, True, 0)
+        return RadiusEstimate(_dense_radius(coo.toarray()), True, 0)
     C, labels, _ = _inside_components(coo)
     if C.nnz == 0:
         return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
@@ -106,6 +104,13 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
         return RadiusEstimate(hi, False, maxit)
     eigs = [np.linalg.eigvals(C[idx][:, idx].toarray()) for idx in blocks]
     return RadiusEstimate(max(float(np.max(np.abs(e))) for e in eigs), True, maxit)
+
+
+def _dense_radius(dense):
+    """Largest modulus among the eigenvalues of the whole ``dense`` matrix."""
+    value = float(np.max(np.abs(np.linalg.eigvals(dense))))
+    # tiny moduli on a nilpotent matrix are eigensolver noise
+    return 0.0 if value <= 1e-12 * max(1.0, float(np.abs(dense).sum())) else value
 
 
 def _inside_components(coo):
@@ -140,15 +145,46 @@ def _bracket(C, labels, tol, maxit):
     return lo_k, hi_k, it
 
 
+def _dims(net, hashimoto):
+    """Rows of each snapshot's B^[tau] (``hashimoto``) or A^[tau]."""
+    return np.diff(net.offsets) if hashimoto else np.full(net.N, net.n)
+
+
+def _stacks(net, taus, hashimoto):
+    """(owner, C, labels) for consecutive groups of ``taus`` whose blocks
+    have about STACK_ROWS rows in all: :func:`_inside_components` of the
+    group's stack, with the 0-based snapshot each row of C belongs to."""
+    dims = _dims(net, hashimoto)
+    group = np.cumsum(dims[taus]) // STACK_ROWS
+    for members in (taus[group == g] for g in np.unique(group)):
+        C, labels, rows = _inside_components(_stack(net, members, hashimoto))
+        yield np.repeat(members, dims[members])[rows], C, labels
+
+
 def snapshot_radii(net, hashimoto, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT, taus=None):
     """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for the
-    0-based snapshot indices ``taus``, by default all of them."""
-    def block(t):
-        if hashimoto:
-            return hashimoto_matrix(net.snapshots[t], net.n)
-        return adjacency_matrix(net, t + 1)
-    taus = range(net.N) if taus is None else taus
-    return [spectral_radius(block(t), tol, maxit) for t in taus]
+    0-based snapshot indices ``taus``, by default all of them: each is
+    :func:`spectral_radius` of the block, bit for bit.  Blocks of at most
+    DENSE_DIRECT_MAX rows are stacked, and the strongly connected components
+    of the stacks show which have a cycle; the others are nilpotent, radius
+    0.0, and each cyclic one is filled dense from its edge arrays."""
+    taus = np.arange(net.N) if taus is None else np.asarray(taus, dtype=np.int64)
+    dims = _dims(net, hashimoto)
+    small = taus[dims[taus] <= DENSE_DIRECT_MAX]
+    cyclic = {t for owner, _, _ in _stacks(net, small, hashimoto) for t in owner.tolist()}
+
+    def radius(t):
+        snap, dim = net.snapshots[t], dims[t]
+        if dim > DENSE_DIRECT_MAX:
+            block = hashimoto_matrix(snap, net.n) if hashimoto else adjacency_matrix(net, t + 1)
+            return spectral_radius(block, tol, maxit)
+        if t not in cyclic:
+            return RadiusEstimate(0.0, True, 0)
+        dense = np.zeros((dim, dim))
+        dense[_non_backtracking(snap.arrays) if hashimoto else snap.arrays[:2]] = 1.0
+        return RadiusEstimate(_dense_radius(dense), True, 0)
+
+    return [radius(t) for t in taus.tolist()]
 
 
 def _reciprocal(rho):
@@ -157,16 +193,16 @@ def _reciprocal(rho):
 
 def _stack(net, taus, hashimoto):
     """COO block-diagonal stack of B^[tau] (``hashimoto``) or A^[tau] over
-    the 0-based ``taus``, from their edge arrays joined into those of one
-    disjoint union: the k-th one's nodes shifted by k n, its edges by the
-    edges before it."""
-    sizes = [net.snapshots[t].m for t in taus]
-    src, tgt, rev = (np.concatenate(f) for f in zip(*(net.snapshots[t].arrays for t in taus)))
-    shift = np.repeat(np.arange(len(sizes)) * net.n, sizes)
-    rows, cols, dim = src + shift, tgt + shift, len(sizes) * net.n
+    the 0-based ``taus``, from the global edge arrays of their edges, read as
+    those of one disjoint union: the k-th snapshot's nodes shifted by k n,
+    and each edge's reversal moved with it."""
+    block, edge = _ranges(net.offsets[taus], net.offsets[taus + 1])
+    e = net.arrays
+    rows, cols, dim = e.src[edge] + block * net.n, e.tgt[edge] + block * net.n, len(taus) * net.n
     if hashimoto:
-        rev = np.where(rev < 0, -1, rev + np.repeat(np.cumsum(sizes) - sizes, sizes))
-        (rows, cols), dim = _non_backtracking(EdgeArrays(rows, cols, rev)), len(src)
+        start = np.arange(len(edge)) - edge + net.offsets[taus][block]  # its block's first row
+        rev = np.where(e.rev[edge] < 0, -1, e.rev[edge] + start)
+        (rows, cols), dim = _non_backtracking(EdgeArrays(rows, cols, rev)), len(edge)
     return sp.coo_array((np.ones(len(rows)), (rows, cols)), (dim, dim))
 
 
@@ -180,15 +216,12 @@ def mode_bound(net, mode):
     stacked brackets reaches (1 - MARGIN) times the largest lower bound; the
     rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
-    dims = np.array([s.m if hashimoto else net.n for s in net.snapshots])
-    group = np.cumsum(dims) // STACK_ROWS
     lower, found = 0.0, []
-    for taus in (np.flatnonzero(group == g) for g in np.unique(group)):
-        C, labels, rows = _inside_components(_stack(net, taus, hashimoto))
+    for owner, C, labels in _stacks(net, np.arange(net.N), hashimoto):
         if C.nnz:
             lo_k, hi_k, _ = _bracket(C, labels, DEFAULT_TOL, STACK_STEPS)
             lower = max(lower, float(lo_k.max()))
-            found.append((np.repeat(taus, dims[taus])[rows], hi_k[labels]))
+            found.append((owner, hi_k[labels]))
     maybe = {t for owner, hi in found for t in owner[hi >= (1 - MARGIN) * lower]}
     radii = snapshot_radii(net, hashimoto, taus=sorted(maybe))
     return _reciprocal(max((e.value for e in radii), default=0.0)), all(e.converged for e in radii)

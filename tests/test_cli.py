@@ -251,6 +251,24 @@ def test_validate(capsys, tmp_path):
     ]
 
 
+def test_input_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf0 1 1\n0 1 1\n1 2 2\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert (code, out.splitlines()[:3]) == (0, ["n = 3", "N = 2", "m = 2"])
+    # anywhere else it is a field character, as before
+    path.write_bytes(b"0 1 1\n\xef\xbb\xbf1 2 2\n")
+    code, _, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "error: line 2: non-integer field in '\\ufeff1 2 2'\n")
+
+
+def test_field_beyond_int64_exits_1(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("0 1 1\n1 2 99999999999999999999\n")
+    code, _, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "error: line 2: field outside int64 in '1 2 99999999999999999999'\n")
+
+
 def test_dump_matrix_global(capsys, ex5_file):
     code, out, _ = run(capsys, "dump-matrix", ex5_file, "M")
     assert code == 0

@@ -102,15 +102,21 @@ def test_snapshot_rejects_bad_edges(edges, message):
         Snapshot(1, edges)
 
 
-def test_validate_never_compiles_the_arrays(capsys, tmp_path, monkeypatch):
+def test_parsed_snapshots_slice_one_set_of_arrays(capsys, tmp_path, monkeypatch):
+    net = tk.parse_temporal_edgelist(FIG_NETWORK)
+    for snap, a, b in zip(net.snapshots, net.offsets[:-1], net.offsets[1:]):
+        for part, whole in zip(snap.arrays[:2], net.arrays[:2]):
+            assert np.shares_memory(part, whole)
+            np.testing.assert_array_equal(part, whole[a:b])
+    np.testing.assert_array_equal(net.arrays.rev, [-1, -1, -1, -1, -1, 1, 0])
+    # each query sorts the edges once, in the parser
     path = tmp_path / "fig.txt"
     path.write_text(FIG_NETWORK)
     calls = []
-    real = temporal_graph._compile
-    monkeypatch.setattr(temporal_graph, "_compile", lambda edges: calls.append(1) or real(edges))
+    real = temporal_graph._index_edges
+    monkeypatch.setattr(temporal_graph, "_index_edges", lambda *a: calls.append(1) or real(*a))
     assert main(["validate", str(path)]) == 0
-    assert calls == []
-    # the count sees a query that does build matrices
     assert main(["rank", str(path), "--alpha", "0.1"]) == 0
+    assert main(["check-alpha", str(path), "--mode", "nbt-both"]) == 0
     assert len(calls) == 3
     capsys.readouterr()

@@ -383,16 +383,54 @@ def test_mode_bound_takes_few_radii(monkeypatch):
     monkeypatch.setattr(spectral, "_stack", recorded_stack)
     monkeypatch.setattr(spectral, "STACK_ROWS", 2000)
     calls = recorded_radii(monkeypatch)
+    taken = []
     for mode, bound in expected.items():
         calls.clear()
         assert spectral.mode_bound(net, mode) == bound
         # a few of the 160 snapshots get a radius, not all of them
         (radii,) = calls
         assert 1 <= len(radii) <= 12, (mode, radii)
+        rows = {t: net.snapshots[t].m if mode is Mode.NBT_SPACE else net.n for t in radii}
+        taken += [int(t) for t in radii if rows[t] <= spectral.DENSE_DIRECT_MAX]
     # every block was stacked once per family, in stacks of at most 2000
-    # rows plus one block
+    # rows plus one block, and once more for each dense radius taken
     for blocks in stacked:
         dims = [dim for _, dim in blocks]
         assert sum(dims) <= 2000 + max(dims)
     taus = sorted(t for blocks in stacked for t, _ in blocks)
-    assert taus == sorted(list(range(net.N)) * 2)
+    assert taus == sorted(list(range(net.N)) * 2 + taken)
+
+
+def test_snapshot_radii_equal_each_block_radius(monkeypatch):
+    # per family: the snapshots without a cycle, whose radius is exactly 0.0
+    rng = np.random.default_rng(3)
+    dag = {(int(u), int(v)) for u, v in rng.integers(0, 20, (80, 2)) if u < v}
+    k22 = both_ways((u, v) for u in range(22) for v in range(u + 1, 22))  # B has 462 rows
+    cyclic = {(int(u), int(v)) for u, v in rng.integers(0, 30, (60, 2)) if u != v}
+    snapshots = (dag, [(0, 1), (1, 2), (2, 0)], [(3, 4), (4, 3)], [], k22, cyclic)
+    acyclic = {False: {0, 3}, True: {0, 2, 3}}
+    sides = set()
+    for n in (30, 250):  # A on both sides of DENSE_DIRECT_MAX
+        net = network(n, *snapshots)
+        for hashimoto in (False, True):
+            dims = [s.m if hashimoto else n for s in net.snapshots]
+            calls, eigvals = [], np.linalg.eigvals
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+                got = spectral.snapshot_radii(net, hashimoto)
+            want = [
+                spectral.spectral_radius(
+                    tk.hashimoto_matrix(s, n) if hashimoto else tk.adjacency_matrix(net, s.tau)
+                )
+                for s in net.snapshots
+            ]
+            assert got == want
+            np.testing.assert_array_equal(
+                np.array([e.value for e in got]).view(np.int64),
+                np.array([e.value for e in want]).view(np.int64),
+            )
+            assert all(got[t].value == 0.0 for t in acyclic[hashimoto])
+            small = [t for t, d in enumerate(dims) if d <= spectral.DENSE_DIRECT_MAX]
+            assert sorted(calls) == sorted(dims[t] for t in small if t not in acyclic[hashimoto])
+            sides |= {d > spectral.DENSE_DIRECT_MAX for d in dims}
+    assert sides == {False, True}

@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempokatz as tk
-from tempokatz import ParseError, ParseReport, Snapshot, TemporalNetwork, ValidationError
+from tempokatz import ParseError, ParseReport, Snapshot, TemporalNetwork, ValidationError, oracle
 
 from conftest import FIG_NETWORK, random_network
 
@@ -142,3 +144,128 @@ def test_adjacency_tau_out_of_range():
         tk.adjacency_matrix(net, 0)
     with pytest.raises(IndexError):
         tk.adjacency_matrix(net, 2)
+
+
+def outcome(text, parse, as_file):
+    """(network, report) from ``parse``, or the error's class, message and
+    line number."""
+    report = ParseReport()
+    try:
+        return parse(io.StringIO(text) if as_file else text, report), report
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+def brute_reversals(snap):
+    return [snap.edges.index((v, u)) if (v, u) in snap.edges else -1 for u, v in snap.edges]
+
+
+#: node ids and timestamps; 2**40 and 2**62 make keys too wide for one int64
+IDS = st.sampled_from([0, 1, 2, 3, 4, 5, 9, 2**40, 2**62])
+TIMES = st.sampled_from([-3, 0, 1, 2, 7, 10**18, -(2**63), 2**63 - 1])
+
+
+MALFORMED = [
+    "1 2", "1 2 3 4", "1 x 2", "1.0 2 3", "0x1 2 3", "1 2 3_", "-1 2 3", "2 -3 1",
+    "2 2 1", "+2 0002 1", "%n", "%n x", "%n 0", "%n -2", "%n 1 2", "%n 1", "%nn 3",
+    "99999999999999999999 1 2", "1 2 -9223372036854775809", "1 2 9223372036854775808",
+    "1 2 99999999999999999999 # c", "1 x 99999999999999999999", "\x00 1 2", "\ufeff0 1 1",
+]
+
+
+@st.composite
+def spelled(draw, value):
+    """``value`` as Python's int() reads it: plain, signed, zero-padded or
+    with underscores."""
+    text = str(value)
+    kind = draw(st.sampled_from(["plain", "plain", "plus", "zeros", "underscore"]))
+    if kind == "plus" and value >= 0:
+        return "+" + text
+    if kind == "zeros":
+        return text.replace(str(abs(value)), "00" + str(abs(value)))
+    if kind == "underscore":
+        return f"{value:_}"
+    return text
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge-list text: edge lines spelled many ways, comments, blank lines,
+    %n headers anywhere and duplicates, with at most one malformed line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["dup", "comment", "blank", "header"]))
+        if kind == "edge" or (kind == "dup" and not lines):
+            u, v = draw(IDS), draw(IDS)
+            fields = [draw(spelled(u)), draw(spelled(v if v != u else u + 1)), draw(spelled(draw(TIMES)))]
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+            line = draw(st.sampled_from(["", " "])) + sep.join(fields) + draw(st.sampled_from(["", " ", " # c"]))
+        elif kind == "dup":
+            line = draw(st.sampled_from(lines))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# note", "#", "  # 1 2 3", "#%n 1"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "  ", "\t"]))
+        else:
+            line = draw(st.sampled_from(["%n 8", "%n 20", "%n+9", "%n\t007", " %n 4611686018427387906"]))
+        lines.append(line)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@given(edge_lists(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_referee(text, as_file):
+    got, want = outcome(text, tk.parse_temporal_edgelist, as_file), outcome(text, oracle.reference_parse, as_file)
+    assert got == want
+    if isinstance(got[0], TemporalNetwork):
+        (net, _), (ref, _) = got, want
+        for mine, theirs in [(net.arrays, ref.arrays)] + [(a.arrays, b.arrays) for a, b in zip(net.snapshots, ref.snapshots)]:
+            for a, b in zip(mine, theirs):
+                np.testing.assert_array_equal(a, b)
+        for snap in net.snapshots:
+            assert snap.arrays.rev.tolist() == brute_reversals(snap)
+
+
+@pytest.mark.parametrize("bad", MALFORMED + [""])
+def test_parser_matches_referee_on_each_malformed_line(bad):
+    for text in (bad, f"0 1 1\n{bad}\n1 2 1\n", f"%n 3\r\n# c\r\n{bad} # c\r\n"):
+        got = outcome(text, tk.parse_temporal_edgelist, False)
+        assert got == outcome(text, oracle.reference_parse, False)
+        assert isinstance(got[0], type) or not bad
+
+
+@pytest.mark.parametrize(
+    "text", ["0\xa01\u20031\n", "\u0663 1 2\n1 0 \u0662", "0 1 2\u3000\n# \xe9\n2 0 \uff11\n"]
+)
+def test_parser_reads_unicode_spaces_and_digits_as_python_does(text):
+    got = outcome(text, tk.parse_temporal_edgelist, False)
+    assert isinstance(got[0], TemporalNetwork)
+    assert got == outcome(text, oracle.reference_parse, False)
+
+
+def test_parser_reports_the_first_offending_line():
+    text = "0 1 1\n%n 2\n1 1 2\n0 x 3\n"
+    with pytest.raises(ValidationError, match=r"^line 3: self-loop 1->1$"):
+        tk.parse_temporal_edgelist(text)
+    with pytest.raises(ValidationError, match="exceeds node count n=2"):
+        tk.parse_temporal_edgelist("0 1 1\n%n 2\n1 2 2\n")
+
+
+def test_fields_beyond_int64_are_rejected():
+    with pytest.raises(ParseError, match="int64") as err:
+        tk.parse_temporal_edgelist("0 1 1\n0 1 99999999999999999999\n")
+    assert err.value.lineno == 2
+    net = tk.parse_temporal_edgelist(f"0 1 {2**63 - 1}\n1 0 {-(2**63)}\n")
+    assert net.timestamps == (-(2**63), 2**63 - 1)
+
+
+def test_wide_node_ids_sort_and_pair():
+    big = 2**62
+    net = tk.parse_temporal_edgelist(f"{big} 3 1\n3 {big} 1\n3 5 1\n5 3 2\n")
+    assert net.n == big + 1
+    assert net.snapshot(1).edges == ((3, 5), (3, big), (big, 3))
+    assert net.snapshot(1).arrays.rev.tolist() == [-1, 2, 1]
+    assert Snapshot(1, ((big, 3), (3, 5), (3, big))) == net.snapshot(1)
