@@ -8,9 +8,10 @@ A resolvent (Katz) weighting never forms M: it factors one system per
 snapshot and back-substitutes from the last snapshot to the first, coupling
 the snapshots through running node sums (and, where reversals across
 snapshots are forbidden, running sums over directed pairs).  The system is
-n x n, I - alpha A_t or the non-backtracking cubic, except in NBT-both and
-in NBT-in-space for alpha >= 1, which factor the Hashimoto block.  Other
-weightings sum the series with sparse products on M.
+n x n, I - alpha A_t or the non-backtracking cubic, and every mode solves it
+for the same node increment, except in NBT-both and in NBT-in-space for
+alpha > 1/2, which factor the Hashimoto block.  Other weightings sum the
+series with sparse products on M.
 """
 
 from .centrality import (

@@ -30,7 +30,6 @@ from .matfun import (
     DEFAULT_TOL,
     SolveError,
     apply_series,
-    in_node_space,
     partial_op,
     resolvent,
     resolvent_solver,
@@ -111,7 +110,7 @@ def _node_block(net, alpha, f, mode, tol, rmax, force):
         gamma, delta = f.geometric
         # c_0 = gamma, and the shifted resolvent is gamma delta / (1 - delta z)
         solve = resolvent_solver(net, mode, alpha * delta, tol=tol)
-        run["node_space"] = in_node_space(mode, alpha * delta)
+        run["node_space"] = solve.node_space
         return (lambda W: (gamma * solve(W), False)), run
     g = partial_op(f)
     Lg, Rg = global_source_target(net)

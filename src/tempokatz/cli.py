@@ -3,11 +3,11 @@ admissible parameter interval, validate inputs, and dump matrices for
 debugging.
 
 Subcommands: ``rank`` (default), ``check-alpha``, ``validate``,
-``dump-matrix``.  Exit codes: 1 parse/validation failure or a bad option
-value, 2 alpha negative or not finite (even with --force) or outside the
-admissible interval without --force, 3 numerical failure.  ``rank`` parses,
-makes one call of a centrality measure, which checks alpha and the bound
-itself, and formats its result.
+``dump-matrix``.  Exit codes: 1 parse/validation failure, a bad option
+value, or an input too large for memory, 2 alpha negative or not finite
+(even with --force) or outside the admissible interval without --force,
+3 numerical failure.  ``rank`` parses, makes one call of a centrality
+measure, which checks alpha and the bound itself, and formats its result.
 """
 
 from __future__ import annotations
@@ -172,39 +172,38 @@ def cmd_validate(args):
     return 0
 
 
+#: dump-matrix's builders (net, mode, tau): the global matrices by name, the
+#: per-snapshot ones as <kind>:<tau>
+_MATRICES = {
+    "M": lambda net, mode, tau: global_transition(net, mode),
+    "L": lambda net, mode, tau: global_source_target(net)[0],
+    "R": lambda net, mode, tau: global_source_target(net)[1],
+    "A:": lambda net, mode, tau: adjacency_matrix(net, tau),
+    "W:": lambda net, mode, tau: line_graph_matrix(net.snapshot(tau), net.n),
+    "B:": lambda net, mode, tau: hashimoto_matrix(net.snapshot(tau), net.n),
+}
+
+
 def cmd_dump_matrix(args):
     net, _ = _parse_input(args.input)
-    which = args.which
-    mode = Mode(args.mode)
-    if which == "M":
-        matrix = global_transition(net, mode)
-    elif which == "L":
-        matrix = global_source_target(net)[0]
-    elif which == "R":
-        matrix = global_source_target(net)[1]
-    elif ":" in which:
-        kind, _, tau_s = which.partition(":")
+    kind, colon, index = args.which.partition(":")
+    tau = None
+    if colon:
         try:
-            tau = int(tau_s)
-            snap = net.snapshot(tau)
+            tau = int(index)
+            net.snapshot(tau)
         except ValueError:
-            raise ValueError(f"bad snapshot index in {which!r}") from None
+            raise ValueError(f"bad snapshot index in {args.which!r}") from None
         except IndexError as exc:
             raise ValueError(exc) from None
-        if kind == "A":
-            matrix = adjacency_matrix(net, tau)
-        elif kind == "W":
-            matrix = line_graph_matrix(snap, net.n)
-        elif kind == "B":
-            matrix = hashimoto_matrix(snap, net.n)
-        else:
-            raise ValueError(f"unknown matrix kind {kind!r}")
-    else:
+    build = _MATRICES.get(kind + colon)
+    if build is None:
         raise ValueError(
-            f"unknown matrix {which!r} (M | L | R | A:<tau> | W:<tau> | B:<tau>)"
+            f"unknown matrix kind {kind!r}" if colon else
+            f"unknown matrix {args.which!r} (M | L | R | A:<tau> | W:<tau> | B:<tau>)"
         )
     buf = io.StringIO()
-    dump_coordinate(matrix, buf)
+    dump_coordinate(build(net, Mode(args.mode), tau), buf)
     _write_output(buf.getvalue(), args.output)
     return 0
 
@@ -286,6 +285,9 @@ def main(argv=None):
         return EXIT_ALPHA
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

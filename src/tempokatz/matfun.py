@@ -9,9 +9,11 @@ walks they represent.
 A series is summed on an assembled matrix (``apply_series``).  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
 to blocks of node values without M, in one back-substitution from the last
-snapshot to the first.  Each step factors one system, n x n where it can and
-an m_t x m_t Hashimoto block otherwise, with one set of LU options that
-pivots on the diagonal, and is accepted on that system's backward error.
+snapshot to the first.  Each step factors one system with one set of LU
+options that pivots on the diagonal, and is accepted on that system's
+backward error.  Where the step is n x n, every mode solves the same
+P_t D = alpha L_t^T c, with its own per-edge right side c; otherwise it
+solves an m_t x m_t Hashimoto block.
 ``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
 partial pivoting, and is the tests' reference for it.
 """
@@ -255,19 +257,12 @@ def _accept(norms, a_norm, tol):
 _NODE_LU = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
 
 
-def in_node_space(mode, alpha):
-    """Whether every system :func:`resolvent_solver` factors for ``mode`` at
-    ``alpha`` is n x n: in the standard and NBT-in-time modes, and in
-    NBT-in-space for alpha < 1, where the NBT cubic's spurious factor
-    (1 - alpha^2) is nonzero."""
-    return mode in (Mode.STANDARD, Mode.NBT_TIME) or (mode is Mode.NBT_SPACE and alpha < 1)
-
-
 def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     """Factor I - alpha M, with M the global transition matrix of ``net`` in
     ``mode``, snapshot by snapshot without forming M; return apply(W) =
     W + alpha L_g^T (I - alpha M)^-1 R_g W for an n-vector or n x k block W
     of node values (W = 1 gives Katz total communicability).
+    ``apply.node_space`` tells whether every system factored is n x n.
 
     apply back-substitutes from the last non-empty snapshot to the first.
     It carries Y = W + alpha acc, with acc the running n x k sum of L_s^T x_s
@@ -280,16 +275,19 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     forms it from these nonnegative terms wherever Y[v] - alpha later[(v, u)]
     would cancel.
 
-    Where :func:`in_node_space` holds, the step factors the n x n
-    P_t = ``katz_system(snap, n, alpha, nbt)``, I - alpha A_t with s = 1 or
-    the NBT-in-space cubic of Arrigo, Grindrod, Higham & Noferini (2018)
-    with s = 1 - alpha^2, and adds the walk increment D to Y, so that
-    rounding scales with D and not with Y.  In the standard and NBT-in-space
-    modes it solves P_t D = (s I - P_t) Y, which is Y -> s P_t^-1 Y.  In
-    NBT-in-time it solves P_t D = alpha L_t^T b, a nonnegative right side,
-    and takes x_t = b + D[tgt_t]: the line-graph step, by
-    (I - alpha W_t)^-1 = I + alpha R_t (I - alpha A_t)^-1 L_t^T.  Otherwise
-    the step factors the m_t x m_t Hashimoto block I - alpha B_t.
+    The step is n x n in the standard and NBT-in-time modes, and in
+    NBT-in-space for alpha <= 1/2.  It factors P_t = ``katz_system(snap, n,
+    alpha, nbt)``, I - alpha A_t or the NBT-in-space cubic of Arrigo,
+    Grindrod, Higham & Noferini (2018), solves P_t D = alpha L_t^T c and
+    adds the walk increment D to Y, so that rounding scales with D and not
+    with Y.  With c = b this is the line-graph step, by (I - alpha W_t)^-1 =
+    I + alpha R_t (I - alpha A_t)^-1 L_t^T, and x_t = b + D[tgt_t].  The
+    cubic's step is Y -> (1 - alpha^2) P_t^-1 Y, whose increment solves
+    P_t D = ((1 - alpha^2) I - P_t) Y, that is c_e = b_e - alpha Y[src_e]
+    on reciprocated edges and (1 - alpha^2) b_e on the others.  Its
+    spurious factor (1 - alpha^2) costs digits as alpha nears 1, so above
+    1/2 NBT-in-space, like NBT-both, factors the m_t x m_t Hashimoto block
+    I - alpha B_t and solves for x_t.
 
     Every step factors its P with the options ``_NODE_LU``, which pivot on
     the diagonal, and is accepted on the normwise backward error of that
@@ -300,62 +298,58 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     steps that pass at tol bound the whole backward error by about 2 tol.
     Requires alpha * rho(M) < 1 for the result to mean a walk series.
     """
-    node_space = in_node_space(mode, alpha)
     nbt = mode is Mode.NBT_SPACE
-    scale = 1.0 - alpha**2 if nbt and node_space else 1.0
+    node_space = mode in (Mode.STANDARD, Mode.NBT_TIME) or (nbt and alpha <= 0.5)
     paired = mode in (Mode.NBT_TIME, Mode.NBT_BOTH)
     if paired:
         pair, reverse, first = pair_index(net)
     steps = []
-    start = net.m
-    for snap in reversed(net.snapshots):
-        start, stop = start - snap.m, start
+    for t in reversed(range(net.N)):
+        snap = net.snapshots[t]
         if snap.m == 0:
             continue
         e = snap.arrays
         P = katz_system(snap, net.n, alpha, nbt) if node_space else hashimoto_system(snap, alpha)
-        lu = _factor(P, **_NODE_LU)
         # P is CSC, so its indices are row numbers
         norm = np.bincount(P.indices, np.abs(P.data), minlength=P.shape[0]).max()
-        # reuse P's pattern for Q = s I - P; the factor holds P.  P is a
-        # Z-matrix whose diagonal entries, 1 or 1 + alpha^2 (D - 1) with
-        # alpha < 1, are all stored and are its only positive entries
-        Q = P
-        Q.data = np.where(P.data > 0, scale - P.data, -P.data)
-        heads = None
-        if paired or not node_space:
-            firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
-            heads = (e.src[firsts], firsts)
-        steps.append((slice(start, stop), e.tgt, heads, Q, lu, norm))
+        firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
+        heads = (e.src[firsts], firsts)
+        rows = slice(net.offsets[t], net.offsets[t + 1])
+        steps.append((rows, e, heads, P, _factor(P, **_NODE_LU), norm))
 
     def apply(W):
         shape, W = np.shape(W), _block(W, (net.n, net.n))
         Y = W.copy()
         if paired:
             later = np.zeros((first[-1] + 1, Y.shape[1]))
-        for rows, tgt, heads, Q, lu, norm in steps:
+        for rows, e, heads, P, lu, norm in steps:
             if paired:
-                b = _paired_rhs(W, Y, later, alpha, tgt, reverse[rows], first)
-            if node_space:
-                rhs = alpha * _sources(heads, b, net.n) if paired else Q @ Y
-                D = _solve(lu, Q, scale, rhs, norm, tol)
-                Y += D
-                x = b + D[tgt] if paired else None
+                b = _paired_rhs(W, Y, later, alpha, e.tgt, reverse[rows], first)
             else:
-                x = _solve(lu, Q, scale, b if paired else Y[tgt], norm, tol)
+                b = Y[e.tgt]
+            if node_space:
+                c = b
+                if nbt:
+                    c = np.where(e.rev[:, None] >= 0, b - alpha * Y[e.src], (1 - alpha**2) * b)
+                D = _solve(lu, P, alpha * _sources(heads, c, net.n), norm, tol)
+                Y += D
+                x = b + D[e.tgt] if paired else None
+            else:
+                x = _solve(lu, P, b, norm, tol)
                 Y += alpha * _sources(heads, x, net.n)
             if paired:
                 later[pair[rows]] += x
         return Y.reshape(shape)
 
+    apply.node_space = node_space
     return apply
 
 
-def _solve(lu, Q, s, b, norm, tol):
-    """lu.solve(b), with lu the factor of P = s I - Q and norm = ||P||_inf,
-    accepted by :func:`_accept`."""
+def _solve(lu, P, b, norm, tol):
+    """lu.solve(b), with lu the factor of P and norm = ||P||_inf, accepted
+    by :func:`_accept`."""
     x = lu.solve(b)
-    _accept(_colmax(np.array((s * x - Q @ x - b, x, b))), norm, tol)
+    _accept(_colmax(np.array((P @ x - b, x, b))), norm, tol)
     return x
 
 

@@ -195,6 +195,11 @@ def _incidences(edges, n):
     return L, R
 
 
+def reference_source_target(net):
+    """L_g, R_g: the incidences of every snapshot's edges, in snapshot order."""
+    return _incidences([e for snap in net.snapshots for e in snap.edges], net.n)
+
+
 def reference_adjacency(net, tau):
     """A_t of snapshot ``tau``, from coordinates."""
     edges = np.array(net.snapshot(tau).edges, dtype=np.int64).reshape(-1, 2)
@@ -282,6 +287,8 @@ def reference_parse(text, report=None):
                 raise ParseError(f"bad %n header {line!r}", lineno) from None
             if n_override <= 0:
                 raise ParseError("%n must be positive", lineno)
+            if n_override >= 2**63:
+                raise ParseError(f"%n outside int64 in {line!r}", lineno)
             continue
         parts = line.split()
         if len(parts) != 3:

@@ -182,10 +182,11 @@ def _line_error(line, lineno):
     line = line.strip()
     if line.startswith("%n"):
         try:
-            int(line[2:].strip())
+            n = int(line[2:].strip())
         except ValueError:
             return ParseError(f"bad %n header {line!r}", lineno)
-        return ParseError("%n must be positive", lineno)
+        message = "%n must be positive" if n <= 0 else f"%n outside int64 in {line!r}"
+        return ParseError(message, lineno)
     parts = line.split()
     if len(parts) != 3:
         return ParseError(f"expected 'u v t', got {line!r}", lineno)
@@ -220,11 +221,11 @@ def parse_temporal_edgelist(text, report=None):
     """Parse `u v t` lines (0-based node ids, integer timestamps) into a network.
 
     ``#`` starts a comment; a header line ``%n <int>`` overrides the node count
-    (default: 1 + max node id).  Fields are integers as Python reads them, and
-    must fit in int64.  Duplicate (u, v, t) lines collapse to a single edge;
-    pass a :class:`ParseReport` to count them.  ``text`` is a string or an
-    open text file.  The whole input is split into tokens and converted at
-    once; on an error, the first offending line is reported.
+    (default: 1 + max node id).  Fields and the count are integers as Python
+    reads them, and must fit in int64.  Duplicate (u, v, t) lines collapse to
+    a single edge; pass a :class:`ParseReport` to count them.  ``text`` is a
+    string or an open text file.  The whole input is split into tokens and
+    converted at once; on an error, the first offending line is reported.
     """
     text = text if isinstance(text, str) else text.read()
     lines_read = text.count("\n") + (not text.endswith("\n")) if text else 0
@@ -243,7 +244,7 @@ def parse_temporal_edgelist(text, report=None):
     for k in np.flatnonzero(header).tolist():
         try:
             n = int(text[starts[k] : ends[k]].strip()[2:].strip())
-            bad[k] = n <= 0
+            bad[k] = not 0 < n < 2**63
         except ValueError:
             bad[k] = True
     # the fields of lines with three, in base 10 where they are short ASCII

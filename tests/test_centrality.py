@@ -153,7 +153,7 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
 
 def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
     # one factorization per non-empty snapshot: of the n x n node system
-    # I - alpha A_t or, in nbt-space at alpha < 1, the NBT cubic; of the
+    # I - alpha A_t or, in nbt-space at alpha <= 1/2, the NBT cubic; of the
     # m_t x m_t I - alpha B_t for an nbt-both Hashimoto block; and never of
     # the whole m x m system
     dims = []

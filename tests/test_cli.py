@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import tempokatz as tk
-from tempokatz import Mode, centrality, line_space, spectral
+from tempokatz import Mode, centrality, cli, line_space, oracle, spectral
 from tempokatz.cli import main
 
 from conftest import FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE, katz_referee
@@ -118,6 +119,7 @@ def test_rank_fastpath_consistent(capsys, fig_file, fig1):
         (("--mode", "nbt-time"), True),
         (("--mode", "nbt-both", "--measure", "sc"), False),
         (("--function", "exponential"), False),
+        (("--mode", "nbt-space", "--alpha", "0.7"), False),
     ],
 )
 def test_rank_fastpath_reports_node_space(capsys, fig_file, argv, node_space):
@@ -269,6 +271,27 @@ def test_field_beyond_int64_exits_1(capsys, tmp_path):
     assert (code, err) == (1, "error: line 2: field outside int64 in '1 2 99999999999999999999'\n")
 
 
+def test_node_count_beyond_int64_exits_1(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("%n 99999999999999999999\n0 1 1\n1 0 1\n")
+    for command in (("validate",), ("rank", "--alpha", "0.1"), ("check-alpha",)):
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: %n outside int64 in '%n 99999999999999999999'\n"
+
+
+@pytest.mark.parametrize("command", ["rank", "check-alpha"])
+def test_out_of_memory_exits_1(capsys, monkeypatch, ex5_file, command):
+    # %n 100000000000 asks for a 745 GiB array; raised here without allocating
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "temporal_f_total_communicability", exhausted)
+    monkeypatch.setattr(cli, "alpha_bound", exhausted)
+    code, out, err = run(capsys, command, ex5_file, *(["--alpha", "0.1"] if command == "rank" else []))
+    assert (code, out, err) == (1, "", "error: out of memory: Unable to allocate 745. GiB\n")
+
+
 def test_dump_matrix_global(capsys, ex5_file):
     code, out, _ = run(capsys, "dump-matrix", ex5_file, "M")
     assert code == 0
@@ -285,6 +308,24 @@ def test_dump_matrix_stacks(capsys, ex5_file):
     code, out, _ = run(capsys, "dump-matrix", ex5_file, "L")
     assert code == 0
     assert out.splitlines()[0] == "3 4 3"
+
+
+@pytest.mark.parametrize("which", ["R", "W:1", "B:1"])
+def test_dump_matrix_prints_the_referee(capsys, tmp_path, which):
+    # a reciprocated pair in snapshot 1, so that B_1 is W_1 less two entries
+    text = "0 1 1\n1 0 1\n1 2 1\n2 0 1\n2 1 2\n0 2 2\n"
+    path = tmp_path / "pairs.txt"
+    path.write_text(text)
+    net = tk.parse_temporal_edgelist(text)
+    want = {
+        "R": oracle.reference_source_target(net)[1],
+        "W:1": oracle.reference_line_graph(net.snapshot(1), net.n),
+        "B:1": oracle.reference_hashimoto(net.snapshot(1), net.n),
+    }[which]
+    buf = io.StringIO()
+    line_space.dump_coordinate(want, buf)
+    code, out, err = run(capsys, "dump-matrix", str(path), which)
+    assert (code, out, err) == (0, buf.getvalue(), "")
 
 
 def test_dump_matrix_unknown(capsys, ex5_file):
@@ -553,6 +594,24 @@ def test_rank_nbt_space_at_and_above_one_uses_the_edge_solve(capsys, tmp_path, a
     want = katz_referee(tk.parse_temporal_edgelist(text), Mode.NBT_SPACE, a, np.ones(3))
     np.testing.assert_allclose(values, want, rtol=1e-12)
     np.testing.assert_allclose(values, [1 + a + a * a, 1 + 2 * a, 1 + a], rtol=1e-12)
+
+
+def test_rank_nbt_space_near_one_keeps_its_digits(capsys, tmp_path):
+    # a 3-cycle and a reciprocated pair, ell = 1.  The cycle's nodes start
+    # one walk of every length, 1 / (1 - alpha) in all; nodes 3 and 4 start
+    # one walk, since its reversal is forbidden.  The node-level cubic's
+    # factor (1 - alpha^2) cost 3.4e-5 relative here; the Hashimoto step
+    # is as close as the standard mode
+    path = tmp_path / "cycle_and_pair.txt"
+    path.write_text("0 1 1\n1 2 1\n2 0 1\n3 4 1\n4 3 1\n")
+    alpha = 0.999999
+    code, out, err = run(capsys, "rank", str(path), "--mode", "nbt-space", "--alpha", str(alpha))
+    assert code == 0, err
+    meta, rows = parse_csv(out)
+    assert meta["fastpath"] == "False"
+    values = np.array([v for _, v, _ in sorted(rows)])
+    np.testing.assert_allclose(values[:3], 1 / (1 - alpha), rtol=1e-10)
+    np.testing.assert_allclose(values[3:], 1 + alpha, rtol=1e-15)
 
 
 # reciprocated 0 <-> 2 at t = 2; sum of every walk weight is finite

@@ -54,7 +54,7 @@ def test_builders_match_referees(net, alpha):
 @given(networks())
 @settings(max_examples=60, deadline=None)
 def test_node_level_katz_matches_edge_solve(net):
-    # the node-space engine (standard; nbt-space below alpha = 1) against one
+    # the node-space engine (standard; nbt-space at alpha <= 1/2) against one
     # LU of the whole edge-space I - alpha M
     katz = tk.resolvent(1.0, 1.0)
     for mode in (Mode.STANDARD, Mode.NBT_SPACE):

@@ -168,6 +168,7 @@ TIMES = st.sampled_from([-3, 0, 1, 2, 7, 10**18, -(2**63), 2**63 - 1])
 MALFORMED = [
     "1 2", "1 2 3 4", "1 x 2", "1.0 2 3", "0x1 2 3", "1 2 3_", "-1 2 3", "2 -3 1",
     "2 2 1", "+2 0002 1", "%n", "%n x", "%n 0", "%n -2", "%n 1 2", "%n 1", "%nn 3",
+    "%n 9223372036854775808", "%n 99999999999999999999", "%n -99999999999999999999",
     "99999999999999999999 1 2", "1 2 -9223372036854775809", "1 2 9223372036854775808",
     "1 2 99999999999999999999 # c", "1 x 99999999999999999999", "\x00 1 2", "\ufeff0 1 1",
 ]
