@@ -12,6 +12,10 @@ n x n, I - alpha A_t or the non-backtracking cubic, and every mode solves it
 for the same node increment, except in NBT-both and in NBT-in-space for
 alpha > 1/2, which factor the Hashimoto block.  Other weightings sum the
 series with sparse products on M.
+
+Importing the package needs only numpy: each function that calls SciPy
+imports it itself, so SciPy loads on the first sparse build, factorization
+or eigen-solve, and parsing (``validate``) never loads it.
 """
 
 from .centrality import (

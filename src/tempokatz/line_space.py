@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .temporal_graph import sorted_csr
 
@@ -107,6 +106,7 @@ def hashimoto_matrix(snapshot, n):
 def _csc_with_diagonal(rows, cols, off, diag, dim):
     """dim x dim CSC array of the entries ``off`` at (rows, cols), none on the
     diagonal, plus the diagonal ``diag``; zero entries are dropped."""
+    import scipy.sparse as sp
     nodes = np.arange(dim)
     rows, cols = np.concatenate((rows, nodes)), np.concatenate((cols, nodes))
     values = np.concatenate((off, diag))
@@ -190,6 +190,7 @@ def pair_index(net):
 def dump_coordinate(matrix, stream):
     """Write a sparse matrix in text coordinate format:
     `nrows ncols nnz` header, then one `row col value` line per nonzero."""
+    import scipy.sparse as sp
     coo = sp.coo_array(matrix)
     stream.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
     order = np.lexsort((coo.col, coo.row))

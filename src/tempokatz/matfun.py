@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .line_space import Mode, _ranges, hashimoto_system, katz_system, pair_index
 
@@ -61,8 +59,8 @@ class CoefficientFunction:
 
 def resolvent(gamma=1.0, delta=1.0):
     """f(z) = gamma / (1 - delta z); c_r = gamma * delta**r."""
-    if gamma < 0 or delta < 0:
-        raise ValueError("gamma and delta must be nonnegative")
+    if not (0 <= gamma < math.inf and 0 <= delta < math.inf):
+        raise ValueError("gamma and delta must be finite and nonnegative")
     radius = math.inf if delta == 0.0 else 1.0 / delta
     return CoefficientFunction(
         coeff=lambda r: gamma * delta**r,
@@ -85,8 +83,8 @@ def exponential():
 def polynomial(coeffs, name=None):
     """Finite coefficient list, c_r = coeffs[r] (zero beyond the list)."""
     coeffs = tuple(float(c) for c in coeffs)
-    if any(c < 0 for c in coeffs):
-        raise ValueError("coefficients must be nonnegative")
+    if not all(0 <= c < math.inf for c in coeffs):
+        raise ValueError("coefficients must be finite and nonnegative")
     return CoefficientFunction(
         coeff=lambda r: coeffs[r] if r < len(coeffs) else 0.0,
         radius=math.inf,
@@ -101,7 +99,7 @@ def monomial(r, c=1.0):
 
 
 def from_coefficient_file(path):
-    """Read one nonnegative coefficient per line (line r holds c_r)."""
+    """Read one finite nonnegative coefficient per line (line r holds c_r)."""
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh):
@@ -109,11 +107,14 @@ def from_coefficient_file(path):
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno + 1}: not a number: {line!r}"
                 ) from None
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{path}:{lineno + 1}: not finite and nonnegative: {line!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no coefficients")
     return polynomial(values, name=f"coeffs:{path}")
@@ -215,6 +216,7 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
 def _factor(P, **options):
     """``splu`` of the square CSC matrix P with ``options``; an exactly
     singular P raises SolveError."""
+    import scipy.sparse.linalg as spla
     try:
         return spla.splu(P, **options)
     except RuntimeError as exc:
@@ -384,6 +386,7 @@ def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
     """Solve (I - alpha M) x = v for a vector or m x k block v with one
     sparse LU of the whole matrix; the reference for :func:`resolvent_solver`,
     with the same acceptance test."""
+    import scipy.sparse as sp
     b = _block(v, M.shape)
     A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
     x = _factor(A).solve(b)

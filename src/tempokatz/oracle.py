@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .line_space import _NBT_DIAGONAL, _NBT_OFFDIAG, Mode
 from .matfun import evaluate
@@ -149,6 +147,7 @@ def weighted_walk_sum(counts, f, alpha):
 def naive_exponential_product(net, beta):
     """prod_tau expm(beta A^[tau]), the length-inconsistent construction kept
     only to demonstrate how it misweights multi-snapshot walks."""
+    import scipy.linalg
     out = np.eye(net.n)
     for tau in range(1, net.N + 1):
         out = out @ scipy.linalg.expm(beta * adjacency_matrix(net, tau).todense())
@@ -188,6 +187,7 @@ def functional_equation_residual(f, g, N, alpha, xs, rmax=200):
 
 def _incidences(edges, n):
     """Source and target incidences L, R (len(edges) x n) of (source, target) pairs."""
+    import scipy.sparse as sp
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     rows, ones = np.arange(len(pairs)), np.ones(len(pairs))
     L = sp.csr_array((ones, (rows, pairs[:, 0])), shape=(len(pairs), n))
@@ -202,6 +202,7 @@ def reference_source_target(net):
 
 def reference_adjacency(net, tau):
     """A_t of snapshot ``tau``, from coordinates."""
+    import scipy.sparse as sp
     edges = np.array(net.snapshot(tau).edges, dtype=np.int64).reshape(-1, 2)
     ones = np.ones(len(edges))
     return sp.csr_array((ones, (edges[:, 0], edges[:, 1])), shape=(net.n, net.n))
@@ -209,6 +210,7 @@ def reference_adjacency(net, tau):
 
 def reference_line_graph(snapshot, n):
     """W = R L^T."""
+    import scipy.sparse as sp
     L, R = _incidences(snapshot.edges, n)
     W = sp.csr_array(R @ L.T)
     W.eliminate_zeros()
@@ -217,6 +219,7 @@ def reference_line_graph(snapshot, n):
 
 def reference_hashimoto(snapshot, n):
     """B = W - W o W^T."""
+    import scipy.sparse as sp
     W = reference_line_graph(snapshot, n)
     B = sp.csr_array(W - W.multiply(W.T))
     B.eliminate_zeros()
@@ -226,6 +229,7 @@ def reference_hashimoto(snapshot, n):
 def reference_transition(net, mode):
     """M = R_g L_g^T masked to snapshot(i) <= snapshot(j), less the reversals
     ``mode`` forbids."""
+    import scipy.sparse as sp
     edges = np.array([e for snap in net.snapshots for e in snap.edges], dtype=np.int64)
     edges = edges.reshape(-1, 2)
     snapshot = np.repeat(np.arange(net.N), [snap.m for snap in net.snapshots])
@@ -248,6 +252,7 @@ def deg_matrices(a):
     D is diagonal with D_ii = (A^2)_ii, the number of reciprocated partners
     of node i; S = A o A^T marks mutually connected pairs.
     """
+    import scipy.sparse as sp
     a = sp.csr_array(a)
     d = np.asarray((a @ a).diagonal()).ravel()
     D = sp.csr_array(sp.diags_array(d, shape=a.shape))
@@ -259,6 +264,7 @@ def deg_matrices(a):
 def reference_katz_system(A, alpha, nbt):
     """I - alpha A, or with ``nbt`` the cubic I - a A + a^2 (D - I) + a^3 (A - S)
     of the NBT-in-space product form, as CSC."""
+    import scipy.sparse as sp
     if not nbt:
         return sp.csc_array(sp.eye_array(A.shape[0]) - alpha * A)
     eye = sp.eye_array(A.shape[0], format="csc")

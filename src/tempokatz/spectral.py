@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .line_space import _NBT_DIAGONAL, Mode, _non_backtracking, _ranges, hashimoto_matrix
 from .temporal_graph import EdgeArrays, adjacency_matrix, sorted_csr
@@ -82,6 +80,7 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     components that may hold the radius get dense eigenvalues (their Perron
     roots are simple); one above DENSE_FALLBACK_MAX gives a non-converged hi.
     """
+    import scipy.sparse as sp
     if m.shape[0] != m.shape[1]:
         raise ValueError("spectral_radius needs a square matrix")
     if tol <= 0:
@@ -117,6 +116,7 @@ def _inside_components(coo):
     """(C, labels, rows): the entries of ``coo`` (given in row order) inside
     its strongly connected components, on the ``rows`` they lie in (no other
     row is on a cycle), and the component of each such row, numbered from 0."""
+    from scipy.sparse.csgraph import connected_components
     _, labels = connected_components(coo, directed=True, connection="strong")
     inside = labels[coo.row] == labels[coo.col]
     row, col = coo.row[inside], coo.col[inside]
@@ -196,6 +196,7 @@ def _stack(net, taus, hashimoto):
     the 0-based ``taus``, from the global edge arrays of their edges, read as
     those of one disjoint union: the k-th snapshot's nodes shifted by k n,
     and each edge's reversal moved with it."""
+    import scipy.sparse as sp
     block, edge = _ranges(net.offsets[taus], net.offsets[taus + 1])
     e = net.arrays
     rows, cols, dim = e.src[edge] + block * net.n, e.tgt[edge] + block * net.n, len(taus) * net.n

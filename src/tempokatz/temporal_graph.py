@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -66,6 +65,7 @@ def _index_edges(sid, src, tgt):
 
 def sorted_csr(rows, cols, data, shape):
     """CSR array of entries already sorted by (row, column), without duplicates."""
+    import scipy.sparse as sp
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return sp.csr_array((data, cols, indptr), shape=shape)

@@ -191,6 +191,19 @@ def test_rank_coefficient_file(capsys, ex5_file, tmp_path):
     assert values == {0: 2.0, 1: 2.0, 2: 2.0, 3: 1.0}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-0.5"])
+def test_rank_bad_coefficient_line_exits_1(capsys, tmp_path, value):
+    # a bad coefficient is an input error, not a divergent series (exit 3)
+    path, coeffs = tmp_path / "net.txt", tmp_path / "c.txt"
+    path.write_text("0 1 1\n1 2 1\n")
+    coeffs.write_text(f"1\n{value}\n")
+    code, out, err = run(
+        capsys, "rank", str(path), "--function", f"coeffs:{coeffs}", "--alpha", "0.5"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {coeffs}:2: not finite and nonnegative: '{value}'\n"
+
+
 def test_rank_output_file_atomic(capsys, ex5_file, tmp_path):
     out_path = tmp_path / "out.csv"
     code, _, _ = run(
