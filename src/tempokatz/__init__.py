@@ -14,8 +14,9 @@ alpha > 1/2, which factor the Hashimoto block.  Other weightings sum the
 series with sparse products on M.
 
 Importing the package needs only numpy: each function that calls SciPy
-imports it itself, so SciPy loads on the first sparse build, factorization
-or eigen-solve, and parsing (``validate``) never loads it.
+imports it itself, so SciPy loads on the first sparse build or
+factorization.  Parsing (``validate``) never loads it, and neither does
+``alpha_bound`` (``check-alpha``) while every block has at most 200 rows.
 """
 
 from .centrality import (

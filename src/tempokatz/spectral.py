@@ -5,12 +5,13 @@ alpha below 1 / max_tau rho(A^[tau]).  For the modes that forbid
 within-snapshot backtracking they converge for alpha below
 min_tau 1 / rho(B^[tau]), which equals the smallest-modulus eigenvalue of a
 cubic matrix polynomial in the adjacency matrix (checked in the test suite).
-``alpha_bound`` takes every radius of both families: one stacked pass finds
-the blocks without a cycle, radius 0.0, and each other block of at most
-DENSE_DIRECT_MAX rows gets whole-matrix dense eigenvalues straight from its
-edge arrays.  ``mode_bound`` needs only the largest of its mode's family: it
-brackets every block at once in block-diagonal stacks and takes the radius
-of just those that may hold it.
+``alpha_bound`` takes every radius of both families, on numpy alone while
+no block has more than DENSE_DIRECT_MAX rows: a peel of stacked blocks finds
+those without a cycle, radius 0.0, and each other one gets whole-matrix
+dense eigenvalues straight from its edge arrays.  ``mode_bound`` needs only
+the largest of its mode's family: it brackets every block at once in
+block-diagonal stacks, through SciPy's strongly connected components as
+larger blocks do, and takes the radius of just those that may hold it.
 Radii above DENSE_DIRECT_MAX are certified upper bounds (Collatz-Wielandt
 brackets), so ell never exceeds the true supremum.
 """
@@ -91,7 +92,7 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
         return RadiusEstimate(0.0, True, 0)
     if n <= DENSE_DIRECT_MAX:
         return RadiusEstimate(_dense_radius(coo.toarray()), True, 0)
-    C, labels, _ = _inside_components(coo)
+    C, labels, _ = _inside_components(coo.row, coo.col, n, coo.data)
     if C.nnz == 0:
         return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
     lo_k, hi_k, it = _bracket(C, labels, tol, maxit)
@@ -112,18 +113,35 @@ def _dense_radius(dense):
     return 0.0 if value <= 1e-12 * max(1.0, float(np.abs(dense).sum())) else value
 
 
-def _inside_components(coo):
-    """(C, labels, rows): the entries of ``coo`` (given in row order) inside
-    its strongly connected components, on the ``rows`` they lie in (no other
-    row is on a cycle), and the component of each such row, numbered from 0."""
+def _inside_components(row, col, dim, data=None):
+    """(C, labels, rows): the entries of the dim x dim graph (``row``,
+    ``col``), given in row order with values ``data`` (default 1), inside its
+    strongly connected components, on the ``rows`` they lie in (no other row
+    is on a cycle), and the component of each such row, numbered from 0."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
+    coo = sp.coo_array((np.ones(len(row)) if data is None else data, (row, col)), (dim, dim))
     _, labels = connected_components(coo, directed=True, connection="strong")
     inside = labels[coo.row] == labels[coo.col]
     row, col = coo.row[inside], coo.col[inside]
-    on_cycle = np.bincount(row, minlength=coo.shape[0]) > 0
+    on_cycle = np.bincount(row, minlength=dim) > 0
     index, rows = np.cumsum(on_cycle) - 1, np.flatnonzero(on_cycle)
     C = sorted_csr(index[row], index[col], coo.data[inside], (len(rows), len(rows)))
     return C, np.unique(labels[rows], return_inverse=True)[1], rows
+
+
+def _peel(rows, cols, dim):
+    """Rows of the dim x dim graph (``rows`` sorted, ``cols``) that a cycle
+    reaches: Kahn's algorithm, which removes every row no edge enters, takes
+    their out-edges off the in-degrees and repeats, at most dim rounds."""
+    first = np.searchsorted(rows, np.arange(dim + 1))
+    indegree = np.bincount(cols, minlength=dim)
+    free = np.flatnonzero(indegree == 0)
+    while free.size:
+        hit, count = np.unique(cols[_ranges(first[free], first[free + 1])[1]], return_counts=True)
+        indegree[hit] -= count
+        free = hit[indegree[hit] == 0]
+    return indegree > 0  # the rows never removed
 
 
 def _bracket(C, labels, tol, maxit):
@@ -151,27 +169,26 @@ def _dims(net, hashimoto):
 
 
 def _stacks(net, taus, hashimoto):
-    """(owner, C, labels) for consecutive groups of ``taus`` whose blocks
-    have about STACK_ROWS rows in all: :func:`_inside_components` of the
-    group's stack, with the 0-based snapshot each row of C belongs to."""
+    """(owner, rows, cols, dim) for consecutive groups of ``taus`` whose
+    blocks have about STACK_ROWS rows in all: the :func:`_stack` of the
+    group, with the 0-based snapshot each of its rows belongs to."""
     dims = _dims(net, hashimoto)
     group = np.cumsum(dims[taus]) // STACK_ROWS
     for members in (taus[group == g] for g in np.unique(group)):
-        C, labels, rows = _inside_components(_stack(net, members, hashimoto))
-        yield np.repeat(members, dims[members])[rows], C, labels
+        yield (np.repeat(members, dims[members]), *_stack(net, members, hashimoto))
 
 
 def snapshot_radii(net, hashimoto, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT, taus=None):
     """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for the
     0-based snapshot indices ``taus``, by default all of them: each is
     :func:`spectral_radius` of the block, bit for bit.  Blocks of at most
-    DENSE_DIRECT_MAX rows are stacked, and the strongly connected components
-    of the stacks show which have a cycle; the others are nilpotent, radius
-    0.0, and each cyclic one is filled dense from its edge arrays."""
+    DENSE_DIRECT_MAX rows are stacked, and a peel of the stacks shows which
+    have a cycle; the others are nilpotent, radius 0.0, and each cyclic one
+    is filled dense from its edge arrays."""
     taus = np.arange(net.N) if taus is None else np.asarray(taus, dtype=np.int64)
     dims = _dims(net, hashimoto)
     small = taus[dims[taus] <= DENSE_DIRECT_MAX]
-    cyclic = {t for owner, _, _ in _stacks(net, small, hashimoto) for t in owner.tolist()}
+    cyclic = {t for owner, *stack in _stacks(net, small, hashimoto) for t in owner[_peel(*stack)]}
 
     def radius(t):
         snap, dim = net.snapshots[t], dims[t]
@@ -192,11 +209,10 @@ def _reciprocal(rho):
 
 
 def _stack(net, taus, hashimoto):
-    """COO block-diagonal stack of B^[tau] (``hashimoto``) or A^[tau] over
-    the 0-based ``taus``, from the global edge arrays of their edges, read as
-    those of one disjoint union: the k-th snapshot's nodes shifted by k n,
-    and each edge's reversal moved with it."""
-    import scipy.sparse as sp
+    """(rows, cols, dim) of the block-diagonal stack of B^[tau] (``hashimoto``)
+    or A^[tau] over the 0-based ``taus``, rows sorted, from the global edge
+    arrays of their edges, read as those of one disjoint union: the k-th
+    snapshot's nodes shifted by k n, and each edge's reversal moved with it."""
     block, edge = _ranges(net.offsets[taus], net.offsets[taus + 1])
     e = net.arrays
     rows, cols, dim = e.src[edge] + block * net.n, e.tgt[edge] + block * net.n, len(taus) * net.n
@@ -204,7 +220,7 @@ def _stack(net, taus, hashimoto):
         start = np.arange(len(edge)) - edge + net.offsets[taus][block]  # its block's first row
         rev = np.where(e.rev[edge] < 0, -1, e.rev[edge] + start)
         (rows, cols), dim = _non_backtracking(EdgeArrays(rows, cols, rev)), len(edge)
-    return sp.coo_array((np.ones(len(rows)), (rows, cols)), (dim, dim))
+    return rows, cols, dim
 
 
 def mode_bound(net, mode):
@@ -218,11 +234,12 @@ def mode_bound(net, mode):
     rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
     lower, found = 0.0, []
-    for owner, C, labels in _stacks(net, np.arange(net.N), hashimoto):
+    for owner, *stack in _stacks(net, np.arange(net.N), hashimoto):
+        C, labels, rows = _inside_components(*stack)
         if C.nnz:
             lo_k, hi_k, _ = _bracket(C, labels, DEFAULT_TOL, STACK_STEPS)
             lower = max(lower, float(lo_k.max()))
-            found.append((owner, hi_k[labels]))
+            found.append((owner[rows], hi_k[labels]))
     maybe = {t for owner, hi in found for t in owner[hi >= (1 - MARGIN) * lower]}
     radii = snapshot_radii(net, hashimoto, taus=sorted(maybe))
     return _reciprocal(max((e.value for e in radii), default=0.0)), all(e.converged for e in radii)

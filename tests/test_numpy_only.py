@@ -1,5 +1,6 @@
-"""SciPy loads only in the functions that call it: importing the package and
-``tempokatz validate`` run on numpy alone, and ``dump-matrix`` loads
+"""SciPy loads only in the functions that call it: importing the package,
+``tempokatz validate`` and ``check-alpha`` on blocks of at most
+DENSE_DIRECT_MAX rows run on numpy alone, and ``dump-matrix`` loads
 ``scipy.sparse`` without its solvers.  Each check runs in a fresh
 interpreter, since this test process has SciPy loaded already."""
 
@@ -78,3 +79,62 @@ def test_dump_matrix_loads_sparse_arrays_only(edges, which):
     loaded = set(result.stdout.split())
     assert "scipy.sparse" in loaded
     assert not loaded & {"scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"}
+
+
+# snapshot 1: a lone reciprocated pair, cyclic in A, acyclic in B; 2: a
+# triangle; 3: a DAG; and node 6 has no edge in any snapshot
+MIXED = "%n 7\n0 1 1\n1 0 1\n0 1 2\n1 2 2\n2 0 2\n0 1 3\n1 2 3\n0 2 3\n3 4 3\n5 3 3\n"
+
+
+@pytest.mark.parametrize("mode", ["standard", "nbt-both"])
+def test_check_alpha_without_scipy(tmp_path, mode):
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED)
+    blocked = python(BLOCK_SCIPY + MAIN, "check-alpha", str(path), "--mode", mode)
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN, "check-alpha", str(path), "--mode", mode)
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    lines = blocked.stderr.splitlines()
+    assert lines[1] == "snapshot 1: rho = 1 lambda = inf"
+    assert lines[2].startswith("snapshot 2: rho = 1")  # dense eigenvalues, to rounding
+    assert lines[3:] == ["snapshot 3: rho = 0 lambda = inf"]
+
+
+# both radii of every snapshot of a network with an empty snapshot, which no
+# edge-list file can hold
+RADII = """
+import sys
+
+import tempokatz as tk
+
+snapshots = [[(0, 1), (1, 0)], [(0, 1), (1, 2), (2, 0)], [], [(0, 1), (1, 2), (0, 2)]]
+snaps = tuple(tk.Snapshot(tau, tuple(e)) for tau, e in enumerate(snapshots, 1))
+net = tk.TemporalNetwork(4, snaps, tuple(range(len(snaps))))
+bound = tk.alpha_bound(net, tk.Mode.NBT_BOTH)
+print(repr(bound))
+print([(round(rho, 9), round(lam, 9)) for rho, lam in bound.per_snapshot])
+print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+"""
+
+
+def test_alpha_bound_with_an_empty_snapshot_without_scipy():
+    blocked, free = python(BLOCK_SCIPY + RADII), python(RADII)
+    assert blocked.returncode == 0, blocked.stderr
+    assert free.returncode == 0, free.stderr
+    assert blocked.stdout == free.stdout
+    radii = "[(1.0, inf), (1.0, 1.0), (0.0, inf), (0.0, inf)]"
+    assert free.stdout.splitlines()[1:] == [radii, "[]"]
+
+
+def test_check_alpha_loads_scipy_above_the_direct_cutoff(tmp_path):
+    # A has 250 rows, above DENSE_DIRECT_MAX: its radius takes the route
+    # through strongly connected components
+    path = tmp_path / "wide.txt"
+    path.write_text("%n 250\n0 1 1\n1 2 1\n2 0 1\n")
+    result = python(MAIN, "check-alpha", str(path))
+    assert result.returncode == 0, result.stderr
+    assert "scipy.sparse.csgraph" in result.stdout.split()
+    names = [line.split(" = ")[0] for line in result.stderr.splitlines()]
+    assert names == ["ell", "snapshot 1: rho"]

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, spectral
@@ -434,3 +437,58 @@ def test_snapshot_radii_equal_each_block_radius(monkeypatch):
             assert sorted(calls) == sorted(dims[t] for t in small if t not in acyclic[hashimoto])
             sides |= {d > spectral.DENSE_DIRECT_MAX for d in dims}
     assert sides == {False, True}
+
+
+def cyclic_by_components(net, hashimoto):
+    """Referee of the peel: the 0-based snapshots whose block has an edge
+    inside one of its strongly connected components."""
+    found = set()
+    for t, snap in enumerate(net.snapshots):
+        block = tk.hashimoto_matrix(snap, net.n) if hashimoto else tk.adjacency_matrix(net, t + 1)
+        coo = sp.coo_array(block)
+        _, labels = connected_components(coo, directed=True, connection="strong")
+        if np.any(labels[coo.row] == labels[coo.col]):
+            found.add(t)
+    return found
+
+
+@given(networks(), st.sampled_from([1, 5, spectral.STACK_ROWS]))
+@settings(max_examples=150, deadline=None)
+def test_peel_finds_the_blocks_with_a_cycle_property(net, stack_rows):
+    # small stacks split the snapshots into several groups
+    with mock.patch.object(spectral, "STACK_ROWS", stack_rows):
+        for hashimoto in (False, True):
+            stacks = spectral._stacks(net, np.arange(net.N), hashimoto)
+            got = {int(t) for owner, *stack in stacks for t in owner[spectral._peel(*stack)]}
+            assert got == cyclic_by_components(net, hashimoto)
+
+
+def peel_rounds(net, hashimoto, monkeypatch):
+    """(cyclic, rounds): whether the peel finds a cycle in the one-snapshot
+    ``net``, and the rounds it takes, one range of out-edges each."""
+    rows, cols, dim = spectral._stack(net, np.arange(1), hashimoto)
+    rounds, ranges = [], spectral._ranges
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_ranges", lambda *a: rounds.append(1) or ranges(*a))
+        cyclic = bool(spectral._peel(rows, cols, dim).any())
+    assert cyclic == bool(cyclic_by_components(net, hashimoto))
+    return cyclic, len(rounds)
+
+
+def test_peel_named_cases(monkeypatch):
+    path = [(i, i + 1) for i in range(199)]
+    # a 200-node directed path: each round frees the next node
+    assert peel_rounds(network(200, path), False, monkeypatch) == (False, 200)
+    assert peel_rounds(network(200, path), True, monkeypatch) == (False, 199)
+    # closed by one edge: a 200-cycle, which no round can start on
+    assert peel_rounds(network(200, path + [(199, 0)]), False, monkeypatch) == (True, 0)
+    assert peel_rounds(network(200, path + [(199, 0)]), True, monkeypatch) == (True, 0)
+    # a path that feeds a 2-cycle: the cycle survives in A, and B has none
+    feeds = path[:9] + [(9, 10), (10, 9)]
+    assert peel_rounds(network(11, feeds), False, monkeypatch) == (True, 9)
+    assert peel_rounds(network(11, feeds), True, monkeypatch)[0] is False
+    # reciprocated pairs only, on a tree (a star and a path): A has 2-cycles,
+    # and non-backtracking walks on a tree end, so B is acyclic
+    tree = both_ways([(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    assert peel_rounds(network(6, tree), False, monkeypatch)[0] is True
+    assert peel_rounds(network(6, tree), True, monkeypatch)[0] is False
