@@ -26,7 +26,6 @@ import numpy as np
 
 from .line_space import Mode, global_source_target, global_transition
 from .matfun import (
-    DEFAULT_RMAX,
     DEFAULT_TOL,
     SolveError,
     apply_series,
@@ -97,7 +96,7 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     return temporal_f_total_communicability(net, alpha, resolvent(), Mode.NBT_SPACE, force=force)
 
 
-def _node_block(net, alpha, f, mode, tol, rmax, force):
+def _node_block(net, alpha, f, mode, tol, force):
     """Check alpha (:func:`_check_alpha`) and return (apply, run):
     apply(W) -> (Y, truncated) with Y = c_0 W + alpha L_g^T (shifted f)(alpha
     M) R_g W for an n-vector or n x k block W, and ``run`` the run's
@@ -117,7 +116,7 @@ def _node_block(net, alpha, f, mode, tol, rmax, force):
     M = global_transition(net, mode)
 
     def series(W):
-        result = apply_series(M, alpha, g, Rg @ W, tol=tol, rmax=rmax)
+        result = apply_series(M, alpha, g, Rg @ W, tol=tol)
         return f(0) * W + alpha * (Lg.T @ result.value), result.truncated
 
     return series, run
@@ -136,23 +135,19 @@ def _column_blocks(apply, net):
         yield (nodes, *apply(units))
 
 
-def temporal_f_total_communicability(
-    net, alpha, f, mode, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX, force=False
-):
+def temporal_f_total_communicability(net, alpha, f, mode, tol=DEFAULT_TOL, force=False):
     """y = c_0 1 + alpha L_g^T [(shifted f)(alpha M) 1_m] with L_g the global
     source matrix and M the mode's global transition matrix."""
-    apply, run = _node_block(net, alpha, f, mode, tol, rmax, force)
+    apply, run = _node_block(net, alpha, f, mode, tol, force)
     y, truncated = apply(np.ones(net.n))
     return CentralityVector(y, "total-communicability", truncated=truncated, **run)
 
 
-def temporal_f_subgraph_centrality(
-    net, alpha, f, mode, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX, force=False, threads=None
-):
+def temporal_f_subgraph_centrality(net, alpha, f, mode, tol=DEFAULT_TOL, force=False, threads=None):
     """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, applied to
     blocks of unit columns; nodes that are never a target stay at c_0.
     ``threads`` is accepted for compatibility and ignored."""
-    apply, run = _node_block(net, alpha, f, mode, tol, rmax, force)
+    apply, run = _node_block(net, alpha, f, mode, tol, force)
     values = np.full(net.n, float(f(0)))
     truncated = False
     for nodes, Y, trunc in _column_blocks(apply, net):
@@ -161,12 +156,10 @@ def temporal_f_subgraph_centrality(
     return CentralityVector(values, "subgraph", truncated=truncated, **run)
 
 
-def communicability_matrix(
-    net, alpha, f, mode, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX, force=False
-):
+def communicability_matrix(net, alpha, f, mode, tol=DEFAULT_TOL, force=False):
     """Full n x n weighted walk-count matrix c_0 I + alpha L_g^T (shifted
     f)(alpha M) R_g.  Dense output; intended for small n (tests, debugging)."""
-    apply, _ = _node_block(net, alpha, f, mode, tol, rmax, force)
+    apply, _ = _node_block(net, alpha, f, mode, tol, force)
     Q = f(0) * np.eye(net.n)
     for nodes, Y, _ in _column_blocks(apply, net):
         Q[:, nodes] = Y

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -82,12 +83,19 @@ def _write_output(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
-    # write to a temp file in the target directory, rename on success
+    # write to a temp file in the target directory, rename on success, with
+    # the mode open(out_path, "w") leaves: the file's own, else 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tempokatz-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(out_path).st_mode)
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0))  # reads the umask
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

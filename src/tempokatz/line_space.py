@@ -27,7 +27,7 @@ import enum
 
 import numpy as np
 
-from .temporal_graph import sorted_csr
+from .temporal_graph import _starts, sorted_csr
 
 
 class Mode(enum.Enum):
@@ -63,8 +63,7 @@ def _successors(e):
     """(rows, cols) of W_t: edge f follows edge i when src[f] == tgt[i], and
     those f are one contiguous range of the sorted sources, from first[v],
     the number of sources below v, to first[v + 1]."""
-    first = np.zeros(max(e.src.max(initial=-1), e.tgt.max(initial=-1)) + 2, dtype=np.int64)
-    np.cumsum(np.bincount(e.src, minlength=len(first) - 1), out=first[1:])
+    first = _starts(e.src, max(e.src.max(initial=-1), e.tgt.max(initial=-1)) + 1)
     return _ranges(first[e.tgt], first[e.tgt + 1])
 
 
@@ -112,9 +111,7 @@ def _csc_with_diagonal(rows, cols, off, diag, dim):
     values = np.concatenate((off, diag))
     order = np.argsort(cols * dim + rows)  # by column, then row; no duplicates
     order = order[values[order] != 0]
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols[order], minlength=dim), out=indptr[1:])
-    return sp.csc_array((values[order], rows[order], indptr), shape=(dim, dim))
+    return sp.csc_array((values[order], rows[order], _starts(cols[order], dim)), shape=(dim, dim))
 
 
 def hashimoto_system(snapshot, alpha):
@@ -182,9 +179,7 @@ def pair_index(net):
     reversed_key = tgt * net.n + src
     pos = np.searchsorted(pairs, reversed_key)
     found = np.append(pairs, -1)[pos] == reversed_key
-    first = np.zeros(net.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs // net.n, minlength=net.n), out=first[1:])
-    return pair, np.where(found, pos, len(pairs)), first
+    return pair, np.where(found, pos, len(pairs)), _starts(pairs // net.n, net.n)
 
 
 def dump_coordinate(matrix, stream):

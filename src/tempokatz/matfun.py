@@ -101,7 +101,7 @@ def monomial(r, c=1.0):
 def from_coefficient_file(path):
     """Read one finite nonnegative coefficient per line (line r holds c_r)."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -138,9 +138,9 @@ def partial_op(f):
     )
 
 
-def evaluate(f, z, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
+def evaluate(f, z, rmax=DEFAULT_RMAX):
     """Scalar truncated-series evaluation of f at z; a polynomial is summed
-    to its degree, an infinite series until a term drops below tol."""
+    to its degree, an infinite series until a term drops below DEFAULT_TOL."""
     acc = 0.0
     power = 1.0
     rstop = rmax if f.degree is None else min(rmax, f.degree)
@@ -148,7 +148,7 @@ def evaluate(f, z, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
         c = f(r)
         term = c * power
         acc += term
-        small = c > 0 and abs(term) <= tol * max(abs(acc), 1e-300)
+        small = c > 0 and abs(term) <= DEFAULT_TOL * max(abs(acc), 1e-300)
         if f.degree is None and small and r > 0:
             break
         power *= z
@@ -175,7 +175,7 @@ def _block(v, shape):
     return v if v.ndim == 2 else v[:, None]
 
 
-def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
+def apply_series(M, alpha, g, v, tol=DEFAULT_TOL):
     """Evaluate sum_r g_r alpha^r M^r v by accumulating sparse products, for
     a vector v or each column of an m x k block v.
 
@@ -183,13 +183,13 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL, rmax=DEFAULT_RMAX):
     to a column once its new term's max-norm drops below tol times that
     column's accumulated max-norm.  Every column stops exactly when M
     annihilates its power (nilpotent case); the sum ends when all columns
-    have stopped, or after rmax terms (flagged as truncated).  A column whose
-    sum overflows raises SolveError.  The caller is responsible for alpha
-    being inside radius(g) / rho(M).
+    have stopped, or after DEFAULT_RMAX terms (flagged as truncated).  A
+    column whose sum overflows raises SolveError.  The caller is responsible
+    for alpha being inside radius(g) / rho(M).
     """
     power = _block(v, M.shape)
     acc = g(0) * power
-    rstop = rmax if g.degree is None else min(rmax, g.degree)
+    rstop = DEFAULT_RMAX if g.degree is None else min(DEFAULT_RMAX, g.degree)
     terms = 1
     truncated = g.degree is None or rstop < g.degree
     # an overflow surfaces as a non-finite sum, checked below
@@ -382,7 +382,7 @@ def _sources(heads, values, n):
     return out
 
 
-def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
+def resolvent_solve(M, alpha, v):
     """Solve (I - alpha M) x = v for a vector or m x k block v with one
     sparse LU of the whole matrix; the reference for :func:`resolvent_solver`,
     with the same acceptance test."""
@@ -391,5 +391,5 @@ def resolvent_solve(M, alpha, v, tol=DEFAULT_TOL):
     A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
     x = _factor(A).solve(b)
     a_norm = np.max(abs(A).sum(axis=1), initial=0.0)
-    _accept(_colmax(np.array((A @ x - b, x, b))), a_norm, tol)
+    _accept(_colmax(np.array((A @ x - b, x, b))), a_norm, DEFAULT_TOL)
     return x.reshape(np.shape(v))

@@ -317,7 +317,6 @@ def reference_parse(text, report=None):
         raise ParseError("no edges in input")
     if report is not None:
         report.duplicates_collapsed = duplicates
-        report.lines_read = lineno
     timestamps = tuple(sorted(by_time))
     max_id = max(max(max(u, v) for u, v in by_time[t]) for t in timestamps)
     n = n_override if n_override is not None else max_id + 1

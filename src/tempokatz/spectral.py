@@ -5,15 +5,15 @@ alpha below 1 / max_tau rho(A^[tau]).  For the modes that forbid
 within-snapshot backtracking they converge for alpha below
 min_tau 1 / rho(B^[tau]), which equals the smallest-modulus eigenvalue of a
 cubic matrix polynomial in the adjacency matrix (checked in the test suite).
-``alpha_bound`` takes every radius of both families, on numpy alone while
-no block has more than DENSE_DIRECT_MAX rows: a peel of stacked blocks finds
-those without a cycle, radius 0.0, and each other one gets whole-matrix
-dense eigenvalues straight from its edge arrays.  ``mode_bound`` needs only
-the largest of its mode's family: it brackets every block at once in
+Every radius is ``_radius`` of a block's edge arrays, or of a sparse
+matrix's entries (``spectral_radius``): dense eigenvalues up to
+DENSE_DIRECT_MAX rows, above it a certified upper bound, so ell never
+exceeds the true supremum.  ``alpha_bound`` takes every radius of both
+families, on numpy alone while no block is larger: a peel of stacked blocks
+finds those without a cycle, radius 0.0.  ``mode_bound`` needs only the
+largest of its mode's family: it brackets every block at once in
 block-diagonal stacks, through SciPy's strongly connected components as
 larger blocks do, and takes the radius of just those that may hold it.
-Radii above DENSE_DIRECT_MAX are certified upper bounds (Collatz-Wielandt
-brackets), so ell never exceeds the true supremum.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .line_space import _NBT_DIAGONAL, Mode, _non_backtracking, _ranges, hashimoto_matrix
-from .temporal_graph import EdgeArrays, adjacency_matrix, sorted_csr
+from .line_space import _NBT_DIAGONAL, Mode, _non_backtracking, _ranges
+from .temporal_graph import EdgeArrays, _starts, sorted_csr
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXIT = 10_000
@@ -67,8 +67,19 @@ DENSE_FALLBACK_MAX = 4096
 STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 10, 1e-4
 
 
-def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Dominant eigenvalue modulus of a nonnegative sparse matrix.
+def spectral_radius(m):
+    """Dominant eigenvalue modulus of a nonnegative sparse matrix: the
+    :func:`_radius` of its entries."""
+    import scipy.sparse as sp
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("spectral_radius needs a square matrix")
+    coo = sp.csr_array(m).tocoo()  # in row order
+    return _radius(coo.row, coo.col, m.shape[0], coo.data)
+
+
+def _radius(row, col, dim, data=None):
+    """RadiusEstimate of the dim x dim matrix with entries ``data`` (default
+    1) at (``row``, ``col``), given in row order; duplicates are summed.
 
     Up to DENSE_DIRECT_MAX it is computed by dense eigenvalues.  Above it the
     result is a certified upper bound.  The radius is the largest over the
@@ -76,34 +87,30 @@ def spectral_radius(m, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     Power iteration on I + C, primitive on every component even where C is
     periodic, gives positive x; on each component the Collatz-Wielandt ratios
     (C x)_i / x_i bracket its radius.  Their maxima give lo <= rho <= hi, and
-    once hi - lo <= tol * hi the value returned is hi, so 1 / value never
-    exceeds 1 / rho.  If the bracket stays open for ``maxit`` iterations, the
-    components that may hold the radius get dense eigenvalues (their Perron
-    roots are simple); one above DENSE_FALLBACK_MAX gives a non-converged hi.
+    once hi - lo <= DEFAULT_TOL * hi the value returned is hi, so 1 / value
+    never exceeds 1 / rho.  If the bracket stays open for DEFAULT_MAXIT
+    iterations, the components that may hold the radius get dense eigenvalues
+    (their Perron roots are simple); one above DENSE_FALLBACK_MAX gives a
+    non-converged hi.  The module constants are read at call time.
     """
-    import scipy.sparse as sp
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("spectral_radius needs a square matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = m.shape[0]
-    coo = sp.csr_array(m).tocoo()  # in row order
-    if n == 0 or coo.nnz == 0:
+    if dim == 0 or len(row) == 0:
         return RadiusEstimate(0.0, True, 0)
-    if n <= DENSE_DIRECT_MAX:
-        return RadiusEstimate(_dense_radius(coo.toarray()), True, 0)
-    C, labels, _ = _inside_components(coo.row, coo.col, n, coo.data)
+    if dim <= DENSE_DIRECT_MAX:
+        dense = np.zeros((dim, dim))
+        np.add.at(dense, (row, col), 1.0 if data is None else data)
+        return RadiusEstimate(_dense_radius(dense), True, 0)
+    C, labels, _ = _inside_components(row, col, dim, data)
     if C.nnz == 0:
         return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
-    lo_k, hi_k, it = _bracket(C, labels, tol, maxit)
+    lo_k, hi_k, it = _bracket(C, labels, DEFAULT_MAXIT)
     lo, hi = float(lo_k.max()), float(hi_k.max())
-    if hi - lo <= tol * hi:
+    if hi - lo <= DEFAULT_TOL * hi:
         return RadiusEstimate(hi, True, it)
     blocks = [np.flatnonzero(labels == k) for k in np.flatnonzero(hi_k >= lo)]
     if max(map(len, blocks)) > DENSE_FALLBACK_MAX:
-        return RadiusEstimate(hi, False, maxit)
-    eigs = [np.linalg.eigvals(C[idx][:, idx].toarray()) for idx in blocks]
-    return RadiusEstimate(max(float(np.max(np.abs(e))) for e in eigs), True, maxit)
+        return RadiusEstimate(hi, False, it)
+    value = max(_dense_radius(C[idx][:, idx].toarray()) for idx in blocks)
+    return RadiusEstimate(value, True, it)
 
 
 def _dense_radius(dense):
@@ -134,7 +141,7 @@ def _peel(rows, cols, dim):
     """Rows of the dim x dim graph (``rows`` sorted, ``cols``) that a cycle
     reaches: Kahn's algorithm, which removes every row no edge enters, takes
     their out-edges off the in-degrees and repeats, at most dim rounds."""
-    first = np.searchsorted(rows, np.arange(dim + 1))
+    first = _starts(rows, dim)
     indegree = np.bincount(cols, minlength=dim)
     free = np.flatnonzero(indegree == 0)
     while free.size:
@@ -144,10 +151,10 @@ def _peel(rows, cols, dim):
     return indegree > 0  # the rows never removed
 
 
-def _bracket(C, labels, tol, maxit):
+def _bracket(C, labels, maxit):
     """(lo_k, hi_k, iterations): Collatz-Wielandt bounds lo_k <= rho_k <= hi_k
-    of each component k, after power steps on I + C that stop once the
-    largest bracket closes to ``tol``."""
+    of each component k, after at most ``maxit`` power steps on I + C that
+    stop once the largest bracket closes to DEFAULT_TOL."""
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
     x = np.ones(len(labels))
@@ -156,7 +163,7 @@ def _bracket(C, labels, tol, maxit):
         ratio = (y / x)[order]
         lo_k, hi_k = np.minimum.reduceat(ratio, starts), np.maximum.reduceat(ratio, starts)
         hi = hi_k.max()
-        if hi - lo_k.max() <= tol * hi:
+        if hi - lo_k.max() <= DEFAULT_TOL * hi:
             break
         x += y
         x /= np.maximum.reduceat(x[order], starts)[labels]  # per component, no underflow
@@ -178,28 +185,23 @@ def _stacks(net, taus, hashimoto):
         yield (np.repeat(members, dims[members]), *_stack(net, members, hashimoto))
 
 
-def snapshot_radii(net, hashimoto, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT, taus=None):
+def snapshot_radii(net, hashimoto, taus=None):
     """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for the
     0-based snapshot indices ``taus``, by default all of them: each is
     :func:`spectral_radius` of the block, bit for bit.  Blocks of at most
     DENSE_DIRECT_MAX rows are stacked, and a peel of the stacks shows which
-    have a cycle; the others are nilpotent, radius 0.0, and each cyclic one
-    is filled dense from its edge arrays."""
+    have a cycle; the others are nilpotent, radius 0.0.  Every other block
+    goes to :func:`_radius` straight from its edge arrays."""
     taus = np.arange(net.N) if taus is None else np.asarray(taus, dtype=np.int64)
     dims = _dims(net, hashimoto)
     small = taus[dims[taus] <= DENSE_DIRECT_MAX]
     cyclic = {t for owner, *stack in _stacks(net, small, hashimoto) for t in owner[_peel(*stack)]}
 
     def radius(t):
-        snap, dim = net.snapshots[t], dims[t]
-        if dim > DENSE_DIRECT_MAX:
-            block = hashimoto_matrix(snap, net.n) if hashimoto else adjacency_matrix(net, t + 1)
-            return spectral_radius(block, tol, maxit)
-        if t not in cyclic:
+        if dims[t] <= DENSE_DIRECT_MAX and t not in cyclic:
             return RadiusEstimate(0.0, True, 0)
-        dense = np.zeros((dim, dim))
-        dense[_non_backtracking(snap.arrays) if hashimoto else snap.arrays[:2]] = 1.0
-        return RadiusEstimate(_dense_radius(dense), True, 0)
+        e = net.snapshots[t].arrays
+        return _radius(*(_non_backtracking(e) if hashimoto else e[:2]), dims[t])
 
     return [radius(t) for t in taus.tolist()]
 
@@ -237,7 +239,7 @@ def mode_bound(net, mode):
     for owner, *stack in _stacks(net, np.arange(net.N), hashimoto):
         C, labels, rows = _inside_components(*stack)
         if C.nnz:
-            lo_k, hi_k, _ = _bracket(C, labels, DEFAULT_TOL, STACK_STEPS)
+            lo_k, hi_k, _ = _bracket(C, labels, STACK_STEPS)
             lower = max(lower, float(lo_k.max()))
             found.append((owner[rows], hi_k[labels]))
     maybe = {t for owner, hi in found for t in owner[hi >= (1 - MARGIN) * lower]}

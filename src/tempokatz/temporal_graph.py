@@ -63,12 +63,15 @@ def _index_edges(sid, src, tgt):
     return keep, np.where(np.append(keys, -1)[pos] == reversed_key, pos, -1)
 
 
+def _starts(keys, size):
+    """Index in the sorted ``keys`` of the first key >= k, for k = 0..size."""
+    return np.searchsorted(keys, np.arange(size + 1))
+
+
 def sorted_csr(rows, cols, data, shape):
     """CSR array of entries already sorted by (row, column), without duplicates."""
     import scipy.sparse as sp
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_array((data, cols, indptr), shape=shape)
+    return sp.csr_array((data, cols, _starts(rows, shape[0])), shape=shape)
 
 
 def _compile(tau, edges):
@@ -167,7 +170,6 @@ class ParseReport:
     """Side information gathered while parsing an edge list."""
 
     duplicates_collapsed: int = 0
-    lines_read: int = 0
 
 
 #: ASCII digit strings up to this length always fit in int64
@@ -228,7 +230,6 @@ def parse_temporal_edgelist(text, report=None):
     converted at once; on an error, the first offending line is reported.
     """
     text = text if isinstance(text, str) else text.read()
-    lines_read = text.count("\n") + (not text.endswith("\n")) if text else 0
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
     codes, first, stop, line, ends = _tokens(text)
@@ -273,13 +274,12 @@ def parse_temporal_edgelist(text, report=None):
     timestamps, sid = np.unique(t, return_inverse=True)
     keep, rev = _index_edges(sid, u, v)
     src, tgt, sid = u[keep], v[keep], sid[keep]
-    offsets = np.searchsorted(sid, np.arange(len(timestamps) + 1))
+    offsets = _starts(sid, len(timestamps))
     rev = np.where(rev < 0, -1, rev - offsets[sid])
     for shared in (src, tgt, rev):
         shared.flags.writeable = False  # the snapshots hold views of them
     if report is not None:
         report.duplicates_collapsed = len(u) - len(keep)
-        report.lines_read = lines_read
     bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
     snapshots = tuple(
         Snapshot(k + 1, arrays=EdgeArrays(src[a:b], tgt[a:b], rev[a:b]))

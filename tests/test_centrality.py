@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempokatz as tk
-from tempokatz import Mode, ParameterError, Snapshot, TemporalNetwork, centrality
+from tempokatz import Mode, ParameterError, Snapshot, TemporalNetwork, centrality, matfun
 from tempokatz.matfun import SolveError
 from tempokatz.oracle import naive_exponential_product
 
@@ -403,10 +403,9 @@ def test_total_communicability_monotone_in_alpha():
         previous = y
 
 
-def test_truncation_flag_propagates(triangle):
-    y = tk.temporal_f_total_communicability(
-        triangle, 0.4, tk.exponential(), Mode.STANDARD, rmax=2
-    )
+def test_truncation_flag_propagates(triangle, monkeypatch):
+    monkeypatch.setattr(matfun, "DEFAULT_RMAX", 2)
+    y = tk.temporal_f_total_communicability(triangle, 0.4, tk.exponential(), Mode.STANDARD)
     assert y.truncated
 
 

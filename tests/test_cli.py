@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -204,6 +206,40 @@ def test_rank_bad_coefficient_line_exits_1(capsys, tmp_path, value):
     assert err == f"error: {coeffs}:2: not finite and nonnegative: '{value}'\n"
 
 
+def test_rank_coefficient_file_with_byte_order_mark(capsys, ex5_file, tmp_path):
+    # an editor's leading BOM is skipped, as in edge lists
+    coeffs = tmp_path / "c.txt"
+    argv = ("rank", ex5_file, "--function", f"coeffs:{coeffs}", "--alpha", "0.5")
+    coeffs.write_text("1\n0.5\n", encoding="utf-8")
+    plain = run(capsys, *argv)
+    coeffs.write_text("\ufeff1\n0.5\n", encoding="utf-8")
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_rank_output_file_gets_the_umask_mode(capsys, ex5_file, tmp_path, umask_022):
+    # as open(path, "w") would leave it: 0o666 less the umask
+    out_path = tmp_path / "out.csv"
+    assert run(capsys, "rank", ex5_file, "--alpha", "0.2", "-o", str(out_path))[0] == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o644
+
+
+def test_rank_output_file_keeps_its_mode(capsys, ex5_file, tmp_path, umask_022):
+    out_path = tmp_path / "out.csv"
+    out_path.write_text("old\n")
+    out_path.chmod(0o640)
+    assert run(capsys, "rank", ex5_file, "--alpha", "0.2", "-o", str(out_path))[0] == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
+    assert len(parse_csv(out_path.read_text())[1]) == 4
+
+
 def test_rank_output_file_atomic(capsys, ex5_file, tmp_path):
     out_path = tmp_path / "out.csv"
     code, _, _ = run(
@@ -391,9 +427,14 @@ def test_rank_computes_only_the_radii_of_its_mode(
     capsys, fig_file, monkeypatch, mode, hashimoto
 ):
     counts = {"rho_A": 0, "B": 0}
-    # spectral builds A^[tau] only to take its radius
-    _count_calls(monkeypatch, spectral, "adjacency_matrix", counts, "rho_A")
-    _count_calls(monkeypatch, spectral, "hashimoto_matrix", counts, "B")
+    # spectral takes a radius of either family only through snapshot_radii
+    radii = spectral.snapshot_radii
+
+    def counted_radii(net, hashimoto, taus=None):
+        counts["B" if hashimoto else "rho_A"] += 1
+        return radii(net, hashimoto, taus)
+
+    monkeypatch.setattr(spectral, "snapshot_radii", counted_radii)
     _count_calls(monkeypatch, line_space, "hashimoto_matrix", counts, "B")
     # the stacked bound of mode_bound builds one family from the edge arrays
     stack = spectral._stack

@@ -120,9 +120,10 @@ def test_apply_series_dimension_mismatch(ex5):
         tk.apply_series(M, 0.1, tk.exponential(), np.ones(5))
 
 
-def test_apply_series_truncation_flag(triangle):
+def test_apply_series_truncation_flag(triangle, monkeypatch):
+    monkeypatch.setattr(matfun, "DEFAULT_RMAX", 3)
     M = tk.global_transition(triangle, Mode.STANDARD)
-    result = tk.apply_series(M, 0.45, tk.resolvent(1, 1), np.ones(6), rmax=3)
+    result = tk.apply_series(M, 0.45, tk.resolvent(1, 1), np.ones(6))
     assert result.truncated
 
 

@@ -251,9 +251,10 @@ def test_radius_components_do_not_underflow():
     assert math.sqrt(600) <= est.value <= math.sqrt(600) * (1 + 1e-9)
 
 
-def test_radius_dense_fallback_when_bracket_stays_open():
+def test_radius_dense_fallback_when_bracket_stays_open(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_MAXIT", 3)
     A = tk.adjacency_matrix(STAR, 1)
-    est = tk.spectral_radius(A, maxit=3)
+    est = tk.spectral_radius(A)
     assert est.converged
     assert est.iterations == 3
     assert est.value == pytest.approx(math.sqrt(600), rel=1e-12)
@@ -261,10 +262,11 @@ def test_radius_dense_fallback_when_bracket_stays_open():
 
 def test_radius_open_bracket_above_fallback_limit(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX", 600)
-    est = tk.spectral_radius(tk.adjacency_matrix(STAR, 1), maxit=3)
+    monkeypatch.setattr(spectral, "DEFAULT_MAXIT", 3)
+    est = tk.spectral_radius(tk.adjacency_matrix(STAR, 1))
     assert not est.converged
     assert est.value >= math.sqrt(600)
-    (est,) = spectral.snapshot_radii(K_20_30, hashimoto=True, maxit=3)
+    (est,) = spectral.snapshot_radii(K_20_30, hashimoto=True)
     assert est.converged is False
     assert est.value >= math.sqrt(19 * 29)
 
@@ -330,9 +332,9 @@ def recorded_radii(monkeypatch):
     per call, recorded while ``monkeypatch`` is active."""
     calls, snapshot_radii = [], spectral.snapshot_radii
 
-    def recorded(net, hashimoto, tol=spectral.DEFAULT_TOL, maxit=spectral.DEFAULT_MAXIT, taus=None):
+    def recorded(net, hashimoto, taus=None):
         calls.append(list(range(net.N) if taus is None else taus))
-        return snapshot_radii(net, hashimoto, tol, maxit, taus)
+        return snapshot_radii(net, hashimoto, taus)
 
     monkeypatch.setattr(spectral, "snapshot_radii", recorded)
     return calls

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import ParseError, ParseReport, Snapshot, TemporalNetwork, ValidationError, oracle
+from tempokatz.temporal_graph import _starts
 
 from conftest import FIG_NETWORK, random_network
 
@@ -214,6 +215,19 @@ def edge_lists(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@given(st.integers(1, 30), st.lists(st.integers(0, 10**6), max_size=60))
+@settings(deadline=None)
+def test_starts_are_the_cumulative_key_counts(size, draws):
+    # the row pointer of sorted keys 0..size-1, as bincount and cumsum give it
+    keys = np.sort(np.array(draws, dtype=np.int64) % size)
+    want = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=want[1:])
+    got = _starts(keys, size)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(_starts(keys[:0], 0), [0])
 
 
 @given(edge_lists(), st.booleans())
