@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .line_space import Mode, global_source_target, global_transition
-from .matfun import (
-    DEFAULT_TOL,
-    SolveError,
-    apply_series,
-    partial_op,
-    resolvent,
-    resolvent_solver,
-)
+from .matfun import SolveError, apply_series, partial_op, resolvent, resolvent_solver
 from .spectral import mode_bound
 
 
@@ -96,19 +89,20 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     return temporal_f_total_communicability(net, alpha, resolvent(), Mode.NBT_SPACE, force=force)
 
 
-def _node_block(net, alpha, f, mode, tol, force):
+def _node_block(net, alpha, f, mode, force):
     """Check alpha (:func:`_check_alpha`) and return (apply, run):
     apply(W) -> (Y, truncated) with Y = c_0 W + alpha L_g^T (shifted f)(alpha
     M) R_g W for an n-vector or n x k block W, and ``run`` the run's
     CentralityVector fields.  A resolvent factors each snapshot once, here,
     and never forms M (node_space: whether every system is n x n); any other
-    weight sums its series on the assembled M."""
+    weight sums its series on the assembled M.  Both hold to the fixed
+    ``matfun.DEFAULT_TOL``: each solve's backward error, the series' stop."""
     ell = _check_alpha(net, alpha, mode, f.radius, force)
     run = {"mode": mode, "alpha": alpha, "function": f.name, "ell": ell}
     if f.geometric is not None:
         gamma, delta = f.geometric
         # c_0 = gamma, and the shifted resolvent is gamma delta / (1 - delta z)
-        solve = resolvent_solver(net, mode, alpha * delta, tol=tol)
+        solve = resolvent_solver(net, mode, alpha * delta)
         run["node_space"] = solve.node_space
         return (lambda W: (gamma * solve(W), False)), run
     g = partial_op(f)
@@ -116,7 +110,7 @@ def _node_block(net, alpha, f, mode, tol, force):
     M = global_transition(net, mode)
 
     def series(W):
-        result = apply_series(M, alpha, g, Rg @ W, tol=tol)
+        result = apply_series(M, alpha, g, Rg @ W)
         return f(0) * W + alpha * (Lg.T @ result.value), result.truncated
 
     return series, run
@@ -135,19 +129,19 @@ def _column_blocks(apply, net):
         yield (nodes, *apply(units))
 
 
-def temporal_f_total_communicability(net, alpha, f, mode, tol=DEFAULT_TOL, force=False):
+def temporal_f_total_communicability(net, alpha, f, mode, force=False):
     """y = c_0 1 + alpha L_g^T [(shifted f)(alpha M) 1_m] with L_g the global
     source matrix and M the mode's global transition matrix."""
-    apply, run = _node_block(net, alpha, f, mode, tol, force)
+    apply, run = _node_block(net, alpha, f, mode, force)
     y, truncated = apply(np.ones(net.n))
     return CentralityVector(y, "total-communicability", truncated=truncated, **run)
 
 
-def temporal_f_subgraph_centrality(net, alpha, f, mode, tol=DEFAULT_TOL, force=False, threads=None):
+def temporal_f_subgraph_centrality(net, alpha, f, mode, force=False, threads=None):
     """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, applied to
     blocks of unit columns; nodes that are never a target stay at c_0.
     ``threads`` is accepted for compatibility and ignored."""
-    apply, run = _node_block(net, alpha, f, mode, tol, force)
+    apply, run = _node_block(net, alpha, f, mode, force)
     values = np.full(net.n, float(f(0)))
     truncated = False
     for nodes, Y, trunc in _column_blocks(apply, net):
@@ -156,10 +150,10 @@ def temporal_f_subgraph_centrality(net, alpha, f, mode, tol=DEFAULT_TOL, force=F
     return CentralityVector(values, "subgraph", truncated=truncated, **run)
 
 
-def communicability_matrix(net, alpha, f, mode, tol=DEFAULT_TOL, force=False):
+def communicability_matrix(net, alpha, f, mode, force=False):
     """Full n x n weighted walk-count matrix c_0 I + alpha L_g^T (shifted
     f)(alpha M) R_g.  Dense output; intended for small n (tests, debugging)."""
-    apply, _ = _node_block(net, alpha, f, mode, tol, force)
+    apply, _ = _node_block(net, alpha, f, mode, force)
     Q = f(0) * np.eye(net.n)
     for nodes, Y, _ in _column_blocks(apply, net):
         Q[:, nodes] = Y

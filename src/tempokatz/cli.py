@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import stat
 import sys
@@ -84,9 +83,10 @@ def _write_output(text, out_path):
         sys.stdout.write(text)
         return
     # write to a temp file in the target directory, rename on success, with
-    # the mode open(out_path, "w") leaves: the file's own, else 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tempokatz-")
+    # the mode open(out_path, "w") leaves: the file's own, else 0o666 & ~umask;
+    # a symlink is resolved first, so that its target is written, as open does
+    out_path = os.path.realpath(out_path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out_path), prefix=".tempokatz-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -125,8 +125,6 @@ def _render_json(meta, rows):
 
 
 def cmd_rank(args):
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     net, _ = _parse_input(args.input)
     mode = Mode(args.mode)
     f = _load_function(args.function)
@@ -134,7 +132,7 @@ def cmd_rank(args):
         temporal_f_total_communicability if args.measure == "tc" else temporal_f_subgraph_centrality
     )
     try:
-        result = measure(net, args.alpha, f, mode, tol=args.tol, force=args.force)
+        result = measure(net, args.alpha, f, mode, force=args.force)
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -243,11 +241,6 @@ def build_parser():
         help="tc = total communicability (row sums), sc = subgraph (diagonal)",
     )
     p_rank.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_rank.add_argument(
-        "--tol", type=float, default=matfun.DEFAULT_TOL,
-        help="bound on each solve's normwise backward error, and the relative "
-        "size of the last series term summed",
-    )
     p_rank.add_argument(
         "--force", action="store_true",
         help="allow alpha outside the proven interval",

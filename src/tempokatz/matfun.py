@@ -10,10 +10,10 @@ A series is summed on an assembled matrix (``apply_series``).  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
 to blocks of node values without M, in one back-substitution from the last
 snapshot to the first.  Each step factors one system with one set of LU
-options that pivots on the diagonal, and is accepted on that system's
-backward error.  Where the step is n x n, every mode solves the same
-P_t D = alpha L_t^T c, with its own per-edge right side c; otherwise it
-solves an m_t x m_t Hashimoto block.
+options that pivots on the diagonal, and is accepted if that system's
+backward error is at most DEFAULT_TOL.  Where the step is n x n, every
+mode solves the same P_t D = alpha L_t^T c, with its own per-edge right
+side c; otherwise it solves an m_t x m_t Hashimoto block.
 ``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
 partial pivoting, and is the tests' reference for it.
 """
@@ -93,9 +93,9 @@ def polynomial(coeffs, name=None):
     )
 
 
-def monomial(r, c=1.0):
-    """c * z^r, used to extract single walk-length contributions."""
-    return polynomial([0.0] * r + [c], name=f"monomial(r={r})")
+def monomial(r):
+    """z^r, which weights only the walks of length r."""
+    return polynomial([0.0] * r + [1.0], name=f"monomial(r={r})")
 
 
 def from_coefficient_file(path):
@@ -175,13 +175,13 @@ def _block(v, shape):
     return v if v.ndim == 2 else v[:, None]
 
 
-def apply_series(M, alpha, g, v, tol=DEFAULT_TOL):
+def apply_series(M, alpha, g, v):
     """Evaluate sum_r g_r alpha^r M^r v by accumulating sparse products, for
     a vector v or each column of an m x k block v.
 
     A polynomial is summed to its degree.  An infinite series stops adding
-    to a column once its new term's max-norm drops below tol times that
-    column's accumulated max-norm.  Every column stops exactly when M
+    to a column once its new term's max-norm drops below DEFAULT_TOL times
+    that column's accumulated max-norm.  Every column stops exactly when M
     annihilates its power (nilpotent case); the sum ends when all columns
     have stopped, or after DEFAULT_RMAX terms (flagged as truncated).  A
     column whose sum overflows raises SolveError.  The caller is responsible
@@ -204,7 +204,7 @@ def apply_series(M, alpha, g, v, tol=DEFAULT_TOL):
                 if g.degree is None:
                     term_norm = np.max(np.abs(term), axis=0, initial=0.0)
                     acc_norm = np.max(np.abs(acc), axis=0, initial=0.0)
-                    power[:, term_norm <= tol * np.maximum(acc_norm, 1e-300)] = 0.0
+                    power[:, term_norm <= DEFAULT_TOL * np.maximum(acc_norm, 1e-300)] = 0.0
             if not power.any():
                 truncated = False
                 break
@@ -223,25 +223,27 @@ def _factor(P, **options):
         raise SolveError(f"I - alpha M is singular ({exc})") from None
 
 
-def _colmax(X):
-    """The max-norm of each column of X, or of each block X[i] stacked in X."""
-    return np.max(np.abs(X), axis=-2, initial=0.0)
+def _inf_norm(P):
+    """||P||_inf of a CSC matrix P, whose indices are row numbers."""
+    return np.bincount(P.indices, np.abs(P.data), minlength=P.shape[0]).max(initial=0.0)
 
 
-def _accept(norms, a_norm, tol):
-    """Raise SolveError unless every column x of a solution of A x = v has a
-    normwise backward error resid / (||A||_inf ||x||_inf + ||v||_inf) of at
-    most tol, where ``norms`` stacks each column's resid = ||A x - v||_inf,
-    ||x||_inf and ||v||_inf (3 x k), and a_norm = ||A||_inf."""
-    resid, x_norm, v_norm = norms
-    scale = a_norm * x_norm + v_norm
-    bad = ~(resid <= tol * scale)  # NaN fails too
+def _solve(lu, P, b, norm):
+    """x = lu.solve(b) for an m x k block b, with lu the factor of P and
+    norm = ||P||_inf.  Raise SolveError unless every column has a normwise
+    backward error ||P x - b||_inf / (||P||_inf ||x||_inf + ||b||_inf) of at
+    most DEFAULT_TOL."""
+    x = lu.solve(b)
+    resid, x_norm, b_norm = np.max(np.abs((P @ x - b, x, b)), axis=-2, initial=0.0)
+    scale = norm * x_norm + b_norm
+    bad = ~(resid <= DEFAULT_TOL * scale)  # NaN fails too
     if bad.any():
         k = int(np.argmax(bad))
         raise SolveError(
-            f"backward error {resid[k] / scale[k]:.3e} exceeds {tol:.1e} "
+            f"backward error {resid[k] / scale[k]:.3e} exceeds {DEFAULT_TOL:.1e} "
             "(system near singular?)"
         )
+    return x
 
 
 #: splu options for every system :func:`resolvent_solver` factors.  With
@@ -259,7 +261,7 @@ def _accept(norms, a_norm, tol):
 _NODE_LU = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
 
 
-def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
+def resolvent_solver(net, mode, alpha):
     """Factor I - alpha M, with M the global transition matrix of ``net`` in
     ``mode``, snapshot by snapshot without forming M; return apply(W) =
     W + alpha L_g^T (I - alpha M)^-1 R_g W for an n-vector or n x k block W
@@ -292,12 +294,12 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
     I - alpha B_t and solves for x_t.
 
     Every step factors its P with the options ``_NODE_LU``, which pivot on
-    the diagonal, and is accepted on the normwise backward error of that
-    system, ||P x - b||_inf <= tol (||P||_inf ||x||_inf + ||b||_inf) for
-    every column; a failed column, or an exactly singular factor, raises
-    SolveError.  A block row of I - alpha M splits into its diagonal block
-    and its coupling, each of norm at most ||I - alpha M||_inf, so Hashimoto
-    steps that pass at tol bound the whole backward error by about 2 tol.
+    the diagonal, and is accepted by :func:`_solve` on the normwise backward
+    error of that system, at most DEFAULT_TOL in every column; a failed
+    column, or an exactly singular factor, raises SolveError.  A block row
+    of I - alpha M splits into its diagonal block and its coupling, each of
+    norm at most ||I - alpha M||_inf, so Hashimoto steps that pass bound the
+    whole backward error by about 2 DEFAULT_TOL.
     Requires alpha * rho(M) < 1 for the result to mean a walk series.
     """
     nbt = mode is Mode.NBT_SPACE
@@ -312,12 +314,10 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
             continue
         e = snap.arrays
         P = katz_system(snap, net.n, alpha, nbt) if node_space else hashimoto_system(snap, alpha)
-        # P is CSC, so its indices are row numbers
-        norm = np.bincount(P.indices, np.abs(P.data), minlength=P.shape[0]).max()
         firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
         heads = (e.src[firsts], firsts)
         rows = slice(net.offsets[t], net.offsets[t + 1])
-        steps.append((rows, e, heads, P, _factor(P, **_NODE_LU), norm))
+        steps.append((rows, e, heads, P, _factor(P, **_NODE_LU), _inf_norm(P)))
 
     def apply(W):
         shape, W = np.shape(W), _block(W, (net.n, net.n))
@@ -333,11 +333,11 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
                 c = b
                 if nbt:
                     c = np.where(e.rev[:, None] >= 0, b - alpha * Y[e.src], (1 - alpha**2) * b)
-                D = _solve(lu, P, alpha * _sources(heads, c, net.n), norm, tol)
+                D = _solve(lu, P, alpha * _sources(heads, c, net.n), norm)
                 Y += D
                 x = b + D[e.tgt] if paired else None
             else:
-                x = _solve(lu, P, b, norm, tol)
+                x = _solve(lu, P, b, norm)
                 Y += alpha * _sources(heads, x, net.n)
             if paired:
                 later[pair[rows]] += x
@@ -345,14 +345,6 @@ def resolvent_solver(net, mode, alpha, tol=DEFAULT_TOL):
 
     apply.node_space = node_space
     return apply
-
-
-def _solve(lu, P, b, norm, tol):
-    """lu.solve(b), with lu the factor of P and norm = ||P||_inf, accepted
-    by :func:`_accept`."""
-    x = lu.solve(b)
-    _accept(_colmax(np.array((P @ x - b, x, b))), norm, tol)
-    return x
 
 
 def _paired_rhs(W, Y, later, alpha, tgt, skip, first):
@@ -384,12 +376,9 @@ def _sources(heads, values, n):
 
 def resolvent_solve(M, alpha, v):
     """Solve (I - alpha M) x = v for a vector or m x k block v with one
-    sparse LU of the whole matrix; the reference for :func:`resolvent_solver`,
-    with the same acceptance test."""
+    sparse LU of the whole matrix, accepted by :func:`_solve`; the reference
+    for :func:`resolvent_solver`."""
     import scipy.sparse as sp
     b = _block(v, M.shape)
     A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
-    x = _factor(A).solve(b)
-    a_norm = np.max(abs(A).sum(axis=1), initial=0.0)
-    _accept(_colmax(np.array((A @ x - b, x, b))), a_norm, DEFAULT_TOL)
-    return x.reshape(np.shape(v))
+    return _solve(_factor(A), A, b, _inf_norm(A)).reshape(np.shape(v))

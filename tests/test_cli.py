@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -206,6 +207,21 @@ def test_rank_bad_coefficient_line_exits_1(capsys, tmp_path, value):
     assert err == f"error: {coeffs}:2: not finite and nonnegative: '{value}'\n"
 
 
+def test_rank_coefficient_file_without_coefficients_exits_1(capsys, ex5_file, tmp_path):
+    coeffs = tmp_path / "c.txt"
+    coeffs.write_text("# only a comment\n\n")
+    code, out, err = run(
+        capsys, "rank", ex5_file, "--function", f"coeffs:{coeffs}", "--alpha", "0.5"
+    )
+    assert (code, out, err) == (1, "", f"error: {coeffs}: no coefficients\n")
+
+
+def test_rank_unknown_function_exits_1(capsys, ex5_file):
+    code, out, err = run(capsys, "rank", ex5_file, "--function", "bogus", "--alpha", "0.5")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown function 'bogus' (katz | exponential | coeffs:<path>)\n"
+
+
 def test_rank_coefficient_file_with_byte_order_mark(capsys, ex5_file, tmp_path):
     # an editor's leading BOM is skipped, as in edge lists
     coeffs = tmp_path / "c.txt"
@@ -253,6 +269,32 @@ def test_rank_output_file_atomic(capsys, ex5_file, tmp_path):
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tempokatz-")] == []
 
 
+def test_rank_output_through_a_symlink_writes_its_target(capsys, ex5_file, tmp_path):
+    # as open(path, "w") would: the link stays a link to the rewritten target
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    code, out, err = run(capsys, "rank", ex5_file, "--alpha", "0.1", "-o", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == run(capsys, "rank", ex5_file, "--alpha", "0.1")[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex5.txt", "link.csv", "target.csv"]
+
+
+def test_rank_output_write_failure_keeps_the_old_file(capsys, ex5_file, tmp_path, monkeypatch):
+    out_path = tmp_path / "out.csv"
+    out_path.write_text("old\n")
+
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full)
+    code, out, err = run(capsys, "rank", ex5_file, "--alpha", "0.1", "-o", str(out_path))
+    assert (code, out, err) == (1, "", "error: [Errno 28] No space left on device\n")
+    assert out_path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tempokatz-")] == []
+
+
 def test_rank_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "rank", str(tmp_path / "nope.txt"), "--alpha", "0.1")
     assert code == 1
@@ -281,6 +323,15 @@ def test_check_alpha_nbt_mode(capsys, triangle_file):
     assert code == 0
     assert out.splitlines()[0].startswith("ell = ")
     assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_check_alpha_unconverged_exits_3(capsys, fig_file, monkeypatch):
+    real = cli.alpha_bound
+    monkeypatch.setattr(
+        cli, "alpha_bound", lambda net, mode: dataclasses.replace(real(net, mode), converged=False)
+    )
+    code, out, err = run(capsys, "check-alpha", fig_file)
+    assert (code, out, err) == (3, "", "error: spectral radius estimation did not converge\n")
 
 
 def test_check_alpha_nilpotent(capsys, ex5_file):
@@ -387,6 +438,8 @@ def test_dump_matrix_unknown(capsys, ex5_file):
         assert code == 1
         assert out == ""
         assert err == f"error: tau={tau} out of range [1, 3]\n"
+    code, out, err = run(capsys, "dump-matrix", ex5_file, "A:x")
+    assert (code, out, err) == (1, "", "error: bad snapshot index in 'A:x'\n")
 
 
 def test_help_exits_zero(capsys):
@@ -699,14 +752,6 @@ def test_library_rejects_nan_alpha_even_with_force(fig1):
         )
     with pytest.raises(tk.ParameterError):
         tk.dynamic_katz_node_level(fig1, math.nan, force=True)
-
-
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-def test_rank_rejects_bad_tol(capsys, three_file, tol):
-    code, out, err = run(capsys, "rank", three_file, "--alpha", "0.1", "--tol", tol)
-    assert code == 1
-    assert out == ""
-    assert "--tol must be positive and finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("measure", ["tc", "sc"])

@@ -85,7 +85,8 @@ def test_apply_series_alpha_zero(ex5):
     np.testing.assert_array_equal(result.value, g(0) * v)
 
 
-def test_apply_series_matches_resolvent_solve():
+def test_apply_series_matches_resolvent_solve(monkeypatch):
+    monkeypatch.setattr(matfun, "DEFAULT_TOL", 1e-14)
     rng = np.random.default_rng(30)
     for _ in range(5):
         net = random_network(rng, n=5, N=1, density=0.4)
@@ -95,7 +96,7 @@ def test_apply_series_matches_resolvent_solve():
             continue
         alpha = 0.9 / rho
         v = rng.random(net.m)
-        series = tk.apply_series(M, alpha, tk.resolvent(1, 1), v, tol=1e-14)
+        series = tk.apply_series(M, alpha, tk.resolvent(1, 1), v)
         solved = tk.resolvent_solve(M, alpha, v)
         np.testing.assert_allclose(series.value, solved, atol=1e-8)
 
@@ -107,9 +108,10 @@ def test_apply_series_nonnegative_preserved(fig1):
     assert (result.value >= 0).all()
 
 
-def test_apply_series_nilpotent_exact_termination(ex5):
+def test_apply_series_nilpotent_exact_termination(ex5, monkeypatch):
+    monkeypatch.setattr(matfun, "DEFAULT_TOL", 1e-300)
     M = tk.global_transition(ex5, Mode.STANDARD)
-    result = tk.apply_series(M, 1.0, tk.resolvent(1, 1), np.ones(3), tol=1e-300)
+    result = tk.apply_series(M, 1.0, tk.resolvent(1, 1), np.ones(3))
     assert not result.truncated
     assert result.terms == 4  # nilpotency index 3: powers 0..3, last one zero
 
