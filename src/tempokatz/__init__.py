@@ -8,15 +8,16 @@ A resolvent (Katz) weighting never forms M: it factors one system per
 snapshot and back-substitutes from the last snapshot to the first, coupling
 the snapshots through running node sums (and, where reversals across
 snapshots are forbidden, running sums over directed pairs).  The system is
-n x n, I - alpha A_t or the non-backtracking cubic, and every mode solves it
-for the same node increment, except in NBT-both and in NBT-in-space for
-alpha > 1/2, which factor the Hashimoto block.  Other weightings sum the
-series with sparse products on M.
+I - alpha A_t or the non-backtracking cubic on the snapshot's distinct
+sources, and every mode solves it for the same node increment, except in
+NBT-both and in NBT-in-space for alpha > 1/2, which factor the Hashimoto
+block.  Other weightings sum the series with sparse products on M.
 
 Importing the package needs only numpy: each function that calls SciPy
-imports it itself, so SciPy loads on the first sparse build or
-factorization.  Parsing (``validate``) never loads it, and neither does
-``alpha_bound`` (``check-alpha``) while every block has at most 200 rows.
+imports it itself, so SciPy loads on the first sparse build or sparse
+factorization.  Parsing (``validate``) never loads it, and neither do
+``alpha_bound`` (``check-alpha``) and the Katz measures while every block
+and every system they factor has at most 200 rows.
 """
 
 from .centrality import (

@@ -12,7 +12,7 @@ sparse x dense block products.
 
 Every measure checks alpha in one place, ``_check_alpha``, against the bound
 ell of ``spectral.mode_bound``, which its result carries with whether the
-Katz engine factored only n x n systems.
+Katz engine factored only node systems.
 ``dynamic_katz_node_level`` and ``nbt_space_katz_node_level`` are Katz total
 communicability through the same engine, kept under their old names.
 """
@@ -42,7 +42,7 @@ class ParameterError(ValueError):
 class CentralityVector:
     """Centrality values for all n nodes, with the run's metadata: ``ell``
     is the mode's bound (computed with force too), and ``node_space`` whether
-    the Katz engine factored only n x n systems (False for a series)."""
+    the Katz engine factored only node systems (False for a series)."""
 
     values: np.ndarray
     measure: str
@@ -58,16 +58,18 @@ class CentralityVector:
 
 
 def _check_alpha(net, alpha, mode, radius, force):
-    """Return ell = ``mode_bound(net, mode)[0]``.  Raise ParameterError
-    unless alpha is finite and nonnegative, even with force.  Without force,
-    raise SolveError if the bound did not converge and ParameterError unless
-    alpha < radius * ell; a non-converged ell, 1 / hi of an open bracket,
-    still never exceeds the true supremum."""
+    """Return (alpha, ell), ell = ``mode_bound(net, mode)[0]``, with an alpha
+    of -0.0 read as 0.0.  Raise ParameterError unless alpha is finite and
+    nonnegative, even with force.  Without force, raise SolveError if the
+    bound did not converge and ParameterError unless alpha < radius * ell; a
+    non-converged ell, 1 / hi of an open bracket, still never exceeds the
+    true supremum."""
     if not 0 <= alpha < math.inf:  # NaN fails too
         raise ParameterError(f"alpha must be finite and nonnegative, got {alpha}")
+    alpha = abs(alpha)
     ell, converged = mode_bound(net, mode)
     if force:
-        return ell
+        return alpha, ell
     if not converged:
         raise SolveError("spectral radius estimation did not converge")
     sup = radius * ell
@@ -76,7 +78,7 @@ def _check_alpha(net, alpha, mode, radius, force):
             f"alpha={alpha} is outside the admissible interval (0, {sup:.17g}) "
             f"for mode {mode.value}; pass --force (force=True) to override"
         )
-    return ell
+    return alpha, ell
 
 
 def dynamic_katz_node_level(net, alpha, force=False):
@@ -94,10 +96,10 @@ def _node_block(net, alpha, f, mode, force):
     apply(W) -> (Y, truncated) with Y = c_0 W + alpha L_g^T (shifted f)(alpha
     M) R_g W for an n-vector or n x k block W, and ``run`` the run's
     CentralityVector fields.  A resolvent factors each snapshot once, here,
-    and never forms M (node_space: whether every system is n x n); any other
-    weight sums its series on the assembled M.  Both hold to the fixed
+    and never forms M (node_space: whether every system is a node system);
+    any other weight sums its series on the assembled M.  Both hold to the fixed
     ``matfun.DEFAULT_TOL``: each solve's backward error, the series' stop."""
-    ell = _check_alpha(net, alpha, mode, f.radius, force)
+    alpha, ell = _check_alpha(net, alpha, mode, f.radius, force)
     run = {"mode": mode, "alpha": alpha, "function": f.name, "ell": ell}
     if f.geometric is not None:
         gamma, delta = f.geometric

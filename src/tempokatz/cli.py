@@ -142,7 +142,7 @@ def cmd_rank(args):
     ranks = _dense_ranks(values, order)
     rows = [(i, _fmt(values[i]), r) for i, r in zip(order, ranks)]
     meta = {
-        "alpha": _fmt(args.alpha),
+        "alpha": _fmt(result.alpha),
         "ell": _fmt(result.ell),
         "mode": mode.value,
         "function": args.function,

@@ -102,40 +102,48 @@ def hashimoto_matrix(snapshot, n):
     return _ones(*_non_backtracking(snapshot.arrays), (snapshot.m, snapshot.m))
 
 
-def _csc_with_diagonal(rows, cols, off, diag, dim):
-    """dim x dim CSC array of the entries ``off`` at (rows, cols), none on the
-    diagonal, plus the diagonal ``diag``; zero entries are dropped."""
-    import scipy.sparse as sp
+def _with_diagonal(rows, cols, off, diag):
+    """(rows, cols, values) of the len(diag)-square matrix with the entries
+    ``off`` at (rows, cols), none on the diagonal, plus the diagonal ``diag``,
+    in CSC order (by column, then row), zero entries dropped."""
+    dim = len(diag)
     nodes = np.arange(dim)
     rows, cols = np.concatenate((rows, nodes)), np.concatenate((cols, nodes))
     values = np.concatenate((off, diag))
-    order = np.argsort(cols * dim + rows)  # by column, then row; no duplicates
+    order = np.argsort(cols * dim + rows)  # no duplicates
     order = order[values[order] != 0]
-    return sp.csc_array((values[order], rows[order], _starts(cols[order], dim)), shape=(dim, dim))
+    return rows[order], cols[order], values[order]
 
 
-def hashimoto_system(snapshot, alpha):
-    """I - alpha B_t as m_t x m_t CSC."""
-    rows, cols = _non_backtracking(snapshot.arrays)
+def _csc(rows, cols, values, dim):
+    """dim x dim CSC array of entries in CSC order."""
+    import scipy.sparse as sp
+    return sp.csc_array((values, rows, _starts(cols, dim)), shape=(dim, dim))
+
+
+def _hashimoto_entries(e, alpha):
+    """:func:`_with_diagonal` entries of I - alpha B_t, from edge arrays e."""
+    rows, cols = _non_backtracking(e)
+    return _with_diagonal(rows, cols, np.full(len(rows), 0.0 - alpha), np.ones(len(e.src)))
+
+
+def _katz_entries(e, nodes, alpha, nbt):
+    """:func:`_with_diagonal` entries of I - alpha A_t or, with ``nbt``, the
+    NBT-in-space cubic I - alpha A_t + alpha^2 (D - I) + alpha^3 (A_t - S),
+    where S holds the reciprocated edges of the edge arrays e and D counts
+    them per source node.  Rows and columns are restricted to ``nodes``
+    (sorted, every source among them) and numbered by their place there.
+    Each entry is evaluated in the order of the sparse sums of
+    ``oracle.reference_katz_system``, so the two are equal bit for bit."""
+    rows, cols = np.searchsorted(nodes, e.src), np.searchsorted(nodes, e.tgt)
     off = np.full(len(rows), 0.0 - alpha)
-    return _csc_with_diagonal(rows, cols, off, np.ones(snapshot.m), snapshot.m)
-
-
-def katz_system(snapshot, n, alpha, nbt):
-    """I - alpha A_t as n x n CSC or, with ``nbt``, the NBT-in-space cubic
-    I - alpha A_t + alpha^2 (D - I) + alpha^3 (A_t - S), where S holds the
-    snapshot's reciprocated edges and D counts them per source node.  Each
-    entry is evaluated in the order of the sparse sums of
-    ``oracle.reference_katz_system``, zeros dropped, so the two are equal
-    bit for bit."""
-    e = snapshot.arrays
-    off = np.full(len(e.src), 0.0 - alpha)
-    diag = np.ones(n)
+    diag = np.ones(len(nodes))
     if nbt:
         paired = e.rev >= 0
-        diag = 1.0 + alpha**2 * (np.bincount(e.src[paired], minlength=n) - 1.0)
+        diag = 1.0 + alpha**2 * (np.bincount(rows[paired], minlength=len(nodes)) - 1.0)
         off[~paired] += alpha**3
-    return _csc_with_diagonal(e.src, e.tgt, off, diag, n)
+    inside = nodes[np.minimum(cols, len(nodes) - 1)] == e.tgt
+    return _with_diagonal(rows[inside], cols[inside], off[inside], diag)
 
 
 def global_source_target(net):

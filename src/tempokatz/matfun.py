@@ -9,11 +9,13 @@ walks they represent.
 A series is summed on an assembled matrix (``apply_series``).  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
 to blocks of node values without M, in one back-substitution from the last
-snapshot to the first.  Each step factors one system with one set of LU
-options that pivots on the diagonal, and is accepted if that system's
-backward error is at most DEFAULT_TOL.  Where the step is n x n, every
-mode solves the same P_t D = alpha L_t^T c, with its own per-edge right
-side c; otherwise it solves an m_t x m_t Hashimoto block.
+snapshot to the first.  Each step factors one system, pivoting on the
+diagonal with no row interchanges: one of at most DENSE_DIRECT_MAX rows is
+inverted on numpy alone, in stacks of equal padded size, and a larger one
+is factored by SuperLU.  A step is accepted if that system's backward error
+is at most DEFAULT_TOL.  A node step solves P_t D = alpha L_t^T c on the
+rows of the snapshot's distinct sources, with a per-edge right side c of
+its mode; otherwise the step solves an m_t x m_t Hashimoto block.
 ``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
 partial pivoting, and is the tests' reference for it.
 """
@@ -26,7 +28,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .line_space import Mode, _ranges, hashimoto_system, katz_system, pair_index
+from .line_space import Mode, _csc, _hashimoto_entries, _katz_entries, _ranges, pair_index
+from .spectral import DENSE_DIRECT_MAX
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RMAX = 10_000
@@ -223,9 +226,25 @@ def _factor(P, **options):
         raise SolveError(f"I - alpha M is singular ({exc})") from None
 
 
+class _Entries(NamedTuple):
+    """The dim x dim matrix with ``values`` at (``rows``, ``cols``), in CSC
+    order; ``P @ x`` for a dim x k block x."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def __matmul__(self, x):
+        k = x.shape[1]
+        at = (self.rows[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(at, (self.values[:, None] * x[self.cols]).ravel(), self.dim * k)
+        return sums.reshape(self.dim, k)
+
+
 def _inf_norm(P):
-    """||P||_inf of a CSC matrix P, whose indices are row numbers."""
-    return np.bincount(P.indices, np.abs(P.data), minlength=P.shape[0]).max(initial=0.0)
+    """||P||_inf of :class:`_Entries` P."""
+    return np.bincount(P.rows, np.abs(P.values), minlength=P.dim).max(initial=0.0)
 
 
 def _solve(lu, P, b, norm):
@@ -246,19 +265,105 @@ def _solve(lu, P, b, norm):
     return x
 
 
-#: splu options for every system :func:`resolvent_solver` factors.  With
-#: diag_pivot_thresh = 0 SuperLU pivots on the diagonal wherever it is
-#: nonzero.  I - alpha A_t and I - alpha B_t are nonsingular M-matrices for
-#: alpha below 1 / rho of the block, which is every alpha on an acyclic one;
-#: their LU without pivoting exists and is stable, while partial pivoting
-#: lost digits, or called them exactly singular, on acyclic blocks at large
-#: alpha.  Supernodes cost more than they save on these sparse systems: 23
-#: in place of 30 ms for the 160 n x n systems of perfbench's long-horizon
-#: node network.  The diagonal pivot costs about the same as partial
-#: pivoting: 19.2 against 18.8 ms for those 160, and 242 against 256 ms for
-#: the Hashimoto blocks of the dense-snapshots node network with SciPy's
-#: default options (2-vCPU Xeon host, medians of 15 interleaved runs)
+#: splu options for the systems above DENSE_DIRECT_MAX rows that
+#: :func:`resolvent_solver` factors.  With diag_pivot_thresh = 0 SuperLU
+#: pivots on the diagonal wherever it is nonzero, as the dense path does.
+#: I - alpha A_t and I - alpha B_t are nonsingular M-matrices for alpha
+#: below 1 / rho of the block, which is every alpha on an acyclic one; their
+#: LU without pivoting exists and is stable, while partial pivoting lost
+#: digits, or called them exactly singular, on acyclic blocks at large
+#: alpha.  Supernodes cost more than they save on these sparse systems
 _NODE_LU = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
+
+#: dense steps are padded with the identity to a multiple of _PAD rows, so
+#: that one stack covers many of them: the 160 steps of 82 to 105 rows of
+#: perfbench's long-horizon node network fall in 4 stacks, not 20, and are
+#: inverted in 62 ms in place of 110 ms (2-vCPU Xeon host).  A stack holds
+#: at most STACK_ENTRIES entries, which bounds the temporaries of _invert
+#: to about half of that
+_PAD, STACK_ENTRIES = 8, 1 << 20
+
+
+class _Inverse(NamedTuple):
+    """A dense step's factor: the inverse X of its system P, applied with one
+    step of iterative refinement in working precision, x = X b + X (b - P X
+    b).  The product with a rounded inverse is not backward stable on its
+    own; the refinement step makes it componentwise backward stable unless P
+    is ill conditioned (Skeel 1980; Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 12.2), and :func:`_solve` checks the result."""
+
+    matrix: np.ndarray
+    system: _Entries
+
+    def solve(self, b):
+        x = self.matrix @ b
+        return x + self.matrix @ (b - self.system @ x)
+
+
+def _invert(A, zero):
+    """Overwrite each matrix of the stack A (g x s x s) with its inverse, by
+    Gauss-Jordan elimination in 2 x 2 blocks with no row interchanges.
+    With A = [[A11, A12], [A21, A22]] it inverts A11, then the Schur
+    complement S = A22 - A21 X, X = A11^-1 A12, and forms A^-1 =
+    [[A11^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]], Y = A21 A11^-1.  The
+    1 x 1 blocks it reaches are the pivots of LU without pivoting, in order;
+    ``zero`` marks each matrix in which one is exactly 0."""
+    s = A.shape[-1]
+    if s == 1:
+        zero |= A[:, 0, 0] == 0
+        np.divide(1.0, A, out=A)
+        return
+    h = s // 2
+    A11, A12, A21, A22 = A[:, :h, :h], A[:, :h, h:], A[:, h:, :h], A[:, h:, h:]
+    _invert(A11, zero)
+    X = A11 @ A12
+    A22 -= A21 @ X
+    _invert(A22, zero)
+    Y = A21 @ A11
+    np.matmul(X, A22, out=A12)
+    np.matmul(A22, Y, out=A21)
+    A11 += A12 @ Y
+    A12 *= -1.0
+    A21 *= -1.0
+
+
+def _inverses(systems, size):
+    """The :class:`_Inverse` of each :class:`_Entries` system, from
+    :func:`_invert` of their stack, each padded with the identity to
+    size x size; an exactly zero pivot raises SolveError."""
+    diagonal = np.arange(size)
+    stack = np.zeros((len(systems), size, size))
+    stack[:, diagonal, diagonal] = diagonal >= np.array([P.dim for P in systems])[:, None]
+    which = np.repeat(np.arange(len(systems)), [len(P.values) for P in systems])
+    rows, cols, values = (np.concatenate(a) for a in zip(*(P[:3] for P in systems)))
+    stack[which, rows, cols] = values
+    zero = np.zeros(len(systems), dtype=bool)
+    with np.errstate(all="ignore"):  # a zero pivot spreads inf and NaN
+        _invert(stack, zero)
+    if zero.any():
+        raise SolveError("I - alpha M is singular (zero pivot)")
+    return [_Inverse(stack[j, : P.dim, : P.dim], P) for j, P in enumerate(systems)]
+
+
+def _factor_steps(systems):
+    """The factor of each :class:`_Entries` system, with ``solve(b)``.
+    Systems of at most DENSE_DIRECT_MAX rows get their :func:`_inverses` on
+    numpy alone, in stacks of one padded size and at most STACK_ENTRIES
+    entries; larger ones get ``splu`` with the options ``_NODE_LU``.  Both
+    pivot on the diagonal.  An exactly zero pivot on the dense path, or an
+    exactly singular sparse factor, raises SolveError."""
+    dims = np.array([P.dim for P in systems], dtype=np.int64)
+    dense, padded = dims <= DENSE_DIRECT_MAX, -(-dims // _PAD) * _PAD
+    factors = [None] * len(systems)
+    for size in np.unique(padded[dense]).tolist():
+        same = np.flatnonzero(dense & (padded == size))
+        for group in np.array_split(same, -(-len(same) * size**2 // STACK_ENTRIES)):
+            group = group.tolist()
+            for i, factor in zip(group, _inverses([systems[i] for i in group], size)):
+                factors[i] = factor
+    for i in np.flatnonzero(~dense).tolist():
+        factors[i] = _factor(_csc(*systems[i]), **_NODE_LU)
+    return factors
 
 
 def resolvent_solver(net, mode, alpha):
@@ -266,7 +371,7 @@ def resolvent_solver(net, mode, alpha):
     ``mode``, snapshot by snapshot without forming M; return apply(W) =
     W + alpha L_g^T (I - alpha M)^-1 R_g W for an n-vector or n x k block W
     of node values (W = 1 gives Katz total communicability).
-    ``apply.node_space`` tells whether every system factored is n x n.
+    ``apply.node_space`` tells whether every system factored is a node system.
 
     apply back-substitutes from the last non-empty snapshot to the first.
     It carries Y = W + alpha acc, with acc the running n x k sum of L_s^T x_s
@@ -279,28 +384,31 @@ def resolvent_solver(net, mode, alpha):
     forms it from these nonnegative terms wherever Y[v] - alpha later[(v, u)]
     would cancel.
 
-    The step is n x n in the standard and NBT-in-time modes, and in
-    NBT-in-space for alpha <= 1/2.  It factors P_t = ``katz_system(snap, n,
-    alpha, nbt)``, I - alpha A_t or the NBT-in-space cubic of Arrigo,
-    Grindrod, Higham & Noferini (2018), solves P_t D = alpha L_t^T c and
-    adds the walk increment D to Y, so that rounding scales with D and not
-    with Y.  With c = b this is the line-graph step, by (I - alpha W_t)^-1 =
-    I + alpha R_t (I - alpha A_t)^-1 L_t^T, and x_t = b + D[tgt_t].  The
-    cubic's step is Y -> (1 - alpha^2) P_t^-1 Y, whose increment solves
-    P_t D = ((1 - alpha^2) I - P_t) Y, that is c_e = b_e - alpha Y[src_e]
-    on reciprocated edges and (1 - alpha^2) b_e on the others.  Its
-    spurious factor (1 - alpha^2) costs digits as alpha nears 1, so above
-    1/2 NBT-in-space, like NBT-both, factors the m_t x m_t Hashimoto block
-    I - alpha B_t and solves for x_t.
+    The step is a node system in the standard and NBT-in-time modes, and in
+    NBT-in-space for alpha <= 1/2.  With P_t = I - alpha A_t or the
+    NBT-in-space cubic of Arrigo, Grindrod, Higham & Noferini (2018), it
+    solves P_t D = alpha L_t^T c and adds the walk increment D to Y, so that
+    rounding scales with D and not with Y.  With c = b this is the
+    line-graph step, by (I - alpha W_t)^-1 = I + alpha R_t (I - alpha
+    A_t)^-1 L_t^T, and x_t = b + D[tgt_t].  The cubic's step is Y -> (1 -
+    alpha^2) P_t^-1 Y, whose increment solves P_t D = ((1 - alpha^2) I -
+    P_t) Y, that is c_e = b_e - alpha Y[src_e] on reciprocated edges and
+    (1 - alpha^2) b_e on the others.  The right side is zero off the
+    snapshot's distinct sources S_t, and every off-diagonal entry of P_t
+    lies in a row of S_t, so D vanishes there too: the step factors only
+    P_t[S_t, S_t] (``line_space._katz_entries``), of |S_t| <= min(n, m_t)
+    rows.  The cubic's spurious factor (1 - alpha^2) costs digits as alpha
+    nears 1, so above 1/2 NBT-in-space, like NBT-both, factors the
+    m_t x m_t Hashimoto block I - alpha B_t and solves for x_t.
 
-    Every step factors its P with the options ``_NODE_LU``, which pivot on
-    the diagonal, and is accepted by :func:`_solve` on the normwise backward
-    error of that system, at most DEFAULT_TOL in every column; a failed
-    column, or an exactly singular factor, raises SolveError.  A block row
-    of I - alpha M splits into its diagonal block and its coupling, each of
-    norm at most ||I - alpha M||_inf, so Hashimoto steps that pass bound the
-    whole backward error by about 2 DEFAULT_TOL.
-    Requires alpha * rho(M) < 1 for the result to mean a walk series.
+    :func:`_factor_steps` factors every step, and :func:`_solve` accepts it
+    on the normwise backward error of the system it factored, at most
+    DEFAULT_TOL in every column; a failed column, or an exactly zero pivot,
+    raises SolveError.  A block row of I - alpha M splits into its diagonal
+    block and its coupling, each of norm at most ||I - alpha M||_inf, so
+    Hashimoto steps that pass bound the whole backward error by about
+    2 DEFAULT_TOL.  Requires alpha * rho(M) < 1 for the result to mean a
+    walk series.
     """
     nbt = mode is Mode.NBT_SPACE
     node_space = mode in (Mode.STANDARD, Mode.NBT_TIME) or (nbt and alpha <= 0.5)
@@ -313,18 +421,26 @@ def resolvent_solver(net, mode, alpha):
         if snap.m == 0:
             continue
         e = snap.arrays
-        P = katz_system(snap, net.n, alpha, nbt) if node_space else hashimoto_system(snap, alpha)
         firsts = np.flatnonzero(np.diff(e.src, prepend=-1))
-        heads = (e.src[firsts], firsts)
+        nodes = e.src[firsts]
+        if node_space:
+            P = _Entries(*_katz_entries(e, nodes, alpha, nbt), len(nodes))
+        else:
+            P = _Entries(*_hashimoto_entries(e, alpha), snap.m)
+        # the row of D at each edge's target: its place among the sources,
+        # or len(nodes), a zero row, for a target that is no source
+        at = np.searchsorted(nodes, e.tgt)
+        at[nodes[np.minimum(at, len(nodes) - 1)] != e.tgt] = len(nodes)
         rows = slice(net.offsets[t], net.offsets[t + 1])
-        steps.append((rows, e, heads, P, _factor(P, **_NODE_LU), _inf_norm(P)))
+        steps.append((rows, e, nodes, firsts, at, P, _inf_norm(P)))
+    factors = _factor_steps([step[-2] for step in steps])
 
     def apply(W):
         shape, W = np.shape(W), _block(W, (net.n, net.n))
         Y = W.copy()
         if paired:
             later = np.zeros((first[-1] + 1, Y.shape[1]))
-        for rows, e, heads, P, lu, norm in steps:
+        for (rows, e, nodes, firsts, at, P, norm), lu in zip(steps, factors):
             if paired:
                 b = _paired_rhs(W, Y, later, alpha, e.tgt, reverse[rows], first)
             else:
@@ -333,12 +449,12 @@ def resolvent_solver(net, mode, alpha):
                 c = b
                 if nbt:
                     c = np.where(e.rev[:, None] >= 0, b - alpha * Y[e.src], (1 - alpha**2) * b)
-                D = _solve(lu, P, alpha * _sources(heads, c, net.n), norm)
-                Y += D
-                x = b + D[e.tgt] if paired else None
+                D = _solve(lu, P, alpha * np.add.reduceat(c, firsts), norm)
+                Y[nodes] += D
+                x = b + np.pad(D, ((0, 1), (0, 0)))[at] if paired else None
             else:
                 x = _solve(lu, P, b, norm)
-                Y += alpha * _sources(heads, x, net.n)
+                Y[nodes] += alpha * np.add.reduceat(x, firsts)
             if paired:
                 later[pair[rows]] += x
         return Y.reshape(shape)
@@ -364,16 +480,6 @@ def _paired_rhs(W, Y, later, alpha, tgt, skip, first):
     return b
 
 
-def _sources(heads, values, n):
-    """L_t^T values (n x k), with ``heads`` the distinct sources of the
-    snapshot's edges and the first edge of each: each edge's row is added to
-    its source node; the sources are sorted, so each node's edges are one run."""
-    nodes, firsts = heads
-    out = np.zeros((n, values.shape[1]))
-    out[nodes] = np.add.reduceat(values, firsts, axis=0)
-    return out
-
-
 def resolvent_solve(M, alpha, v):
     """Solve (I - alpha M) x = v for a vector or m x k block v with one
     sparse LU of the whole matrix, accepted by :func:`_solve`; the reference
@@ -381,4 +487,6 @@ def resolvent_solve(M, alpha, v):
     import scipy.sparse as sp
     b = _block(v, M.shape)
     A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
-    return _solve(_factor(A), A, b, _inf_norm(A)).reshape(np.shape(v))
+    coo = A.tocoo()
+    P = _Entries(coo.row, coo.col, coo.data, M.shape[0])
+    return _solve(_factor(A), P, b, _inf_norm(P)).reshape(np.shape(v))

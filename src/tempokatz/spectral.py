@@ -12,8 +12,10 @@ exceeds the true supremum.  ``alpha_bound`` takes every radius of both
 families, on numpy alone while no block is larger: a peel of stacked blocks
 finds those without a cycle, radius 0.0.  ``mode_bound`` needs only the
 largest of its mode's family: it brackets every block at once in
-block-diagonal stacks, through SciPy's strongly connected components as
-larger blocks do, and takes the radius of just those that may hold it.
+block-diagonal stacks, and takes the radius of just those that may hold it.
+Stacks of blocks of at most DENSE_DIRECT_MAX rows are bracketed on numpy
+alone, on the rows that the peel in both edge directions keeps; larger
+blocks inside SciPy's strongly connected components.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _radius(row, col, dim, data=None):
     C, labels, _ = _inside_components(row, col, dim, data)
     if C.nnz == 0:
         return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
-    lo_k, hi_k, it = _bracket(C, labels, DEFAULT_MAXIT)
+    lo_k, hi_k, it = _bracket(C.dot, labels, DEFAULT_MAXIT)
     lo, hi = float(lo_k.max()), float(hi_k.max())
     if hi - lo <= DEFAULT_TOL * hi:
         return RadiusEstimate(hi, True, it)
@@ -151,23 +153,44 @@ def _peel(rows, cols, dim):
     return indegree > 0  # the rows never removed
 
 
-def _bracket(C, labels, maxit):
+def _bracket(product, labels, maxit):
     """(lo_k, hi_k, iterations): Collatz-Wielandt bounds lo_k <= rho_k <= hi_k
-    of each component k, after at most ``maxit`` power steps on I + C that
-    stop once the largest bracket closes to DEFAULT_TOL."""
+    of the nonnegative matrix C, given as ``product(x) = C x``, on each set k
+    of rows closed under C (``labels``), after at most ``maxit`` power steps
+    on I + C that stop once the largest bracket closes to DEFAULT_TOL.  Every
+    row needs an entry: then x stays positive, and the bounds hold whether
+    or not a set is strongly connected."""
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
     x = np.ones(len(labels))
     for it in range(1, maxit + 1):
-        y = C @ x
+        y = product(x)
         ratio = (y / x)[order]
         lo_k, hi_k = np.minimum.reduceat(ratio, starts), np.maximum.reduceat(ratio, starts)
         hi = hi_k.max()
         if hi - lo_k.max() <= DEFAULT_TOL * hi:
             break
         x += y
-        x /= np.maximum.reduceat(x[order], starts)[labels]  # per component, no underflow
+        x /= np.maximum.reduceat(x[order], starts)[labels]  # per set, no underflow
     return lo_k, hi_k, it
+
+
+def _inside_cores(rows, cols, dim):
+    """(product, rows): the rows of the dim x dim 0/1 graph (``rows`` sorted,
+    ``cols``) that a cycle reaches and that reach a cycle, found by
+    :func:`_peel` in both edge directions, and the product x -> C x with C
+    the graph's entries among them, numbered in order.  Every other row is
+    on no cycle, so C has the graph's radius, and each of its rows has an
+    entry: its next step towards a cycle."""
+    core = _peel(rows, cols, dim)  # the rows that a cycle reaches
+    inside = core[rows] & core[cols]
+    rows, cols = rows[inside], cols[inside]
+    order = np.argsort(cols, kind="stable")
+    core &= _peel(cols[order], rows[order], dim)  # of those, the rows that reach one
+    inside = core[rows] & core[cols]
+    index, kept = np.cumsum(core) - 1, np.flatnonzero(core)
+    row, col = index[rows[inside]], index[cols[inside]]
+    return (lambda x: np.bincount(row, x[col], len(kept))), kept
 
 
 def _dims(net, hashimoto):
@@ -231,20 +254,44 @@ def mode_bound(net, mode):
     1 / max_tau rho(A^[tau]) for standard / NBT-in-time.
 
     The maximum is that of :func:`snapshot_radii`, bit for bit, from the radii
-    of only the blocks that may hold it: those whose upper bound from the
-    stacked brackets reaches (1 - MARGIN) times the largest lower bound; the
-    rest are proven smaller."""
+    of only the blocks that may hold it.  Stacked power steps bracket each
+    block by Collatz-Wielandt bounds: on numpy alone for blocks of at most
+    DENSE_DIRECT_MAX rows, on their :func:`_inside_cores`, and inside the
+    strongly connected components of larger ones.  The block with the
+    largest upper bound gets its radius, and then every block whose upper
+    bound reaches (1 - MARGIN) times the larger of that radius and the
+    largest lower bound; the rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
-    lower, found = 0.0, []
-    for owner, *stack in _stacks(net, np.arange(net.N), hashimoto):
+    small = _dims(net, hashimoto) <= DENSE_DIRECT_MAX
+    upper, lower = np.zeros(net.N), [0.0]
+    for owner, *stack in _stacks(net, np.flatnonzero(small), hashimoto):
+        product, rows = _inside_cores(*stack)
+        labels = np.unique(owner[rows], return_inverse=True)[1]
+        lower.append(_raise_bounds(upper, owner[rows], product, labels))
+    for owner, *stack in _stacks(net, np.flatnonzero(~small), hashimoto):
         C, labels, rows = _inside_components(*stack)
-        if C.nnz:
-            lo_k, hi_k, _ = _bracket(C, labels, STACK_STEPS)
-            lower = max(lower, float(lo_k.max()))
-            found.append((owner[rows], hi_k[labels]))
-    maybe = {t for owner, hi in found for t in owner[hi >= (1 - MARGIN) * lower]}
-    radii = snapshot_radii(net, hashimoto, taus=sorted(maybe))
+        lower.append(_raise_bounds(upper, owner[rows], C.dot, labels))
+    cyclic = np.flatnonzero(upper)
+    order = cyclic[np.argsort(-upper[cyclic], kind="stable")]
+    radii = snapshot_radii(net, hashimoto, taus=order[:1])
+    least = (1 - MARGIN) * max(lower + [e.value for e in radii])
+    rest = order[1:][upper[order[1:]] >= least]
+    if len(rest):
+        radii += snapshot_radii(net, hashimoto, taus=rest)
     return _reciprocal(max((e.value for e in radii), default=0.0)), all(e.converged for e in radii)
+
+
+def _raise_bounds(upper, owner, product, labels):
+    """Raise upper[t] to the :func:`_bracket` upper bound of each set of rows
+    (``labels``) of the stacked matrix ``product``, whose rows belong to the
+    snapshots ``owner``; return the largest lower bound, or 0.0."""
+    if len(owner) == 0:
+        return 0.0
+    lo_k, hi_k, _ = _bracket(product, labels, STACK_STEPS)
+    block = np.empty(len(hi_k), dtype=np.int64)
+    block[labels] = owner
+    np.maximum.at(upper, block, hi_k)
+    return float(lo_k.max())
 
 
 def alpha_bound(net, mode):

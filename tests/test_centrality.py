@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,25 +151,25 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
 
 
 def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
-    # one factorization per non-empty snapshot: of the n x n node system
-    # I - alpha A_t or, in nbt-space at alpha <= 1/2, the NBT cubic; of the
-    # m_t x m_t I - alpha B_t for an nbt-both Hashimoto block; and never of
-    # the whole m x m system
+    # one factorization per non-empty snapshot: of the node system I - alpha
+    # A_t or, in nbt-space at alpha <= 1/2, the NBT cubic, on the snapshot's
+    # distinct sources; of the m_t x m_t I - alpha B_t for an nbt-both
+    # Hashimoto block; and never of the whole m x m system
     dims = []
-    real = scipy.sparse.linalg.splu
+    real = matfun._factor_steps
 
-    def counted(A, *args, **kwargs):
-        dims.append(A.shape[0])
-        return real(A, *args, **kwargs)
+    def counted(systems):
+        dims.extend(P.dim for P in systems)
+        return real(systems)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-    assert fig1.N > 1 and fig1.n not in [snap.m for snap in fig1.snapshots]
+    monkeypatch.setattr(matfun, "_factor_steps", counted)
+    sources = [len(set(snap.arrays.src.tolist())) for snap in fig1.snapshots if snap.m]
+    edges = [snap.m for snap in fig1.snapshots if snap.m]
+    assert fig1.N > 1 and sources != edges
     for mode in Mode:
-        node_systems = mode is not Mode.NBT_BOTH
         dims.clear()
         tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
-        expected = [fig1.n if node_systems else snap.m for snap in fig1.snapshots if snap.m]
-        assert dims == expected[::-1]
+        assert dims == (edges if mode is Mode.NBT_BOTH else sources)[::-1]
         assert fig1.m not in dims
 
 

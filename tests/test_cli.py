@@ -182,6 +182,18 @@ def test_rank_negative_alpha(capsys, triangle_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rank_negative_zero_alpha_reads_as_zero(capsys, fig_file, fmt):
+    # -0.0 passes the nonnegative check; it is echoed, and computed with, as 0
+    zero = run(capsys, "rank", fig_file, "--alpha", "0", "--format", fmt)
+    negative = run(capsys, "rank", fig_file, "--alpha", "-0.0", "--format", fmt)
+    assert negative == zero and zero[0] == 0
+    if fmt == "csv":
+        assert parse_csv(zero[1])[0]["alpha"] == "0"
+    else:
+        assert json.loads(zero[1])["metadata"]["alpha"] == "0"
+
+
 def test_rank_coefficient_file(capsys, ex5_file, tmp_path):
     coeffs = tmp_path / "c.txt"
     coeffs.write_text("1\n1\n")  # weight walks of length <= 1 only

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork, ValidationError, oracle, temporal_graph
-from tempokatz.line_space import hashimoto_system, katz_system
+from tempokatz.line_space import _csc, _hashimoto_entries, _katz_entries
 from tempokatz.cli import main
 from tempokatz.spectral import mode_bound
 
@@ -40,13 +40,18 @@ def test_builders_match_referees(net, alpha):
         assert_same(tk.adjacency_matrix(net, snap.tau), A)
         assert_same(tk.line_graph_matrix(snap, net.n), oracle.reference_line_graph(snap, net.n))
         assert_same(tk.hashimoto_matrix(snap, net.n), oracle.reference_hashimoto(snap, net.n))
+        # the node systems on all n nodes, and on the distinct sources alone
+        sources = np.unique(e.src)
         for nbt in (False, True):
-            assert_same(
-                katz_system(snap, net.n, alpha, nbt), oracle.reference_katz_system(A, alpha, nbt)
-            )
+            reference = oracle.reference_katz_system(A, alpha, nbt)
+            built = _katz_entries(e, np.arange(net.n), alpha, nbt)
+            assert_same(_csc(*built, net.n), reference)
+            if len(sources):
+                built = _katz_entries(e, sources, alpha, nbt)
+                assert_same(_csc(*built, len(sources)), reference[sources][:, sources])
         shifted = sp.csc_array(sp.eye_array(snap.m) - alpha * oracle.reference_hashimoto(snap, net.n))
         shifted.eliminate_zeros()
-        assert_same(hashimoto_system(snap, alpha), shifted)
+        assert_same(_csc(*_hashimoto_entries(e, alpha), snap.m), shifted)
     for mode in Mode:
         assert_same(tk.global_transition(net, mode), oracle.reference_transition(net, mode))
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tempokatz as tk
-from tempokatz import Mode, Snapshot, TemporalNetwork, matfun
+from tempokatz import Mode, Snapshot, TemporalNetwork, matfun, spectral
 from tempokatz.matfun import SolveError, evaluate, resolvent_solver
 
 from conftest import TRIANGLE, dense_radius, katz_referee, networks, random_network
@@ -272,33 +272,95 @@ def test_block_solver_singular_later_block():
             )
 
 
+class Perturbed:
+    """A factor whose solve is off by a relative 1e-8."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b) * (1 + 1e-8)
+
+
+def perturb_factor(monkeypatch, step):
+    """Perturb the factor of the ``step``-th system that each resolvent_solver
+    factors, counted from the last non-empty snapshot; return the factors so
+    replaced, one per solver."""
+    real, replaced = matfun._factor_steps, []
+
+    def factor_steps(systems):
+        factors = real(systems)
+        replaced.append(factors[step])
+        factors[step] = Perturbed(factors[step])
+        return factors
+
+    monkeypatch.setattr(matfun, "_factor_steps", factor_steps)
+    return replaced
+
+
 @pytest.mark.parametrize("step", range(3))
 def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch, step):
-    # one snapshot's factor, counted from the last of fig1's three, solves
-    # off by a relative 1e-8; that step misses the default backward-error
-    # bound on its own, in every mode: n x n systems (standard, nbt-space,
-    # nbt-time) and Hashimoto blocks (nbt-both)
-    real = matfun._factor
-    factored = []
-
-    class Perturbed:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
-            return self.lu.solve(b) * (1 + 1e-8)
-
-    def factor(P, **options):
-        lu = real(P, **options)
-        factored.append(P)
-        return Perturbed(lu) if (len(factored) - 1) % 3 == step else lu
-
-    monkeypatch.setattr(matfun, "_factor", factor)
+    # one snapshot's dense factor, counted from the last of fig1's three,
+    # solves off by a relative 1e-8; that step misses the default
+    # backward-error bound on its own, in every mode: node systems
+    # (standard, nbt-space, nbt-time) and Hashimoto blocks (nbt-both)
+    replaced = perturb_factor(monkeypatch, step)
     for mode in Mode:
         solve = resolvent_solver(fig1, mode, 0.2)
         with pytest.raises(SolveError, match="backward error"):
             solve(np.ones(fig1.n))
-    assert len(factored) == 3 * len(Mode)
+    assert len(replaced) == len(Mode)
+    assert all(isinstance(lu, matfun._Inverse) for lu in replaced)
+
+
+def both_sides_of_the_cutoff():
+    """Three snapshots whose middle one, an undirected cycle on 250 nodes,
+    has 250 distinct sources and 500 edges, above DENSE_DIRECT_MAX; the
+    others are small, and cyclic in A (and in B for the first)."""
+    first = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]
+    ring = [e for i in range(250) for e in ((i, (i + 1) % 250), ((i + 1) % 250, i))]
+    last = [(5, 6), (5, 7), (7, 5)]
+    snaps = tuple(Snapshot(tau, tuple(edges)) for tau, edges in enumerate((first, ring, last), 1))
+    net = TemporalNetwork(n=260, snapshots=snaps, timestamps=(1, 2, 3))
+    middle = net.snapshots[1]
+    assert min(len(np.unique(middle.arrays.src)), middle.m) > spectral.DENSE_DIRECT_MAX
+    return net
+
+
+def test_block_solver_rejects_an_inaccurate_sparse_solve(monkeypatch):
+    # the middle snapshot's factor, on the splu path in every mode
+    net = both_sides_of_the_cutoff()
+    replaced = perturb_factor(monkeypatch, 1)
+    for mode in Mode:
+        solve = resolvent_solver(net, mode, 0.1)
+        with pytest.raises(SolveError, match="backward error"):
+            solve(np.ones(net.n))
+    assert len(replaced) == len(Mode)
+    assert not any(isinstance(lu, matfun._Inverse) for lu in replaced)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_block_solver_on_both_sides_of_the_cutoff(monkeypatch, mode):
+    # dense and splu steps in one back-substitution; nbt-space at 0.9 ell,
+    # above 1/2, factors Hashimoto blocks
+    net = both_sides_of_the_cutoff()
+    ell = tk.alpha_bound(net, mode).ell
+    W = np.random.default_rng(40).random((net.n, 3))
+    real, dense = matfun._factor_steps, []
+
+    def recorded(systems):
+        factors = real(systems)
+        dense.append([isinstance(lu, matfun._Inverse) for lu in factors])
+        return factors
+
+    monkeypatch.setattr(matfun, "_factor_steps", recorded)
+    for alpha in (0.45 * ell, 0.9 * ell):
+        solve = resolvent_solver(net, mode, alpha)
+        assert dense[-1] == [True, False, True]  # from the last snapshot
+        for w in (W[:, 0], W):
+            np.testing.assert_allclose(
+                solve(w), katz_referee(net, mode, alpha, w), rtol=1e-12, atol=0
+            )
 
 
 def test_monomial_and_polynomial():

@@ -1,15 +1,19 @@
 """SciPy loads only in the functions that call it: importing the package,
-``tempokatz validate`` and ``check-alpha`` on blocks of at most
-DENSE_DIRECT_MAX rows run on numpy alone, and ``dump-matrix`` loads
-``scipy.sparse`` without its solvers.  Each check runs in a fresh
-interpreter, since this test process has SciPy loaded already."""
+``tempokatz validate``, ``check-alpha`` and Katz ``rank`` on blocks of at
+most DENSE_DIRECT_MAX rows run on numpy alone, and ``dump-matrix`` loads
+``scipy.sparse`` without its solvers.  Each check of the modules loaded runs
+in a fresh interpreter, since this test process has SciPy loaded already."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
+
+from tempokatz.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +41,21 @@ from tempokatz.cli import main
 
 with contextlib.redirect_stdout(sys.stderr):
     code = main(sys.argv[1:])
+print(" ".join(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+# the same for each argument list of a JSON list, run in turn
+MAIN_EACH = """
+import contextlib
+import json
+import sys
+
+import tempokatz
+from tempokatz.cli import main
+
+with contextlib.redirect_stdout(sys.stderr):
+    code = max(main(argv) for argv in json.loads(sys.argv[1]))
 print(" ".join(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
 sys.exit(code)
 """
@@ -138,3 +157,68 @@ def test_check_alpha_loads_scipy_above_the_direct_cutoff(tmp_path):
     assert "scipy.sparse.csgraph" in result.stdout.split()
     names = [line.split(" = ")[0] for line in result.stderr.splitlines()]
     assert names == ["ell", "snapshot 1: rho"]
+
+
+def test_katz_rank_without_scipy(tmp_path):
+    # both measures in every mode, and nbt-space above alpha = 1/2, where it
+    # factors Hashimoto blocks; ell = 1 in every mode
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED)
+    modes = ["standard", "nbt-space", "nbt-time", "nbt-both"]
+    runs = [
+        ["rank", str(path), "--alpha", "0.3", "--mode", mode, "--measure", measure]
+        for mode in modes
+        for measure in ("tc", "sc")
+    ]
+    runs.append(["rank", str(path), "--alpha", "0.75", "--mode", "nbt-space"])
+    blocked = python(BLOCK_SCIPY + MAIN_EACH, json.dumps(runs))
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN_EACH, json.dumps(runs))
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    fastpath = [line for line in free.stderr.splitlines() if line.startswith("# fastpath=")]
+    assert fastpath == ["# fastpath=True"] * 6 + ["# fastpath=False"] * 3
+
+
+@pytest.mark.parametrize(
+    "edges, sparse_factors",
+    [
+        ("0 1 1\n1 2 1\n2 0 1\n", []),  # |S_t| = 3, on the dense path
+        ("".join(f"{i} {(i + 1) % 250} 1\n" for i in range(250)), [(250, 250)]),
+    ],
+    ids=["3-sources", "250-sources"],
+)
+def test_katz_rank_factors_each_step_on_its_sources(
+    tmp_path, monkeypatch, capsys, edges, sparse_factors
+):
+    # A has 250 rows, above DENSE_DIRECT_MAX, so its radius loads SciPy's
+    # strongly connected components (which import scipy.sparse.linalg in
+    # recent SciPy).  The step's system has only the |S_t| rows of the
+    # snapshot's distinct sources, and splu factors it only above the cutoff
+    path = tmp_path / "wide.txt"
+    path.write_text("%n 250\n" + edges)
+    result = python(MAIN, "rank", str(path), "--alpha", "0.5")
+    assert result.returncode == 0, result.stderr
+    assert "scipy.sparse.csgraph" in result.stdout.split()
+    if sparse_factors:
+        assert "scipy.sparse.linalg" in result.stdout.split()
+    factored, splu = [], scipy.sparse.linalg.splu
+
+    def counted(P, **options):
+        factored.append(P.shape)
+        return splu(P, **options)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    assert main(["rank", str(path), "--alpha", "0.5"]) == 0
+    assert factored == sparse_factors
+    assert capsys.readouterr().out == result.stderr  # the same output in process
+
+
+def test_exponential_rank_loads_scipy(tmp_path):
+    # a series sums on the assembled sparse M
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED)
+    result = python(MAIN, "rank", str(path), "--alpha", "0.3", "--function", "exponential")
+    assert result.returncode == 0, result.stderr
+    assert "scipy.sparse" in result.stdout.split()

@@ -333,7 +333,7 @@ def recorded_radii(monkeypatch):
     calls, snapshot_radii = [], spectral.snapshot_radii
 
     def recorded(net, hashimoto, taus=None):
-        calls.append(list(range(net.N) if taus is None else taus))
+        calls.append([int(t) for t in (range(net.N) if taus is None else taus)])
         return snapshot_radii(net, hashimoto, taus)
 
     monkeypatch.setattr(spectral, "snapshot_radii", recorded)
@@ -357,8 +357,10 @@ def test_mode_bound_blocks_both_sides_of_the_direct_cutoff(monkeypatch):
             for mode in Mode:
                 calls.clear()
                 assert spectral.mode_bound(net, mode) == expected[mode], mode
-                # the stacked bracket proves every other block smaller
-                assert calls == [holders], mode
+                # the stacked bracket proves every other block smaller: the
+                # block with the largest bound, then the others that tie
+                assert sorted(t for call in calls for t in call) == holders, mode
+                assert len(calls) <= 2, mode
 
 
 def seeded_network(n, N, seed, wide_every=0):
@@ -392,8 +394,10 @@ def test_mode_bound_takes_few_radii(monkeypatch):
     for mode, bound in expected.items():
         calls.clear()
         assert spectral.mode_bound(net, mode) == bound
-        # a few of the 160 snapshots get a radius, not all of them
-        (radii,) = calls
+        # a few of the 160 snapshots get a radius, not all of them, in at
+        # most two calls
+        assert 1 <= len(calls) <= 2, (mode, calls)
+        radii = [t for call in calls for t in call]
         assert 1 <= len(radii) <= 12, (mode, radii)
         rows = {t: net.snapshots[t].m if mode is Mode.NBT_SPACE else net.n for t in radii}
         taken += [int(t) for t in radii if rows[t] <= spectral.DENSE_DIRECT_MAX]
