@@ -12,7 +12,7 @@ exceeds the true supremum.  ``alpha_bound`` takes every radius of both
 families, on numpy alone while no block is larger: a peel of stacked blocks
 finds those without a cycle, radius 0.0.  ``mode_bound`` needs only the
 largest of its mode's family: it brackets every block at once in
-block-diagonal stacks, and takes the radius of just those that may hold it.
+block-diagonal stacks, and takes radii in descending order of upper bound.
 Stacks of blocks of at most DENSE_DIRECT_MAX rows are bracketed on numpy
 alone, on the rows that the peel in both edge directions keeps; larger
 blocks inside SciPy's strongly connected components.
@@ -208,25 +208,26 @@ def _stacks(net, taus, hashimoto):
         yield (np.repeat(members, dims[members]), *_stack(net, members, hashimoto))
 
 
-def snapshot_radii(net, hashimoto, taus=None):
-    """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for the
-    0-based snapshot indices ``taus``, by default all of them: each is
-    :func:`spectral_radius` of the block, bit for bit.  Blocks of at most
-    DENSE_DIRECT_MAX rows are stacked, and a peel of the stacks shows which
-    have a cycle; the others are nilpotent, radius 0.0.  Every other block
-    goes to :func:`_radius` straight from its edge arrays."""
-    taus = np.arange(net.N) if taus is None else np.asarray(taus, dtype=np.int64)
-    dims = _dims(net, hashimoto)
-    small = taus[dims[taus] <= DENSE_DIRECT_MAX]
-    cyclic = {t for owner, *stack in _stacks(net, small, hashimoto) for t in owner[_peel(*stack)]}
+def snapshot_radii(net, hashimoto):
+    """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for every
+    snapshot: each is :func:`spectral_radius` of the block, bit for bit.
+    Blocks of at most DENSE_DIRECT_MAX rows are stacked, and a peel of the
+    stacks shows which have a cycle; the others are nilpotent, radius 0.0.
+    Every other block gets its :func:`_block_radius`."""
+    small = _dims(net, hashimoto) <= DENSE_DIRECT_MAX
+    stacks = _stacks(net, np.flatnonzero(small), hashimoto)
+    cyclic = {t for owner, *stack in stacks for t in owner[_peel(*stack)]}
+    cyclic.update(np.flatnonzero(~small).tolist())
+    zero = RadiusEstimate(0.0, True, 0)
+    return [_block_radius(net, t, hashimoto) if t in cyclic else zero for t in range(net.N)]
 
-    def radius(t):
-        if dims[t] <= DENSE_DIRECT_MAX and t not in cyclic:
-            return RadiusEstimate(0.0, True, 0)
-        e = net.snapshots[t].arrays
-        return _radius(*(_non_backtracking(e) if hashimoto else e[:2]), dims[t])
 
-    return [radius(t) for t in taus.tolist()]
+def _block_radius(net, t, hashimoto):
+    """:func:`_radius` of B^[t] (``hashimoto``) or A^[t], 0-based ``t``,
+    straight from the snapshot's edge arrays."""
+    e = net.snapshots[t].arrays
+    rows, cols = _non_backtracking(e) if hashimoto else e[:2]
+    return _radius(rows, cols, len(e.src) if hashimoto else net.n)
 
 
 def _reciprocal(rho):
@@ -257,41 +258,37 @@ def mode_bound(net, mode):
     of only the blocks that may hold it.  Stacked power steps bracket each
     block by Collatz-Wielandt bounds: on numpy alone for blocks of at most
     DENSE_DIRECT_MAX rows, on their :func:`_inside_cores`, and inside the
-    strongly connected components of larger ones.  The block with the
-    largest upper bound gets its radius, and then every block whose upper
-    bound reaches (1 - MARGIN) times the larger of that radius and the
-    largest lower bound; the rest are proven smaller."""
+    strongly connected components of larger ones.  The blocks then get their
+    :func:`_block_radius` in descending order of upper bound, up to the first
+    bound of zero (an acyclic block) or below (1 - MARGIN) times the largest
+    radius so far; that block and the rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
     small = _dims(net, hashimoto) <= DENSE_DIRECT_MAX
-    upper, lower = np.zeros(net.N), [0.0]
+    upper = np.zeros(net.N)
     for owner, *stack in _stacks(net, np.flatnonzero(small), hashimoto):
         product, rows = _inside_cores(*stack)
-        labels = np.unique(owner[rows], return_inverse=True)[1]
-        lower.append(_raise_bounds(upper, owner[rows], product, labels))
+        _raise_bounds(upper, owner[rows], product, np.unique(owner[rows], return_inverse=True)[1])
     for owner, *stack in _stacks(net, np.flatnonzero(~small), hashimoto):
         C, labels, rows = _inside_components(*stack)
-        lower.append(_raise_bounds(upper, owner[rows], C.dot, labels))
-    cyclic = np.flatnonzero(upper)
-    order = cyclic[np.argsort(-upper[cyclic], kind="stable")]
-    radii = snapshot_radii(net, hashimoto, taus=order[:1])
-    least = (1 - MARGIN) * max(lower + [e.value for e in radii])
-    rest = order[1:][upper[order[1:]] >= least]
-    if len(rest):
-        radii += snapshot_radii(net, hashimoto, taus=rest)
-    return _reciprocal(max((e.value for e in radii), default=0.0)), all(e.converged for e in radii)
+        _raise_bounds(upper, owner[rows], C.dot, labels)
+    rho, converged = 0.0, True
+    for t in np.argsort(-upper, kind="stable").tolist():
+        if upper[t] == 0.0 or upper[t] < (1 - MARGIN) * rho:
+            break
+        e = _block_radius(net, t, hashimoto)
+        rho, converged = max(rho, e.value), converged and e.converged
+    return _reciprocal(rho), converged
 
 
 def _raise_bounds(upper, owner, product, labels):
     """Raise upper[t] to the :func:`_bracket` upper bound of each set of rows
     (``labels``) of the stacked matrix ``product``, whose rows belong to the
-    snapshots ``owner``; return the largest lower bound, or 0.0."""
-    if len(owner) == 0:
-        return 0.0
-    lo_k, hi_k, _ = _bracket(product, labels, STACK_STEPS)
-    block = np.empty(len(hi_k), dtype=np.int64)
-    block[labels] = owner
-    np.maximum.at(upper, block, hi_k)
-    return float(lo_k.max())
+    snapshots ``owner``."""
+    if len(owner):
+        _, hi_k, _ = _bracket(product, labels, STACK_STEPS)
+        block = np.empty(len(hi_k), dtype=np.int64)
+        block[labels] = owner
+        np.maximum.at(upper, block, hi_k)
 
 
 def alpha_bound(net, mode):

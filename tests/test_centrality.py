@@ -112,6 +112,12 @@ def test_total_communicability_empty_network():
     np.testing.assert_array_equal(y.values, np.ones(3))
 
 
+def test_total_communicability_negative_coefficient_rejected(triangle):
+    signed = tk.CoefficientFunction(lambda r: -1.0 if r else 1.0, math.inf, "signed")
+    with pytest.raises(ValueError, match=r"negative coefficient c_1 = -1.0 in signed"):
+        tk.temporal_f_total_communicability(triangle, 0.4, signed, Mode.STANDARD)
+
+
 def test_total_communicability_alpha_bound_enforced(triangle):
     with pytest.raises(ParameterError, match=r"admissible interval .*--force"):
         tk.temporal_f_total_communicability(

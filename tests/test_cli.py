@@ -460,6 +460,12 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
+def test_no_arguments_prints_usage(capsys):
+    code, out, err = run(capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: tempokatz")
+
+
 def test_rank_star_above_old_cutoff_needs_force(capsys, tmp_path):
     # K_{1,600}: ell = 1 / sqrt(600) = 0.0408, so alpha = 0.3 is divergent
     path = tmp_path / "star.txt"
@@ -492,14 +498,14 @@ def test_rank_computes_only_the_radii_of_its_mode(
     capsys, fig_file, monkeypatch, mode, hashimoto
 ):
     counts = {"rho_A": 0, "B": 0}
-    # spectral takes a radius of either family only through snapshot_radii
-    radii = spectral.snapshot_radii
+    # spectral takes a radius of either family only through _block_radius
+    radius = spectral._block_radius
 
-    def counted_radii(net, hashimoto, taus=None):
+    def counted_radii(net, t, hashimoto):
         counts["B" if hashimoto else "rho_A"] += 1
-        return radii(net, hashimoto, taus)
+        return radius(net, t, hashimoto)
 
-    monkeypatch.setattr(spectral, "snapshot_radii", counted_radii)
+    monkeypatch.setattr(spectral, "_block_radius", counted_radii)
     _count_calls(monkeypatch, line_space, "hashimoto_matrix", counts, "B")
     # the stacked bound of mode_bound builds one family from the edge arrays
     stack = spectral._stack

@@ -108,6 +108,12 @@ def test_network_invariants():
         TemporalNetwork(n=2, snapshots=(Snapshot(1, ((0, 5),)),), timestamps=(1,))
 
 
+def test_network_needs_one_timestamp_per_snapshot():
+    snapshots = (Snapshot(1, ((0, 1),)), Snapshot(2, ((1, 0),)))
+    with pytest.raises(ValidationError, match="timestamps and snapshots must have equal length"):
+        TemporalNetwork(n=2, snapshots=snapshots, timestamps=(1,))
+
+
 def test_adjacency_zero_one_with_zero_diagonal():
     rng = np.random.default_rng(1)
     for _ in range(5):
