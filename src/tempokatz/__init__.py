@@ -17,7 +17,7 @@ Importing the package needs only numpy: each function that calls SciPy
 imports it itself, so SciPy loads on the first sparse build or sparse
 factorization.  Parsing (``validate``) never loads it, and neither do
 ``alpha_bound`` (``check-alpha``) and the Katz measures while every block
-and every system they factor has at most 200 rows.
+with a cycle and every system they factor has at most 200 rows.
 """
 
 from .centrality import (

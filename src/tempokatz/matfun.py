@@ -141,23 +141,6 @@ def partial_op(f):
     )
 
 
-def evaluate(f, z, rmax=DEFAULT_RMAX):
-    """Scalar truncated-series evaluation of f at z; a polynomial is summed
-    to its degree, an infinite series until a term drops below DEFAULT_TOL."""
-    acc = 0.0
-    power = 1.0
-    rstop = rmax if f.degree is None else min(rmax, f.degree)
-    for r in range(rstop + 1):
-        c = f(r)
-        term = c * power
-        acc += term
-        small = c > 0 and abs(term) <= DEFAULT_TOL * max(abs(acc), 1e-300)
-        if f.degree is None and small and r > 0:
-            break
-        power *= z
-    return acc
-
-
 class SolveError(RuntimeError):
     """A resolvent solve missed its backward-error tolerance, or a series
     sum is not finite."""

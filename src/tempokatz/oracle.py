@@ -1,6 +1,7 @@
 """Ground-truth brute-force enumeration of temporal walks, the weighted walk
-sum, the scalar functional-equation checker for product-form centralities,
-and sparse-algebra referees for the matrices the package builds.
+sum, the scalar functional-equation checker for product-form centralities
+with the scalar series sum it uses, and sparse-algebra referees for the
+matrices the package builds.
 
 Everything here is for tests and validation: exact integer walk counts by
 depth-first enumeration, weights applied afterwards, and the scalar identity
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .line_space import _NBT_DIAGONAL, _NBT_OFFDIAG, Mode
-from .matfun import evaluate
+from .matfun import DEFAULT_RMAX, DEFAULT_TOL
 from .temporal_graph import (
     ParseError,
     Snapshot,
@@ -166,6 +167,23 @@ def homogeneous_symmetric(r, xs):
         for j in range(1, r + 1):
             h[j] += x * h[j - 1]
     return h[r]
+
+
+def evaluate(f, z, rmax=DEFAULT_RMAX):
+    """Scalar truncated-series evaluation of f at z; a polynomial is summed
+    to its degree, an infinite series until a term drops below DEFAULT_TOL."""
+    acc = 0.0
+    power = 1.0
+    rstop = rmax if f.degree is None else min(rmax, f.degree)
+    for r in range(rstop + 1):
+        c = f(r)
+        term = c * power
+        acc += term
+        small = c > 0 and abs(term) <= DEFAULT_TOL * max(abs(acc), 1e-300)
+        if f.degree is None and small and r > 0:
+            break
+        power *= z
+    return acc
 
 
 def functional_equation_residual(f, g, N, alpha, xs, rmax=200):

@@ -8,14 +8,14 @@ cubic matrix polynomial in the adjacency matrix (checked in the test suite).
 Every radius is ``_radius`` of a block's edge arrays, or of a sparse
 matrix's entries (``spectral_radius``): dense eigenvalues up to
 DENSE_DIRECT_MAX rows, above it a certified upper bound, so ell never
-exceeds the true supremum.  ``alpha_bound`` takes every radius of both
-families, on numpy alone while no block is larger: a peel of stacked blocks
-finds those without a cycle, radius 0.0.  ``mode_bound`` needs only the
-largest of its mode's family: it brackets every block at once in
-block-diagonal stacks, and takes radii in descending order of upper bound.
-Stacks of blocks of at most DENSE_DIRECT_MAX rows are bracketed on numpy
-alone, on the rows that the peel in both edge directions keeps; larger
-blocks inside SciPy's strongly connected components.
+exceeds the true supremum.  Both bounds stack every block into
+block-diagonal stacks, whatever its size, and peel them on numpy alone for
+at most DENSE_DIRECT_MAX rounds.  ``alpha_bound`` takes every radius of
+both families: a block the peel empties has no cycle, radius 0.0.
+``mode_bound`` needs only the largest of its mode's family: it brackets
+every block at once on the rows that the peel in both edge directions
+keeps, and takes radii in descending order of upper bound.  SciPy loads
+only for the radius of a block above DENSE_DIRECT_MAX rows.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class AlphaBound:
 
 
 #: up to this dimension the radius comes from dense eigenvalues outright; they
-#: take ~27 ms at 200 rows of one strongly connected block (2-vCPU Xeon)
+#: take ~27 ms at 200 rows of one strongly connected block (2-vCPU Xeon).
+#: The peel stops after as many rounds
 DENSE_DIRECT_MAX = 200
 
 #: strongly connected components above this dimension get no dense fallback
@@ -101,7 +102,7 @@ def _radius(row, col, dim, data=None):
         dense = np.zeros((dim, dim))
         np.add.at(dense, (row, col), 1.0 if data is None else data)
         return RadiusEstimate(_dense_radius(dense), True, 0)
-    C, labels, _ = _inside_components(row, col, dim, data)
+    C, labels = _inside_components(row, col, dim, data)
     if C.nnz == 0:
         return RadiusEstimate(0.0, True, 0)  # acyclic, so nilpotent
     lo_k, hi_k, it = _bracket(C.dot, labels, DEFAULT_MAXIT)
@@ -123,10 +124,10 @@ def _dense_radius(dense):
 
 
 def _inside_components(row, col, dim, data=None):
-    """(C, labels, rows): the entries of the dim x dim graph (``row``,
-    ``col``), given in row order with values ``data`` (default 1), inside its
-    strongly connected components, on the ``rows`` they lie in (no other row
-    is on a cycle), and the component of each such row, numbered from 0."""
+    """(C, labels): the entries of the dim x dim graph (``row``, ``col``),
+    given in row order with values ``data`` (default 1), inside its strongly
+    connected components, on the rows they lie in (no other row is on a
+    cycle), and the component of each such row, numbered from 0."""
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     coo = sp.coo_array((np.ones(len(row)) if data is None else data, (row, col)), (dim, dim))
@@ -136,17 +137,21 @@ def _inside_components(row, col, dim, data=None):
     on_cycle = np.bincount(row, minlength=dim) > 0
     index, rows = np.cumsum(on_cycle) - 1, np.flatnonzero(on_cycle)
     C = sorted_csr(index[row], index[col], coo.data[inside], (len(rows), len(rows)))
-    return C, np.unique(labels[rows], return_inverse=True)[1], rows
+    return C, np.unique(labels[rows], return_inverse=True)[1]
 
 
 def _peel(rows, cols, dim):
     """Rows of the dim x dim graph (``rows`` sorted, ``cols``) that a cycle
     reaches: Kahn's algorithm, which removes every row no edge enters, takes
-    their out-edges off the in-degrees and repeats, at most dim rounds."""
+    their out-edges off the in-degrees and repeats.  It stops after at most
+    DENSE_DIRECT_MAX rounds, one per level: a block of at most that many
+    rows is peeled to the end, and a deeper graph returns a superset."""
     first = _starts(rows, dim)
     indegree = np.bincount(cols, minlength=dim)
     free = np.flatnonzero(indegree == 0)
-    while free.size:
+    for _ in range(DENSE_DIRECT_MAX):
+        if not free.size:
+            break
         hit, count = np.unique(cols[_ranges(first[free], first[free + 1])[1]], return_counts=True)
         indegree[hit] -= count
         free = hit[indegree[hit] == 0]
@@ -157,9 +162,9 @@ def _bracket(product, labels, maxit):
     """(lo_k, hi_k, iterations): Collatz-Wielandt bounds lo_k <= rho_k <= hi_k
     of the nonnegative matrix C, given as ``product(x) = C x``, on each set k
     of rows closed under C (``labels``), after at most ``maxit`` power steps
-    on I + C that stop once the largest bracket closes to DEFAULT_TOL.  Every
-    row needs an entry: then x stays positive, and the bounds hold whether
-    or not a set is strongly connected."""
+    on I + C that stop once the largest bracket closes to DEFAULT_TOL.  The
+    bounds hold whether or not a set is strongly connected; over many steps
+    x stays clear of underflow where every row has an entry."""
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
     x = np.ones(len(labels))
@@ -177,11 +182,10 @@ def _bracket(product, labels, maxit):
 
 def _inside_cores(rows, cols, dim):
     """(product, rows): the rows of the dim x dim 0/1 graph (``rows`` sorted,
-    ``cols``) that a cycle reaches and that reach a cycle, found by
-    :func:`_peel` in both edge directions, and the product x -> C x with C
-    the graph's entries among them, numbered in order.  Every other row is
-    on no cycle, so C has the graph's radius, and each of its rows has an
-    entry: its next step towards a cycle."""
+    ``cols``) that :func:`_peel` keeps in both edge directions, those that a
+    cycle reaches and that reach a cycle (a superset in a deep graph), and
+    the product x -> C x with C the graph's entries among them, numbered in
+    order.  Every other row is on no cycle, so C has the graph's radius."""
     core = _peel(rows, cols, dim)  # the rows that a cycle reaches
     inside = core[rows] & core[cols]
     rows, cols = rows[inside], cols[inside]
@@ -193,31 +197,23 @@ def _inside_cores(rows, cols, dim):
     return (lambda x: np.bincount(row, x[col], len(kept))), kept
 
 
-def _dims(net, hashimoto):
-    """Rows of each snapshot's B^[tau] (``hashimoto``) or A^[tau]."""
-    return np.diff(net.offsets) if hashimoto else np.full(net.N, net.n)
-
-
-def _stacks(net, taus, hashimoto):
-    """(owner, rows, cols, dim) for consecutive groups of ``taus`` whose
-    blocks have about STACK_ROWS rows in all: the :func:`_stack` of the
-    group, with the 0-based snapshot each of its rows belongs to."""
-    dims = _dims(net, hashimoto)
-    group = np.cumsum(dims[taus]) // STACK_ROWS
-    for members in (taus[group == g] for g in np.unique(group)):
+def _stacks(net, hashimoto):
+    """(owner, rows, cols, dim) for consecutive groups of snapshots whose
+    blocks B^[tau] (``hashimoto``) or A^[tau] have about STACK_ROWS rows in
+    all: the :func:`_stack` of the group, with the 0-based snapshot each of
+    its rows belongs to."""
+    dims = np.diff(net.offsets) if hashimoto else np.full(net.N, net.n)
+    group = np.cumsum(dims) // STACK_ROWS
+    for members in (np.flatnonzero(group == g) for g in np.unique(group)):
         yield (np.repeat(members, dims[members]), *_stack(net, members, hashimoto))
 
 
 def snapshot_radii(net, hashimoto):
     """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for every
-    snapshot: each is :func:`spectral_radius` of the block, bit for bit.
-    Blocks of at most DENSE_DIRECT_MAX rows are stacked, and a peel of the
-    stacks shows which have a cycle; the others are nilpotent, radius 0.0.
-    Every other block gets its :func:`_block_radius`."""
-    small = _dims(net, hashimoto) <= DENSE_DIRECT_MAX
-    stacks = _stacks(net, np.flatnonzero(small), hashimoto)
-    cyclic = {t for owner, *stack in stacks for t in owner[_peel(*stack)]}
-    cyclic.update(np.flatnonzero(~small).tolist())
+    snapshot: each is :func:`spectral_radius` of the block, bit for bit.  A
+    block that the peel of its stack empties is nilpotent, radius 0.0; every
+    other block gets its :func:`_block_radius`."""
+    cyclic = {t for owner, *stack in _stacks(net, hashimoto) for t in owner[_peel(*stack)]}
     zero = RadiusEstimate(0.0, True, 0)
     return [_block_radius(net, t, hashimoto) if t in cyclic else zero for t in range(net.N)]
 
@@ -255,22 +251,20 @@ def mode_bound(net, mode):
     1 / max_tau rho(A^[tau]) for standard / NBT-in-time.
 
     The maximum is that of :func:`snapshot_radii`, bit for bit, from the radii
-    of only the blocks that may hold it.  Stacked power steps bracket each
-    block by Collatz-Wielandt bounds: on numpy alone for blocks of at most
-    DENSE_DIRECT_MAX rows, on their :func:`_inside_cores`, and inside the
-    strongly connected components of larger ones.  The blocks then get their
+    of only the blocks that may hold it.  Stacked power steps on numpy alone
+    bracket each block by Collatz-Wielandt bounds on its
+    :func:`_inside_cores`; the upper bound holds for any positive x, so on
+    any superset of the rows on a cycle.  The blocks then get their
     :func:`_block_radius` in descending order of upper bound, up to the first
     bound of zero (an acyclic block) or below (1 - MARGIN) times the largest
     radius so far; that block and the rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
-    small = _dims(net, hashimoto) <= DENSE_DIRECT_MAX
     upper = np.zeros(net.N)
-    for owner, *stack in _stacks(net, np.flatnonzero(small), hashimoto):
+    for owner, *stack in _stacks(net, hashimoto):
         product, rows = _inside_cores(*stack)
-        _raise_bounds(upper, owner[rows], product, np.unique(owner[rows], return_inverse=True)[1])
-    for owner, *stack in _stacks(net, np.flatnonzero(~small), hashimoto):
-        C, labels, rows = _inside_components(*stack)
-        _raise_bounds(upper, owner[rows], C.dot, labels)
+        if len(rows):
+            blocks, labels = np.unique(owner[rows], return_inverse=True)
+            upper[blocks] = _bracket(product, labels, STACK_STEPS)[1]
     rho, converged = 0.0, True
     for t in np.argsort(-upper, kind="stable").tolist():
         if upper[t] == 0.0 or upper[t] < (1 - MARGIN) * rho:
@@ -278,17 +272,6 @@ def mode_bound(net, mode):
         e = _block_radius(net, t, hashimoto)
         rho, converged = max(rho, e.value), converged and e.converged
     return _reciprocal(rho), converged
-
-
-def _raise_bounds(upper, owner, product, labels):
-    """Raise upper[t] to the :func:`_bracket` upper bound of each set of rows
-    (``labels``) of the stacked matrix ``product``, whose rows belong to the
-    snapshots ``owner``."""
-    if len(owner):
-        _, hi_k, _ = _bracket(product, labels, STACK_STEPS)
-        block = np.empty(len(hi_k), dtype=np.int64)
-        block[labels] = owner
-        np.maximum.at(upper, block, hi_k)
 
 
 def alpha_bound(net, mode):

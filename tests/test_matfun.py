@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork, matfun, spectral
-from tempokatz.matfun import SolveError, evaluate, resolvent_solver
+from tempokatz.matfun import SolveError, resolvent_solver
+from tempokatz.oracle import evaluate
 
 from conftest import TRIANGLE, dense_radius, katz_referee, networks, random_network
 

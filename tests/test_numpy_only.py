@@ -1,6 +1,7 @@
 """SciPy loads only in the functions that call it: importing the package,
-``tempokatz validate``, ``check-alpha`` and Katz ``rank`` on blocks of at
-most DENSE_DIRECT_MAX rows run on numpy alone, and ``dump-matrix`` loads
+``tempokatz validate``, ``check-alpha`` and Katz ``rank`` run on numpy alone
+while every cyclic block and every system they factor has at most
+DENSE_DIRECT_MAX rows, and ``dump-matrix`` loads
 ``scipy.sparse`` without its solvers.  Each check of the modules loaded runs
 in a fresh interpreter, since this test process has SciPy loaded already."""
 
@@ -179,6 +180,26 @@ def test_katz_rank_without_scipy(tmp_path):
     assert blocked.stderr == free.stderr  # main's stdout, byte for byte
     fastpath = [line for line in free.stderr.splitlines() if line.startswith("# fastpath=")]
     assert fastpath == ["# fastpath=True"] * 6 + ["# fastpath=False"] * 3
+
+
+def test_acyclic_blocks_above_the_direct_cutoff_without_scipy(tmp_path):
+    # A has 300 rows and no cycle: the peel shows it, so no radius is taken
+    path = tmp_path / "dag.txt"
+    path.write_text("%n 300\n0 1 1\n0 2 1\n1 2 2\n2 3 3\n1 3 3\n")
+    runs = [
+        ["check-alpha", str(path)],
+        ["rank", str(path), "--alpha", "0.5"],
+        ["rank", str(path), "--alpha", "0.5", "--mode", "nbt-time", "--measure", "sc"],
+    ]
+    blocked = python(BLOCK_SCIPY + MAIN_EACH, json.dumps(runs))
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN_EACH, json.dumps(runs))
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    lines = free.stderr.splitlines()
+    assert lines[:2] == ["ell = inf", "snapshot 1: rho = 0 lambda = inf"]
+    assert "0,2.875,1" in lines
 
 
 @pytest.mark.parametrize(

@@ -458,21 +458,29 @@ def test_peel_finds_the_blocks_with_a_cycle_property(net, stack_rows):
     # small stacks split the snapshots into several groups
     with mock.patch.object(spectral, "STACK_ROWS", stack_rows):
         for hashimoto in (False, True):
-            stacks = spectral._stacks(net, np.arange(net.N), hashimoto)
+            stacks = spectral._stacks(net, hashimoto)
             got = {int(t) for owner, *stack in stacks for t in owner[spectral._peel(*stack)]}
             assert got == cyclic_by_components(net, hashimoto)
 
 
-def peel_rounds(net, hashimoto, monkeypatch):
-    """(cyclic, rounds): whether the peel finds a cycle in the one-snapshot
+def counted_peel(net, hashimoto, monkeypatch):
+    """(kept, rounds): the rows that the peel keeps of the one-snapshot
     ``net``, and the rounds it takes, one range of out-edges each."""
     rows, cols, dim = spectral._stack(net, np.arange(1), hashimoto)
     rounds, ranges = [], spectral._ranges
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_ranges", lambda *a: rounds.append(1) or ranges(*a))
-        cyclic = bool(spectral._peel(rows, cols, dim).any())
+        kept = spectral._peel(rows, cols, dim)
+    return kept, len(rounds)
+
+
+def peel_rounds(net, hashimoto, monkeypatch):
+    """(cyclic, rounds): whether the peel finds a cycle in the one-snapshot
+    ``net``, and the rounds it takes."""
+    kept, rounds = counted_peel(net, hashimoto, monkeypatch)
+    cyclic = bool(kept.any())
     assert cyclic == bool(cyclic_by_components(net, hashimoto))
-    return cyclic, len(rounds)
+    return cyclic, rounds
 
 
 def test_peel_named_cases(monkeypatch):
@@ -492,6 +500,42 @@ def test_peel_named_cases(monkeypatch):
     tree = both_ways([(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
     assert peel_rounds(network(6, tree), False, monkeypatch)[0] is True
     assert peel_rounds(network(6, tree), True, monkeypatch)[0] is False
+
+
+def test_peel_stops_after_the_direct_cutoff_rounds(monkeypatch):
+    # a 1000-deep path, beside an undirected triangle (rho(A) = 2, rho(B) = 1)
+    path = [(i, i + 1) for i in range(999)]
+    for hashimoto in (False, True):
+        kept, rounds = counted_peel(network(1000, path), hashimoto, monkeypatch)
+        # each round frees the next row; the rows past the last round stay
+        assert rounds == spectral.DENSE_DIRECT_MAX
+        dim = len(path) if hashimoto else 1000
+        np.testing.assert_array_equal(
+            np.flatnonzero(kept), np.arange(spectral.DENSE_DIRECT_MAX + 1, dim)
+        )
+    alone, beside = network(1000, path), network(1000, path, both_ways([(0, 1), (1, 2), (2, 0)]))
+    zero = RadiusEstimate(0.0, True, 0)
+    for hashimoto, rho in ((False, 2.0), (True, 1.0)):
+        assert spectral.snapshot_radii(alone, hashimoto) == [zero]
+        path_radius, triangle_radius = spectral.snapshot_radii(beside, hashimoto)
+        assert path_radius == zero
+        assert triangle_radius.converged
+        assert triangle_radius.value == pytest.approx(rho, rel=1e-9)
+    for mode in Mode:
+        assert spectral.mode_bound(alone, mode) == (math.inf, True)
+        assert tk.alpha_bound(alone, mode).per_snapshot == ((0.0, math.inf),)
+        assert spectral.mode_bound(beside, mode) == every_radius_bound(beside, mode)
+        bound = tk.alpha_bound(beside, mode)
+        assert bound.per_snapshot[0] == (0.0, math.inf)
+        assert bound.per_snapshot[1] == pytest.approx((2.0, 1.0), rel=1e-9)
+
+
+def test_snapshot_radii_peel_an_acyclic_block_above_the_cutoff(monkeypatch):
+    net = network(300, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)])
+    calls = recorded_radii(monkeypatch)
+    for hashimoto in (False, True):
+        assert spectral.snapshot_radii(net, hashimoto) == [RadiusEstimate(0.0, True, 0)]
+    assert calls == []
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
