@@ -14,10 +14,12 @@ NBT-both and in NBT-in-space for alpha > 1/2, which factor the Hashimoto
 block.  Other weightings sum the series with sparse products on M.
 
 Importing the package needs only numpy: each function that calls SciPy
-imports it itself, so SciPy loads on the first sparse build or sparse
-factorization.  Parsing (``validate``) never loads it, and neither do
-``alpha_bound`` (``check-alpha``) and the Katz measures while every block
-with a cycle and every system they factor has at most 200 rows.
+imports it itself.  Parsing (``validate``) and ``alpha_bound``
+(``check-alpha``) never load it, and neither do the Katz measures while
+every system they factor has at most 200 rows.  SciPy loads for the sparse
+LU of a larger system, for the sparse ``M`` of a series weight, for the
+sparse matrix builders (``dump-matrix``), and for ``spectral_radius`` of a
+SciPy matrix.
 """
 
 from .centrality import (

@@ -24,6 +24,7 @@ cache of its own: each call builds its matrix afresh from the arrays.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,40 @@ def _ranges(starts, ends):
     rows = np.repeat(np.arange(len(counts)), counts)
     offsets = np.cumsum(counts) - counts
     return rows, np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+
+
+class _Entries(NamedTuple):
+    """The dim x dim matrix with ``values`` at (``rows``, ``cols``), duplicates
+    summed; ``P @ x`` for a dim-vector or dim x k block x sums each row's
+    entries in their order.  The systems that ``matfun`` factors hold them
+    in CSC order (by column, then row), which :func:`_csc` needs."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def __matmul__(self, x):
+        if x.ndim == 1:
+            return np.bincount(self.rows, self.values * x[self.cols], self.dim)
+        k = x.shape[1]
+        at = (self.rows[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(at, (self.values[:, None] * x[self.cols]).ravel(), self.dim * k)
+        return sums.reshape(self.dim, k)
+
+    def among(self, keep):
+        """The entries among the sorted rows ``keep``, numbered by their place."""
+        place = np.full(self.dim, -1)
+        place[keep] = np.arange(len(keep))
+        rows, cols = place[self.rows], place[self.cols]
+        inside = (rows >= 0) & (cols >= 0)
+        return _Entries(rows[inside], cols[inside], self.values[inside], len(keep))
+
+    def dense(self):
+        """The matrix as a dense array."""
+        matrix = np.zeros((self.dim, self.dim))
+        np.add.at(matrix, (self.rows, self.cols), self.values)
+        return matrix
 
 
 def _successors(e):

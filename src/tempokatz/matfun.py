@@ -28,7 +28,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .line_space import Mode, _csc, _hashimoto_entries, _katz_entries, _ranges, pair_index
+from .line_space import (
+    Mode, _csc, _Entries, _hashimoto_entries, _katz_entries, _ranges, pair_index,
+)
 from .spectral import DENSE_DIRECT_MAX
 
 DEFAULT_TOL = 1e-12
@@ -207,22 +209,6 @@ def _factor(P, **options):
         return spla.splu(P, **options)
     except RuntimeError as exc:
         raise SolveError(f"I - alpha M is singular ({exc})") from None
-
-
-class _Entries(NamedTuple):
-    """The dim x dim matrix with ``values`` at (``rows``, ``cols``), in CSC
-    order; ``P @ x`` for a dim x k block x."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __matmul__(self, x):
-        k = x.shape[1]
-        at = (self.rows[:, None] * k + np.arange(k)).ravel()
-        sums = np.bincount(at, (self.values[:, None] * x[self.cols]).ravel(), self.dim * k)
-        return sums.reshape(self.dim, k)
 
 
 def _inf_norm(P):

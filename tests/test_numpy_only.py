@@ -1,8 +1,10 @@
 """SciPy loads only in the functions that call it: importing the package,
-``tempokatz validate``, ``check-alpha`` and Katz ``rank`` run on numpy alone
-while every cyclic block and every system they factor has at most
-DENSE_DIRECT_MAX rows, and ``dump-matrix`` loads
-``scipy.sparse`` without its solvers.  Each check of the modules loaded runs
+``tempokatz validate`` and ``check-alpha`` run on numpy alone whatever the
+size of the blocks, and so does Katz ``rank`` while every system it factors
+has at most DENSE_DIRECT_MAX rows.  SciPy loads for the sparse LU of a
+larger system, for the ``scipy.sparse`` matrix of a series weight, for
+``dump-matrix`` (``scipy.sparse`` without its solvers) and for
+``spectral_radius`` of a SciPy matrix.  Each check of the modules loaded runs
 in a fresh interpreter, since this test process has SciPy loaded already."""
 
 import json
@@ -148,16 +150,72 @@ def test_alpha_bound_with_an_empty_snapshot_without_scipy():
     assert free.stdout.splitlines()[1:] == [radii, "[]"]
 
 
-def test_check_alpha_loads_scipy_above_the_direct_cutoff(tmp_path):
+def test_check_alpha_above_the_direct_cutoff_without_scipy(tmp_path):
     # A has 250 rows, above DENSE_DIRECT_MAX: its radius takes the route
-    # through strongly connected components
+    # through strongly connected components, found on numpy as well
     path = tmp_path / "wide.txt"
     path.write_text("%n 250\n0 1 1\n1 2 1\n2 0 1\n")
-    result = python(MAIN, "check-alpha", str(path))
+    blocked = python(BLOCK_SCIPY + MAIN, "check-alpha", str(path))
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN, "check-alpha", str(path))
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    assert free.stderr.splitlines() == [
+        "ell = 1",
+        "snapshot 1: rho = 1 lambda = 0.99999999999999978",
+    ]
+
+
+# a 999-edge path in snapshot 1 and an undirected triangle in snapshot 2, on
+# 1000 nodes: the path's A and B have 1000 and 999 rows and no cycle, so the
+# peel, which stops after DENSE_DIRECT_MAX rounds, leaves rows of both to the
+# components; A of the triangle has 1000 rows
+PATH_AND_TRIANGLE = "%n 1000\n" + "".join(f"{i} {i + 1} 1\n" for i in range(999)) + (
+    "0 1 2\n1 0 2\n1 2 2\n2 1 2\n2 0 2\n0 2 2\n"
+)
+
+
+# rank's bound of the network in a file, for a mode
+BOUND = """
+import sys
+
+import tempokatz as tk
+
+net = tk.parse_temporal_edgelist(open(sys.argv[1]).read())
+print(tk.spectral.mode_bound(net, tk.Mode(sys.argv[2])))
+"""
+
+
+@pytest.mark.parametrize("mode", ["nbt-space", "nbt-both"])
+def test_deep_path_beside_a_triangle(tmp_path, mode):
+    path = tmp_path / "path.txt"
+    path.write_text(PATH_AND_TRIANGLE)
+    blocked = python(BLOCK_SCIPY + MAIN, "check-alpha", str(path), "--mode", mode)
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN, "check-alpha", str(path), "--mode", mode)
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    assert free.stderr.splitlines() == [
+        "ell = 0.99999999999999978",
+        "snapshot 1: rho = 0 lambda = inf",
+        "snapshot 2: rho = 2 lambda = 0.99999999999999978",
+    ]
+    # rank's bound needs no SciPy either, but the path's system has 999 rows
+    # (its distinct sources, or its Hashimoto block), which splu factors
+    bound = python(BLOCK_SCIPY + BOUND, str(path), mode)
+    assert bound.returncode == 0, bound.stderr
+    assert bound.stdout == "(0.9999999999999998, True)\n"
+    result = python(MAIN, "rank", str(path), "--alpha", "0.5", "--mode", mode)
     assert result.returncode == 0, result.stderr
-    assert "scipy.sparse.csgraph" in result.stdout.split()
-    names = [line.split(" = ")[0] for line in result.stderr.splitlines()]
-    assert names == ["ell", "snapshot 1: rho"]
+    assert "scipy.sparse.linalg" in result.stdout.split()
+    assert "scipy.sparse.csgraph" not in result.stdout.split()
+    lines = result.stderr.splitlines()
+    assert "# ell=0.99999999999999978" in lines
+    top = {"nbt-space": ["0,5.5000000000000009,1", "1,5.0000000000000009,2"],
+           "nbt-both": ["0,4.75,1", "1,4.5,2"]}[mode]
+    assert lines[lines.index("node,value,rank") + 1 :][:3] == top + ["2,4,3"]
 
 
 def test_katz_rank_without_scipy(tmp_path):
@@ -213,17 +271,18 @@ def test_acyclic_blocks_above_the_direct_cutoff_without_scipy(tmp_path):
 def test_katz_rank_factors_each_step_on_its_sources(
     tmp_path, monkeypatch, capsys, edges, sparse_factors
 ):
-    # A has 250 rows, above DENSE_DIRECT_MAX, so its radius loads SciPy's
-    # strongly connected components (which import scipy.sparse.linalg in
-    # recent SciPy).  The step's system has only the |S_t| rows of the
-    # snapshot's distinct sources, and splu factors it only above the cutoff
+    # A has 250 rows, above DENSE_DIRECT_MAX, and its radius takes the
+    # strongly connected components, found on numpy.  The step's system has
+    # only the |S_t| rows of the snapshot's distinct sources, and splu
+    # factors it only above the cutoff: SciPy loads for splu and nothing else
     path = tmp_path / "wide.txt"
     path.write_text("%n 250\n" + edges)
     result = python(MAIN, "rank", str(path), "--alpha", "0.5")
     assert result.returncode == 0, result.stderr
-    assert "scipy.sparse.csgraph" in result.stdout.split()
-    if sparse_factors:
-        assert "scipy.sparse.linalg" in result.stdout.split()
+    loaded = set(result.stdout.split())
+    assert "scipy.sparse.csgraph" not in loaded
+    assert ("scipy.sparse.linalg" in loaded) == bool(sparse_factors)
+    assert bool(loaded) == bool(sparse_factors)
     factored, splu = [], scipy.sparse.linalg.splu
 
     def counted(P, **options):

@@ -538,6 +538,113 @@ def test_snapshot_radii_peel_an_acyclic_block_above_the_cutoff(monkeypatch):
     assert calls == []
 
 
+# --- strongly connected components on numpy ---------------------------------
+
+
+def falling_chain(k):
+    """k reciprocated pairs on 2k rows, joined in a row by one-way edges, the
+    row numbers falling downstream."""
+    top = 2 * k - 1
+    pairs = both_ways((top - 2 * i, top - 2 * i - 1) for i in range(k))
+    return pairs + [(top - 2 * i - 1, top - 2 * i - 2) for i in range(k - 1)]
+
+
+def falling_path(n):
+    return [(i + 1, i) for i in range(n - 1)]
+
+
+def entries(edges):
+    """(rows, cols) of the edge list, in row order."""
+    e = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return e[:, 0], e[:, 1]
+
+
+@st.composite
+def digraphs(draw):
+    """(rows, cols, dim): random entries, self-loops and rows without entries
+    among them, or a falling chain of pairs or a falling path, its rows
+    renumbered or not, in a graph with rows to spare."""
+    dim = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["random", "chain", "path"]))
+    if kind == "random":
+        node = st.integers(0, dim - 1)
+        edges = draw(st.lists(st.tuples(node, node), max_size=3 * dim))
+    else:
+        size = draw(st.integers(1, dim // 2 if kind == "chain" else dim))
+        edges = falling_chain(size) if kind == "chain" else falling_path(size)
+        perm = draw(st.permutations(range(dim)) | st.just(list(range(dim))))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return (*entries(edges), dim)
+
+
+def scipy_components(rows, cols, dim):
+    coo = sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    return connected_components(coo, directed=True, connection="strong")[1]
+
+
+def same_partition(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@given(digraphs(), st.sampled_from([0, 1, 3, spectral.COLOUR_PASSES]))
+@settings(max_examples=300, deadline=None)
+def test_components_equal_scipy_property(graph, passes):
+    # a small cap leaves the depth-first search some or all of the rows
+    rows, cols, dim = graph
+    with mock.patch.object(spectral, "COLOUR_PASSES", passes):
+        labels = spectral._components(rows, cols, dim)
+    assert same_partition(labels, scipy_components(rows, cols, dim))
+
+
+def counted_components(rows, cols, dim, monkeypatch):
+    """(labels, passes, searched): :func:`spectral._components` of the graph,
+    the passes its colouring takes in all, and the number of entries of each
+    depth-first search."""
+    passes, searched = [], []
+    spread, depth_first = spectral._spread, spectral._depth_first
+
+    def counted_spread(values, src, tgt, budget):
+        left = spread(values, src, tgt, budget)
+        passes.append(max(budget, 0) - max(left, 0))
+        return left
+
+    def counted_depth_first(rows, cols, labels):
+        searched.append(len(rows))
+        return depth_first(rows, cols, labels)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_spread", counted_spread)
+        patch.setattr(spectral, "_depth_first", counted_depth_first)
+        labels = spectral._components(rows, cols, dim)
+    return labels, sum(passes), searched
+
+
+def test_components_passes_are_bounded(monkeypatch):
+    # uncapped, the colouring takes 251,500 passes on the chain and 501,498 on
+    # the path: each round finds only the top component.  Capped, it takes
+    # COLOUR_PASSES and one depth-first search over at most every entry
+    for edges in (falling_chain(500), falling_path(1000)):
+        rows, cols = entries(edges)
+        labels, passes, searched = counted_components(rows, cols, 1000, monkeypatch)
+        assert same_partition(labels, scipy_components(rows, cols, 1000))
+        assert passes == spectral.COLOUR_PASSES
+        assert len(searched) == 1 and searched[0] <= len(rows)
+    # 500 disjoint pairs: one round of two passes each way, and no search
+    rows, cols = entries(both_ways((2 * i, 2 * i + 1) for i in range(500)))
+    labels, passes, searched = counted_components(rows, cols, 1000, monkeypatch)
+    assert same_partition(labels, scipy_components(rows, cols, 1000))
+    assert (passes, searched) == (4, [])
+
+
+def test_radius_counts_a_weighted_self_loop():
+    # a 250-cycle, and a self-loop of weight 2.5 on a row of its own
+    cycle = directed_cycle(250).tocoo()
+    rows, cols = np.append(cycle.row, 260), np.append(cycle.col, 260)
+    A = sp.csr_array((np.append(cycle.data, 2.5), (rows, cols)), shape=(300, 300))
+    assert tk.spectral_radius(A) == RadiusEstimate(2.5, True, 1)
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
