@@ -13,9 +13,9 @@ stack every block into block-diagonal stacks, whatever its size, and peel
 them for at most DENSE_DIRECT_MAX rounds.  ``alpha_bound`` takes every
 radius of both families: a block the peel empties has no cycle, radius 0.0.
 ``mode_bound`` needs only the largest of its mode's family: it brackets
-every block at once on the rows that the peel in both edge directions
-keeps, and takes radii in descending order of upper bound.  All of it runs
-on numpy alone; only ``spectral_radius`` of a SciPy matrix loads SciPy.
+every block at once on the rows that the same peel keeps, and takes radii
+in descending order of upper bound.  All of it runs on numpy alone; only
+``spectral_radius`` of a SciPy matrix loads SciPy.
 """
 
 from __future__ import annotations
@@ -71,10 +71,13 @@ COLOUR_PASSES = 64
 #: mode_bound stacks the blocks about STACK_ROWS rows at a time, for
 #: STACK_STEPS power steps, to bound memory: one stack of all 4M adjacency
 #: rows of a 1000-node, 4000-snapshot network raised peak RSS by 78 MB,
-#: where these groups added nothing to the 85 MB of parsing it.  MARGIN is
-#: well above the dense eigensolver's error on a defective radius (1.7e-6
-#: seen, 5.8e-5 contrived)
-STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 10, 1e-4
+#: where these groups added nothing to the 85 MB of parsing it.  The peel
+#: keeps the rows downstream of a cycle too, and at ten steps their brackets
+#: left 174 radii to take on the long-horizon Hashimoto blocks of perfbench
+#: seeds 1-8, against 49 at fifteen; twenty steps cost more than the radii
+#: they save.  MARGIN is well above the dense eigensolver's error on a
+#: defective radius (1.7e-6 seen, 5.8e-5 contrived)
+STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 15, 1e-4
 
 
 def spectral_radius(m):
@@ -233,7 +236,8 @@ def _peel(rows, cols, dim):
     reaches: Kahn's algorithm, which removes every row no edge enters, takes
     their out-edges off the in-degrees and repeats.  It stops after at most
     DENSE_DIRECT_MAX rounds, one per level: a block of at most that many
-    rows is peeled to the end, and a deeper graph returns a superset."""
+    rows is peeled to the end, and a deeper graph returns a superset.  Both
+    bounds look only at the blocks and rows it keeps."""
     first = _starts(rows, dim)
     indegree = np.bincount(cols, minlength=dim)
     free = np.flatnonzero(indegree == 0)
@@ -251,8 +255,10 @@ def _bracket(C, labels, maxit):
     of the nonnegative :class:`_Entries` C on each set k
     of rows closed under C (``labels``), after at most ``maxit`` power steps
     on I + C that stop once the largest bracket closes to DEFAULT_TOL.  The
-    bounds hold whether or not a set is strongly connected; over many steps
-    x stays clear of underflow where every row has an entry."""
+    bounds hold whether or not a set is strongly connected.  A row without
+    entries shrinks by at most the factor 1 + (largest row sum of C) a step:
+    over a few steps x stays clear of underflow on any rows, and over many
+    where every row has an entry."""
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
     x = np.ones(len(labels))
@@ -266,21 +272,6 @@ def _bracket(C, labels, maxit):
         x += y
         x /= np.maximum.reduceat(x[order], starts)[labels]  # per set, no underflow
     return lo_k, hi_k, it
-
-
-def _inside_cores(rows, cols, dim):
-    """(C, rows): the rows of the dim x dim 0/1 graph (``rows`` sorted,
-    ``cols``) that :func:`_peel` keeps in both edge directions, those that a
-    cycle reaches and that reach a cycle (a superset in a deep graph), and
-    the :class:`_Entries` C of the graph among them, numbered in order.
-    Every other row is on no cycle, so C has the graph's radius."""
-    core = _peel(rows, cols, dim)  # the rows that a cycle reaches
-    inside = core[rows] & core[cols]
-    rows, cols = rows[inside], cols[inside]
-    order = np.argsort(cols, kind="stable")
-    core &= _peel(cols[order], rows[order], dim)  # of those, the rows that reach one
-    kept = np.flatnonzero(core)
-    return _Entries(rows, cols, np.ones(len(rows)), dim).among(kept), kept
 
 
 def _stacks(net, hashimoto):
@@ -337,19 +328,21 @@ def mode_bound(net, mode):
     1 / max_tau rho(A^[tau]) for standard / NBT-in-time.
 
     The maximum is that of :func:`snapshot_radii`, bit for bit, from the radii
-    of only the blocks that may hold it.  Stacked power steps on numpy alone
-    bracket each block by Collatz-Wielandt bounds on its
-    :func:`_inside_cores`; the upper bound holds for any positive x, so on
-    any superset of the rows on a cycle.  The blocks then get their
-    :func:`_block_radius` in descending order of upper bound, up to the first
-    bound of zero (an acyclic block) or below (1 - MARGIN) times the largest
-    radius so far; that block and the rest are proven smaller."""
+    of only the blocks that may hold it.  STACK_STEPS stacked power steps on
+    numpy alone bracket each block by Collatz-Wielandt bounds on the rows
+    that :func:`_peel` keeps of its stack, which a cycle reaches; the upper
+    bound holds for any positive x, so on any superset of the rows on a
+    cycle.  The blocks then get their :func:`_block_radius` in descending
+    order of upper bound, up to the first bound of zero (an acyclic block)
+    or below (1 - MARGIN) times the largest radius so far; that block and
+    the rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
     upper = np.zeros(net.N)
-    for owner, *stack in _stacks(net, hashimoto):
-        C, rows = _inside_cores(*stack)
-        if len(rows):
-            blocks, labels = np.unique(owner[rows], return_inverse=True)
+    for owner, rows, cols, dim in _stacks(net, hashimoto):
+        kept = np.flatnonzero(_peel(rows, cols, dim))
+        if len(kept):
+            C = _Entries(rows, cols, np.ones(len(rows)), dim).among(kept)
+            blocks, labels = np.unique(owner[kept], return_inverse=True)
             upper[blocks] = _bracket(C, labels, STACK_STEPS)[1]
     rho, converged = 0.0, True
     for t in np.argsort(-upper, kind="stable").tolist():

@@ -549,6 +549,22 @@ def test_rank_node_level_singular_exits_3(capsys, tmp_path, mode):
     assert "error" in err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no refusal of an inaccurate solve")
+@pytest.mark.parametrize("mode", ["standard", "nbt-time"])
+def test_rank_ill_conditioned_below_ell_exits_3(capsys, tmp_path, mode):
+    # K4 in one snapshot: rho(A) = 3, so alpha = 0.333333333333333 lies just
+    # below ell.  Every Katz value is exactly 1 / (1 - 3 alpha) = 9.4813e14,
+    # but the solve returns 992569654716520.5 and rank exits 0
+    path = tmp_path / "k4.txt"
+    path.write_text("".join(f"{u} {v} 1\n" for u in range(4) for v in range(4) if u != v))
+    code, out, err = run(
+        capsys, "rank", str(path), "--alpha", "0.333333333333333", "--mode", mode
+    )
+    assert code == 3
+    assert out == ""
+    assert "error" in err
+
+
 def test_rank_polynomial_sums_every_term(capsys, tmp_path):
     # a tiny coefficient must not end the sum before the polynomial's degree
     text = "0 1 1\n1 2 1\n2 3 2\n3 0 2\n0 2 3\n"

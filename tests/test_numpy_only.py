@@ -167,13 +167,15 @@ def test_check_alpha_above_the_direct_cutoff_without_scipy(tmp_path):
     ]
 
 
-# a 999-edge path in snapshot 1 and an undirected triangle in snapshot 2, on
-# 1000 nodes: the path's A and B have 1000 and 999 rows and no cycle, so the
-# peel, which stops after DENSE_DIRECT_MAX rounds, leaves rows of both to the
-# components; A of the triangle has 1000 rows
-PATH_AND_TRIANGLE = "%n 1000\n" + "".join(f"{i} {i + 1} 1\n" for i in range(999)) + (
-    "0 1 2\n1 0 2\n1 2 2\n2 1 2\n2 0 2\n0 2 2\n"
-)
+def path_and_triangle(length):
+    """A ``length``-edge path in snapshot 1 and an undirected triangle in
+    snapshot 2, on 1000 nodes.  The path's A and B have 1000 and ``length``
+    rows and no cycle; above DENSE_DIRECT_MAX edges the peel, which stops
+    after as many rounds, leaves rows of both to the components.  A of the
+    triangle has 1000 rows."""
+    return "%n 1000\n" + "".join(f"{i} {i + 1} 1\n" for i in range(length)) + (
+        "0 1 2\n1 0 2\n1 2 2\n2 1 2\n2 0 2\n0 2 2\n"
+    )
 
 
 # rank's bound of the network in a file, for a mode
@@ -189,33 +191,35 @@ print(tk.spectral.mode_bound(net, tk.Mode(sys.argv[2])))
 
 @pytest.mark.parametrize("mode", ["nbt-space", "nbt-both"])
 def test_deep_path_beside_a_triangle(tmp_path, mode):
-    path = tmp_path / "path.txt"
-    path.write_text(PATH_AND_TRIANGLE)
-    blocked = python(BLOCK_SCIPY + MAIN, "check-alpha", str(path), "--mode", mode)
-    assert blocked.returncode == 0, blocked.stderr
-    free = python(MAIN, "check-alpha", str(path), "--mode", mode)
-    assert free.returncode == 0, free.stderr
-    assert free.stdout.strip() == ""  # no scipy module loaded
-    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
-    assert free.stderr.splitlines() == [
-        "ell = 0.99999999999999978",
-        "snapshot 1: rho = 0 lambda = inf",
-        "snapshot 2: rho = 2 lambda = 0.99999999999999978",
-    ]
-    # rank's bound needs no SciPy either, but the path's system has 999 rows
-    # (its distinct sources, or its Hashimoto block), which splu factors
-    bound = python(BLOCK_SCIPY + BOUND, str(path), mode)
-    assert bound.returncode == 0, bound.stderr
-    assert bound.stdout == "(0.9999999999999998, True)\n"
-    result = python(MAIN, "rank", str(path), "--alpha", "0.5", "--mode", mode)
-    assert result.returncode == 0, result.stderr
-    assert "scipy.sparse.linalg" in result.stdout.split()
-    assert "scipy.sparse.csgraph" not in result.stdout.split()
-    lines = result.stderr.splitlines()
-    assert "# ell=0.99999999999999978" in lines
-    top = {"nbt-space": ["0,5.5000000000000009,1", "1,5.0000000000000009,2"],
-           "nbt-both": ["0,4.75,1", "1,4.5,2"]}[mode]
-    assert lines[lines.index("node,value,rank") + 1 :][:3] == top + ["2,4,3"]
+    for length in (300, 999):
+        path = tmp_path / f"path{length}.txt"
+        path.write_text(path_and_triangle(length))
+        blocked = python(BLOCK_SCIPY + MAIN, "check-alpha", str(path), "--mode", mode)
+        assert blocked.returncode == 0, blocked.stderr
+        free = python(MAIN, "check-alpha", str(path), "--mode", mode)
+        assert free.returncode == 0, free.stderr
+        assert free.stdout.strip() == ""  # no scipy module loaded
+        assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+        assert free.stderr.splitlines() == [
+            "ell = 0.99999999999999978",
+            "snapshot 1: rho = 0 lambda = inf",
+            "snapshot 2: rho = 2 lambda = 0.99999999999999978",
+        ]
+        # rank's bound needs no SciPy either, but the path's system has
+        # `length` rows (its distinct sources, or its Hashimoto block), which
+        # splu factors
+        bound = python(BLOCK_SCIPY + BOUND, str(path), mode)
+        assert bound.returncode == 0, bound.stderr
+        assert bound.stdout == "(0.9999999999999998, True)\n"
+        result = python(MAIN, "rank", str(path), "--alpha", "0.5", "--mode", mode)
+        assert result.returncode == 0, result.stderr
+        assert "scipy.sparse.linalg" in result.stdout.split()
+        assert "scipy.sparse.csgraph" not in result.stdout.split()
+        lines = result.stderr.splitlines()
+        assert "# ell=0.99999999999999978" in lines
+        top = {"nbt-space": ["0,5.5000000000000009,1", "1,5.0000000000000009,2"],
+               "nbt-both": ["0,4.75,1", "1,4.5,2"]}[mode]
+        assert lines[lines.index("node,value,rank") + 1 :][:3] == top + ["2,4,3"]
 
 
 def test_katz_rank_without_scipy(tmp_path):

@@ -503,31 +503,34 @@ def test_peel_named_cases(monkeypatch):
 
 
 def test_peel_stops_after_the_direct_cutoff_rounds(monkeypatch):
-    # a 1000-deep path, beside an undirected triangle (rho(A) = 2, rho(B) = 1)
-    path = [(i, i + 1) for i in range(999)]
-    for hashimoto in (False, True):
-        kept, rounds = counted_peel(network(1000, path), hashimoto, monkeypatch)
-        # each round frees the next row; the rows past the last round stay
-        assert rounds == spectral.DENSE_DIRECT_MAX
-        dim = len(path) if hashimoto else 1000
-        np.testing.assert_array_equal(
-            np.flatnonzero(kept), np.arange(spectral.DENSE_DIRECT_MAX + 1, dim)
-        )
-    alone, beside = network(1000, path), network(1000, path, both_ways([(0, 1), (1, 2), (2, 0)]))
-    zero = RadiusEstimate(0.0, True, 0)
-    for hashimoto, rho in ((False, 2.0), (True, 1.0)):
-        assert spectral.snapshot_radii(alone, hashimoto) == [zero]
-        path_radius, triangle_radius = spectral.snapshot_radii(beside, hashimoto)
-        assert path_radius == zero
-        assert triangle_radius.converged
-        assert triangle_radius.value == pytest.approx(rho, rel=1e-9)
-    for mode in Mode:
-        assert spectral.mode_bound(alone, mode) == (math.inf, True)
-        assert tk.alpha_bound(alone, mode).per_snapshot == ((0.0, math.inf),)
-        assert spectral.mode_bound(beside, mode) == every_radius_bound(beside, mode)
-        bound = tk.alpha_bound(beside, mode)
-        assert bound.per_snapshot[0] == (0.0, math.inf)
-        assert bound.per_snapshot[1] == pytest.approx((2.0, 1.0), rel=1e-9)
+    # a 300- and a 999-edge path, beside an undirected triangle (rho(A) = 2,
+    # rho(B) = 1); mode_bound brackets the rows that the peel keeps of either
+    # path, and takes the radius of its B, whose bound reaches the triangle's
+    for length in (300, 999):
+        n, path = length + 1, [(i, i + 1) for i in range(length)]
+        for hashimoto in (False, True):
+            kept, rounds = counted_peel(network(n, path), hashimoto, monkeypatch)
+            # each round frees the next row; the rows past the last round stay
+            assert rounds == spectral.DENSE_DIRECT_MAX
+            dim = length if hashimoto else n
+            np.testing.assert_array_equal(
+                np.flatnonzero(kept), np.arange(spectral.DENSE_DIRECT_MAX + 1, dim)
+            )
+        alone, beside = network(n, path), network(n, path, both_ways([(0, 1), (1, 2), (2, 0)]))
+        zero = RadiusEstimate(0.0, True, 0)
+        for hashimoto, rho in ((False, 2.0), (True, 1.0)):
+            assert spectral.snapshot_radii(alone, hashimoto) == [zero]
+            path_radius, triangle_radius = spectral.snapshot_radii(beside, hashimoto)
+            assert path_radius == zero
+            assert triangle_radius.converged
+            assert triangle_radius.value == pytest.approx(rho, rel=1e-9)
+        for mode in Mode:
+            assert spectral.mode_bound(alone, mode) == (math.inf, True)
+            assert tk.alpha_bound(alone, mode).per_snapshot == ((0.0, math.inf),)
+            assert spectral.mode_bound(beside, mode) == every_radius_bound(beside, mode)
+            bound = tk.alpha_bound(beside, mode)
+            assert bound.per_snapshot[0] == (0.0, math.inf)
+            assert bound.per_snapshot[1] == pytest.approx((2.0, 1.0), rel=1e-9)
 
 
 def test_snapshot_radii_peel_an_acyclic_block_above_the_cutoff(monkeypatch):
@@ -648,7 +651,8 @@ def test_radius_counts_a_weighted_self_loop():
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_mode_bound_on_the_benchmark_networks(monkeypatch):
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_mode_bound_on_the_benchmark_networks(seed, monkeypatch):
     # seed-1 `long-horizon` `node` snapshot 73 has a defective radius of 1
     # that dense eigenvalues put above 1, and the `scan` networks tie
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -657,7 +661,7 @@ def test_mode_bound_on_the_benchmark_networks(monkeypatch):
     nets = [
         tk.parse_temporal_edgelist(net.to_edgelist())
         for workload in workloads.WORKLOADS.values()
-        for net in workloads.networks(workload, 1).values()
+        for net in workloads.networks(workload, seed).values()
     ]
     expected = [{mode: every_radius_bound(net, mode) for mode in Mode} for net in nets]
     calls = recorded_radii(monkeypatch)
