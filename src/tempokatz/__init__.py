@@ -11,15 +11,16 @@ snapshots are forbidden, running sums over directed pairs).  The system is
 I - alpha A_t or the non-backtracking cubic on the snapshot's distinct
 sources, and every mode solves it for the same node increment, except in
 NBT-both and in NBT-in-space for alpha > 1/2, which factor the Hashimoto
-block.  Other weightings sum the series with sparse products on M.
+block.  Other weightings sum their series with products by M that never
+form it either (``TransitionOperator``): cumulative sums along each source's
+edges, sorted by snapshot.
 
 Importing the package needs only numpy: each function that calls SciPy
 imports it itself.  Parsing (``validate``) and ``alpha_bound``
-(``check-alpha``) never load it, and neither do the Katz measures while
-every system they factor has at most 200 rows.  SciPy loads for the sparse
-LU of a larger system, for the sparse ``M`` of a series weight, for the
-sparse matrix builders (``dump-matrix``), and for ``spectral_radius`` of a
-SciPy matrix.
+(``check-alpha``) never load it, nor do the series weightings, nor the Katz
+measures while every system they factor has at most 200 rows.  SciPy loads
+for the sparse LU of a larger system, for the sparse matrix builders
+(``dump-matrix``), and for ``spectral_radius`` of a SciPy matrix.
 """
 
 from .centrality import (
@@ -33,6 +34,7 @@ from .centrality import (
 )
 from .line_space import (
     Mode,
+    TransitionOperator,
     global_source_target,
     global_transition,
     hashimoto_matrix,

@@ -5,10 +5,11 @@ Each measure applies one node-block map, W -> c_0 W + alpha L_g^T (shifted
 f)(alpha M) R_g W, with M the global transition matrix and L_g, R_g the
 global source/target matrices: total communicability to the all-ones vector,
 subgraph centrality and the communicability matrix to blocks of at most
-COLUMN_BLOCK unit columns.  A resolvent (Katz) weight runs the engine
-``matfun.resolvent_solver``, one back-substitution over the snapshots that
-never forms M; any other weight sums its series on the assembled M with
-sparse x dense block products.
+COLUMN_BLOCK unit columns.  No weight forms M, L_g or R_g.  A resolvent
+(Katz) weight runs the engine ``matfun.resolvent_solver``, one
+back-substitution over the snapshots; any other weight sums its series by
+products with ``line_space.TransitionOperator``, cumulative sums along the
+edges of each source sorted by snapshot, on numpy alone.
 
 Every measure checks alpha in one place, ``_check_alpha``, against the bound
 ell of ``spectral.mode_bound``, which its result carries with whether the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .line_space import Mode, global_source_target, global_transition
+from .line_space import Mode, TransitionOperator
 from .matfun import SolveError, apply_series, partial_op, resolvent, resolvent_solver
 from .spectral import mode_bound
 
@@ -97,7 +98,8 @@ def _node_block(net, alpha, f, mode, force):
     M) R_g W for an n-vector or n x k block W, and ``run`` the run's
     CentralityVector fields.  A resolvent factors each snapshot once, here,
     and never forms M (node_space: whether every system is a node system);
-    any other weight sums its series on the assembled M.  Both hold to the fixed
+    any other weight sums its series on the TransitionOperator of M, which
+    never forms it either.  Both hold to the fixed
     ``matfun.DEFAULT_TOL``: each solve's backward error, the series' stop."""
     alpha, ell = _check_alpha(net, alpha, mode, f.radius, force)
     run = {"mode": mode, "alpha": alpha, "function": f.name, "ell": ell}
@@ -108,12 +110,11 @@ def _node_block(net, alpha, f, mode, force):
         run["node_space"] = solve.node_space
         return (lambda W: (gamma * solve(W), False)), run
     g = partial_op(f)
-    Lg, Rg = global_source_target(net)
-    M = global_transition(net, mode)
+    op = TransitionOperator(net, mode)
 
     def series(W):
-        result = apply_series(M, alpha, g, Rg @ W)
-        return f(0) * W + alpha * (Lg.T @ result.value), result.truncated
+        result = apply_series(op, alpha, g, op.targets(W))
+        return f(0) * W + alpha * op.sources(result.value), result.truncated
 
     return series, run
 

@@ -6,7 +6,8 @@ centrality scores.  The shift operator maps f to sum_r c_{r+1} z^r, which
 compensates for edge-space walks being one step shorter than the node-space
 walks they represent.
 
-A series is summed on an assembled matrix (``apply_series``).  The Katz
+A series is summed by products with M (``apply_series``): an assembled
+matrix, or ``line_space.TransitionOperator``, which never forms it.  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
 to blocks of node values without M, in one back-substitution from the last
 snapshot to the first.  Each step factors one system, pivoting on the
@@ -164,41 +165,59 @@ def _block(v, shape):
 
 
 def apply_series(M, alpha, g, v):
-    """Evaluate sum_r g_r alpha^r M^r v by accumulating sparse products, for
-    a vector v or each column of an m x k block v.
+    """Evaluate sum_r g_r alpha^r M^r v by accumulating products with M, for
+    a vector v or each column of an m x k block v.  M is any square matrix
+    or operator with ``shape`` and ``@``, such as
+    ``line_space.TransitionOperator``.
 
     A polynomial is summed to its degree.  An infinite series stops adding
     to a column once its new term's max-norm drops below DEFAULT_TOL times
-    that column's accumulated max-norm.  Every column stops exactly when M
-    annihilates its power (nilpotent case); the sum ends when all columns
-    have stopped, or after DEFAULT_RMAX terms (flagged as truncated).  A
-    column whose sum overflows raises SolveError.  The caller is responsible
-    for alpha being inside radius(g) / rho(M).
+    that column's accumulated max-norm.  A column stops exactly when M
+    annihilates its power (nilpotent case).  Only the columns still summing
+    are multiplied, so a column costs no product after it stops.  The sum
+    ends when all columns have stopped, or after DEFAULT_RMAX terms (flagged
+    as truncated).  A column whose sum overflows raises SolveError.  The
+    caller is responsible for alpha being inside radius(g) / rho(M).
     """
     power = _block(v, M.shape)
-    acc = g(0) * power
+    result = acc = g(0) * power
+    # in place where it can: a fresh m x k temporary costs page faults of
+    # the order of its arithmetic
+    work = np.empty_like(acc)
+    active = np.arange(power.shape[1])
     rstop = DEFAULT_RMAX if g.degree is None else min(DEFAULT_RMAX, g.degree)
     terms = 1
     truncated = g.degree is None or rstop < g.degree
     # an overflow surfaces as a non-finite sum, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, rstop + 1):
-            power = alpha * (M @ power)
+            power = M @ power
+            power *= alpha
             terms += 1
             c = g(r)
             if c != 0.0:
-                term = c * power
-                acc = acc + term
-                if g.degree is None:
-                    term_norm = np.max(np.abs(term), axis=0, initial=0.0)
-                    acc_norm = np.max(np.abs(acc), axis=0, initial=0.0)
-                    power[:, term_norm <= DEFAULT_TOL * np.maximum(acc_norm, 1e-300)] = 0.0
-            if not power.any():
+                term = np.multiply(power, c, out=work)
+                acc += term
+            if c != 0.0 and g.degree is None:
+                # a column of zero powers stops here too
+                term_norm = np.max(np.abs(term, out=work), axis=0, initial=0.0)
+                acc_norm = np.max(np.abs(acc, out=work), axis=0, initial=0.0)
+                summing = ~(term_norm <= DEFAULT_TOL * np.maximum(acc_norm, 1e-300))
+            else:
+                summing = power.any(axis=0)
+            if not summing.all():
+                if acc is not result:
+                    result[:, active] = acc
+                active, power, acc = active[summing], power[:, summing], acc[:, summing]
+                work = np.empty_like(acc)
+            if not len(active):
                 truncated = False
                 break
-    if not np.isfinite(acc).all():
+    if acc is not result:
+        result[:, active] = acc
+    if not np.isfinite(result).all():
         raise SolveError(f"series sum is not finite after {terms} terms (alpha too large?)")
-    return SeriesResult(acc.reshape(np.shape(v)), truncated, terms)
+    return SeriesResult(result.reshape(np.shape(v)), truncated, terms)
 
 
 def _factor(P, **options):

@@ -179,19 +179,20 @@ def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
         assert fig1.m not in dims
 
 
-def test_katz_never_forms_the_global_transition_matrix(fig1, monkeypatch):
+def test_rank_routes_never_form_the_global_matrices(fig1, monkeypatch):
+    # Katz solves snapshot by snapshot, and every other weight sums its
+    # series on line_space.TransitionOperator: no route assembles M, L_g or R_g
     def forbidden(*args, **kwargs):
-        raise AssertionError("global_transition called")
+        raise AssertionError("global matrix assembled")
 
-    monkeypatch.setattr(centrality, "global_transition", forbidden)
-    monkeypatch.setattr(tk.line_space, "global_transition", forbidden)
-    katz = tk.resolvent(1, 1)
-    for mode in Mode:
-        tk.temporal_f_total_communicability(fig1, 0.2, katz, mode)
-        tk.temporal_f_subgraph_centrality(fig1, 0.2, katz, mode)
-        tk.communicability_matrix(fig1, 0.2, katz, mode)
-    with pytest.raises(AssertionError, match="global_transition"):
-        tk.temporal_f_total_communicability(fig1, 0.2, tk.exponential(), Mode.STANDARD)
+    for name in ("global_transition", "global_source_target"):
+        monkeypatch.setattr(tk.line_space, name, forbidden)
+    weights = (tk.resolvent(1, 1), tk.exponential(), tk.polynomial([1.0, 0.5, 0.25, 0.125]))
+    for f in weights:
+        for mode in Mode:
+            tk.temporal_f_total_communicability(fig1, 0.2, f, mode)
+            tk.temporal_f_subgraph_centrality(fig1, 0.2, f, mode)
+            tk.communicability_matrix(fig1, 0.2, f, mode)
 
 
 @st.composite

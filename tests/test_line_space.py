@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork
 
-from conftest import TRIANGLE, random_network
+from conftest import TRIANGLE, networks, random_network
 
 
 def dense(m):
@@ -307,3 +309,58 @@ def test_dump_coordinate_format(ex5):
     buf = io.StringIO()
     tk.line_space.dump_coordinate(tk.global_transition(ex5, Mode.STANDARD), buf)
     assert buf.getvalue() == "3 3 2\n0 1 1\n1 2 1\n"
+
+
+def reversal_weighted(net, rng, k, scale):
+    """A nonnegative m x k block in the global edge order: 1 on every edge
+    whose reversed pair appears in some snapshot, ``scale`` times uniform
+    on the others, so that the reversals a mode forbids are most of each
+    sum and taking them away cancels."""
+    src, tgt, _ = net.arrays
+    pairs = set(zip(src.tolist(), tgt.tolist()))
+    turned = np.array([(v, u) in pairs for u, v in zip(src.tolist(), tgt.tolist())], dtype=bool)
+    return np.where(turned[:, None], 1.0, scale * rng.random((net.m, k)))
+
+
+def assert_transition_operator(net, X):
+    """op @ X, op.targets and op.sources against the assembled M, L_g and
+    R_g, componentwise to 1e-13 relative, in every mode."""
+    L, R = tk.global_source_target(net)
+    W = np.arange(1.0, net.n * X.shape[1] + 1).reshape(net.n, -1)
+    for mode in Mode:
+        op = tk.TransitionOperator(net, mode)
+        assert op.shape == (net.m, net.m)
+        assert sorted(op.edges.tolist()) == list(range(net.m))
+        want = tk.global_transition(net, mode) @ X
+        for got, expected in ((op @ X[op.edges], want), (op @ X[op.edges, 0], want[:, 0])):
+            np.testing.assert_allclose(got, expected[op.edges], rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(op.targets(W), (R @ W)[op.edges])
+        np.testing.assert_allclose(op.sources(X[op.edges]), L.T @ X, rtol=1e-13, atol=0)
+
+
+@given(networks(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3]),
+       st.sampled_from([1.0, 1e-8, 1e-15]))
+@settings(max_examples=150, deadline=None)
+def test_transition_operator_matches_global_transition_property(net, seed, k, scale):
+    # empty snapshots, sinks and pairs repeated across snapshots, on a block
+    # weighted on the reversals, so that leaving them out cancels
+    rng = np.random.default_rng(seed)
+    assert_transition_operator(net, reversal_weighted(net, rng, k, scale))
+    assert_transition_operator(net, rng.random((net.m, k)))
+
+
+def test_transition_operator_on_long_and_many_runs():
+    # 60 sources and a hub with an edge to every other node in each of 6
+    # snapshots: the first positions are added slice by slice, and the
+    # hub's run of 354 edges is summed padded, past one chunk of positions.  The hub's pairs repeat in every snapshot, some
+    # reciprocated
+    rng = np.random.default_rng(5)
+    lines = ["%n 60"]
+    for t in range(1, 7):
+        lines += [f"0 {v} {t}" for v in range(1, 60)]
+        lines += [f"{v} 0 {t}" for v in range(1, 60, 7)]
+        lines += [f"{u} {v} {t}" for u, v in rng.integers(1, 60, size=(150, 2)) if u != v]
+    net = tk.parse_temporal_edgelist("\n".join(lines))
+    for k in (1, 32):
+        assert_transition_operator(net, reversal_weighted(net, rng, k, 1e-9))
+        assert_transition_operator(net, rng.random((net.m, k)))

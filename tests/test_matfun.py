@@ -147,6 +147,45 @@ def test_apply_series_block_matches_columns(fig1):
         assert not block.truncated
 
 
+class CountedProducts:
+    """M, counting the columns it multiplies."""
+
+    def __init__(self, M):
+        self.M, self.shape, self.columns = M, M.shape, 0
+
+    def __matmul__(self, X):
+        self.columns += X.shape[1]
+        return self.M @ X
+
+
+@pytest.mark.parametrize("f", [tk.exponential(), tk.polynomial([1.0, 0.5, 0.25, 0.125, 1.0])],
+                         ids=["exponential", "polynomial"])
+def test_apply_series_multiplies_only_the_columns_still_summing(fig1, f):
+    # a zero column, units on edges with few or no successors, and dense
+    # columns stop after different numbers of products; the block makes
+    # exactly the products of its columns run one at a time, with
+    # bit-identical values, and fewer than k per term
+    rng = np.random.default_rng(7)
+    V = np.zeros((fig1.m, 6))
+    V[:, :2] = rng.random((fig1.m, 2))
+    V[np.arange(2, 6) % fig1.m, np.arange(2, 6)] = 1.0
+    V[:, 5] = 0.0
+    g = tk.partial_op(f)
+    for mode in Mode:
+        M = tk.global_transition(fig1, mode)
+        counted = CountedProducts(M)
+        block = tk.apply_series(counted, 0.7, g, V)
+        columns = []
+        for k in range(V.shape[1]):
+            one = CountedProducts(M)
+            column = tk.apply_series(one, 0.7, g, V[:, k])
+            np.testing.assert_array_equal(block.value[:, k], column.value)
+            columns.append(one.columns)
+        assert counted.columns == sum(columns)
+        assert counted.columns < V.shape[1] * (block.terms - 1)
+        assert columns[5] == 1  # the zero column stops after one product
+
+
 def test_resolvent_solve_block_matches_columns(fig1):
     rng = np.random.default_rng(32)
     V = rng.random((fig1.m, 3))

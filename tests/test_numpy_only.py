@@ -1,11 +1,12 @@
 """SciPy loads only in the functions that call it: importing the package,
 ``tempokatz validate`` and ``check-alpha`` run on numpy alone whatever the
-size of the blocks, and so does Katz ``rank`` while every system it factors
-has at most DENSE_DIRECT_MAX rows.  SciPy loads for the sparse LU of a
-larger system, for the ``scipy.sparse`` matrix of a series weight, for
-``dump-matrix`` (``scipy.sparse`` without its solvers) and for
-``spectral_radius`` of a SciPy matrix.  Each check of the modules loaded runs
-in a fresh interpreter, since this test process has SciPy loaded already."""
+size of the blocks, and so does ``rank`` with a series weight (the
+exponential or a polynomial) in every mode, and Katz ``rank`` while every
+system it factors has at most DENSE_DIRECT_MAX rows.  SciPy loads for the
+sparse LU of a larger system, for ``dump-matrix`` (``scipy.sparse`` without
+its solvers) and for ``spectral_radius`` of a SciPy matrix.  Each check of
+the modules loaded runs in a fresh interpreter, since this test process has
+SciPy loaded already."""
 
 import json
 import os
@@ -299,10 +300,27 @@ def test_katz_rank_factors_each_step_on_its_sources(
     assert capsys.readouterr().out == result.stderr  # the same output in process
 
 
-def test_exponential_rank_loads_scipy(tmp_path):
-    # a series sums on the assembled sparse M
+def test_series_rank_without_scipy(tmp_path):
+    # a series weight sums on line_space.TransitionOperator, on numpy alone:
+    # the exponential and a polynomial, both measures, every mode
     path = tmp_path / "mixed.txt"
     path.write_text(MIXED)
-    result = python(MAIN, "rank", str(path), "--alpha", "0.3", "--function", "exponential")
-    assert result.returncode == 0, result.stderr
-    assert "scipy.sparse" in result.stdout.split()
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("1\n1\n0.5\n0.25\n")
+    runs = [
+        ["rank", str(path), "--alpha", "0.3", "--function", function, "--mode", mode,
+         "--measure", measure]
+        for function in ("exponential", f"coeffs:{coeffs}")
+        for mode in ("standard", "nbt-space", "nbt-time", "nbt-both")
+        for measure in ("tc", "sc")
+    ]
+    blocked = python(BLOCK_SCIPY + MAIN_EACH, json.dumps(runs))
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN_EACH, json.dumps(runs))
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    lines = free.stderr.splitlines()
+    assert lines.count("node,value,rank") == len(runs)
+    # exponential TC in the standard mode, as the assembled M gave it
+    assert "0,2.5013079897443857,1" in lines
