@@ -12,8 +12,8 @@ I - alpha A_t or the non-backtracking cubic on the snapshot's distinct
 sources, and every mode solves it for the same node increment, except in
 NBT-both and in NBT-in-space for alpha > 1/2, which factor the Hashimoto
 block.  Other weightings sum their series with products by M that never
-form it either (``TransitionOperator``): cumulative sums along each source's
-edges, sorted by snapshot.
+form it either (``line_space.TransitionOperator``): cumulative sums along
+each source's edges, sorted by snapshot.
 
 Importing the package needs only numpy: each function that calls SciPy
 imports it itself.  Parsing (``validate``) and ``alpha_bound``
@@ -34,7 +34,6 @@ from .centrality import (
 )
 from .line_space import (
     Mode,
-    TransitionOperator,
     global_source_target,
     global_transition,
     hashimoto_matrix,

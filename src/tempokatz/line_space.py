@@ -219,8 +219,6 @@ def global_transition(net, mode):
 #: adding this many entries (2-vCPU Xeon); narrower ones are summed padded,
 #: by rows
 _WIDE = 512
-#: positions summed padded by one ``np.cumsum`` call
-_CHUNK = 256
 
 
 class _Runs:
@@ -283,14 +281,7 @@ class _Runs:
         at, cells, pick = self._tail(p)
         if len(cells):
             T = np.take(out, at, axis=0)
-            # np.cumsum walks each column of a position apart, so it runs on
-            # chunks of positions that stay in cache, each carrying on from
-            # the last sum of the one before
-            for start in range(0, T.shape[1], _CHUNK):
-                chunk = T[:, start : start + _CHUNK]
-                np.cumsum(chunk, axis=1, out=chunk)
-                if start:
-                    chunk += T[:, start - 1 : start]
+            np.cumsum(T, axis=1, out=T)
             out[cells] = np.take(T.reshape(at.size, k), pick, axis=0)
         return out
 

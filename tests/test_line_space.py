@@ -328,7 +328,7 @@ def assert_transition_operator(net, X):
     L, R = tk.global_source_target(net)
     W = np.arange(1.0, net.n * X.shape[1] + 1).reshape(net.n, -1)
     for mode in Mode:
-        op = tk.TransitionOperator(net, mode)
+        op = tk.line_space.TransitionOperator(net, mode)
         assert op.shape == (net.m, net.m)
         assert sorted(op.edges.tolist()) == list(range(net.m))
         want = tk.global_transition(net, mode) @ X
@@ -352,8 +352,8 @@ def test_transition_operator_matches_global_transition_property(net, seed, k, sc
 def test_transition_operator_on_long_and_many_runs():
     # 60 sources and a hub with an edge to every other node in each of 6
     # snapshots: the first positions are added slice by slice, and the
-    # hub's run of 354 edges is summed padded, past one chunk of positions.  The hub's pairs repeat in every snapshot, some
-    # reciprocated
+    # hub's run of 354 edges is summed padded.  The hub's pairs repeat in
+    # every snapshot, some reciprocated
     rng = np.random.default_rng(5)
     lines = ["%n 60"]
     for t in range(1, 7):
