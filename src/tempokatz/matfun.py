@@ -11,12 +11,14 @@ matrix, or ``line_space.TransitionOperator``, which never forms it.  The Katz
 engine ``resolvent_solver`` applies W -> W + alpha L_g^T (I - alpha M)^-1 R_g W
 to blocks of node values without M, in one back-substitution from the last
 snapshot to the first.  Each step factors one system, pivoting on the
-diagonal with no row interchanges: one of at most DENSE_DIRECT_MAX rows is
-inverted on numpy alone, in stacks of equal padded size, and a larger one
-is factored by SuperLU.  A step is accepted if that system's backward error
-is at most DEFAULT_TOL.  A node step solves P_t D = alpha L_t^T c on the
-rows of the snapshot's distinct sources, with a per-edge right side c of
-its mode; otherwise the step solves an m_t x m_t Hashimoto block.
+diagonal with no row interchanges.  Every system is inverted on numpy
+alone, in stacks of equal padded size, while the steps above
+DENSE_DIRECT_MAX rows fit the DENSE_WORK_MAX budget of dense work;
+otherwise those larger steps are factored by SuperLU.  A step is accepted
+if that system's backward error is at most DEFAULT_TOL.  A node step
+solves P_t D = alpha L_t^T c on the rows of the snapshot's distinct
+sources, with a per-edge right side c of its mode; otherwise the step
+solves an m_t x m_t Hashimoto block.
 ``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
 partial pivoting, and is the tests' reference for it.
 """
@@ -254,8 +256,9 @@ def _solve(lu, P, b, norm):
 
 
 #: splu options for the systems above DENSE_DIRECT_MAX rows that
-#: :func:`resolvent_solver` factors.  With diag_pivot_thresh = 0 SuperLU
-#: pivots on the diagonal wherever it is nonzero, as the dense path does.
+#: :func:`resolvent_solver` factors, when their dense work exceeds
+#: DENSE_WORK_MAX.  With diag_pivot_thresh = 0 SuperLU pivots on the
+#: diagonal wherever it is nonzero, as the dense path does.
 #: I - alpha A_t and I - alpha B_t are nonsingular M-matrices for alpha
 #: below 1 / rho of the block, which is every alpha on an acyclic one; their
 #: LU without pivoting exists and is stable, while partial pivoting lost
@@ -270,6 +273,15 @@ _NODE_LU = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
 #: at most STACK_ENTRIES entries, which bounds the temporaries of _invert
 #: to about half of that
 _PAD, STACK_ENTRIES = 8, 1 << 20
+
+#: the steps above DENSE_DIRECT_MAX rows go dense too while the sum of their
+#: padded sizes cubed is at most this, the work of one 1024-row system.
+#: Loading SuperLU costs about 0.22 s of wall time (a process importing
+#: numpy takes 0.107 s, one that also imports scipy.sparse.linalg 0.327 s),
+#: and dense work at the budget took 68 to 154 ms in process, for 1 x 1024,
+#: 8 x 512, 64 x 256 and 116 x 208 rows at 2 and at 17 entries per row
+#: (2-vCPU Xeon host)
+DENSE_WORK_MAX = 1 << 30
 
 
 class _Inverse(NamedTuple):
@@ -335,13 +347,17 @@ def _inverses(systems, size):
 
 def _factor_steps(systems):
     """The factor of each :class:`_Entries` system, with ``solve(b)``.
-    Systems of at most DENSE_DIRECT_MAX rows get their :func:`_inverses` on
-    numpy alone, in stacks of one padded size and at most STACK_ENTRIES
-    entries; larger ones get ``splu`` with the options ``_NODE_LU``.  Both
+    Systems get their :func:`_inverses` on numpy alone, in stacks of one
+    padded size and at most STACK_ENTRIES entries: all of them while the
+    padded sizes cubed of those above DENSE_DIRECT_MAX rows sum to at most
+    DENSE_WORK_MAX, and otherwise those of at most DENSE_DIRECT_MAX rows,
+    the larger ones getting ``splu`` with the options ``_NODE_LU``.  Both
     pivot on the diagonal.  An exactly zero pivot on the dense path, or an
     exactly singular sparse factor, raises SolveError."""
     dims = np.array([P.dim for P in systems], dtype=np.int64)
     dense, padded = dims <= DENSE_DIRECT_MAX, -(-dims // _PAD) * _PAD
+    if sum(size**3 for size in padded[~dense].tolist()) <= DENSE_WORK_MAX:
+        dense[:] = True
     factors = [None] * len(systems)
     for size in np.unique(padded[dense]).tolist():
         same = np.flatnonzero(dense & (padded == size))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,20 @@ FIG_NETWORK = "3 0 1\n0 1 1\n1 2 1\n2 1 2\n2 3 2\n3 0 3\n0 3 3\n"
 
 # one undirected triangle snapshot (6 directed edges)
 TRIANGLE = "0 1 1\n1 0 1\n1 2 1\n2 1 1\n0 2 1\n2 0 1\n"
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def dense_snapshots_edge(monkeypatch):
+    """Edge-list text of the seed-1 `edge` network of perfbench's
+    `dense-snapshots` workload: 40 nodes, 4 snapshots of 300 and 700 edges."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    shape = workloads.Shape(n=40, N=4, m_t=(300, 700), reciprocated=0.3)
+    return workloads.generate(shape, 1, 0).to_edgelist()
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tempokatz as tk
-from tempokatz import Mode, Snapshot, TemporalNetwork, matfun, spectral
+from tempokatz import Mode, Snapshot, TemporalNetwork, line_space, matfun, spectral
 from tempokatz.matfun import SolveError, resolvent_solver
 from tempokatz.oracle import evaluate
 
@@ -354,16 +354,18 @@ def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch, step):
 
 
 def both_sides_of_the_cutoff():
-    """Three snapshots whose middle one, an undirected cycle on 250 nodes,
-    has 250 distinct sources and 500 edges, above DENSE_DIRECT_MAX; the
-    others are small, and cyclic in A (and in B for the first)."""
+    """Three snapshots whose middle one, an undirected cycle on 1100 nodes,
+    has 1100 distinct sources and 2200 edges, above DENSE_DIRECT_MAX, and a
+    system of more dense work than DENSE_WORK_MAX on its own; the others are
+    small, and cyclic in A (and in B for the first)."""
     first = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]
-    ring = [e for i in range(250) for e in ((i, (i + 1) % 250), ((i + 1) % 250, i))]
+    ring = [e for i in range(1100) for e in ((i, (i + 1) % 1100), ((i + 1) % 1100, i))]
     last = [(5, 6), (5, 7), (7, 5)]
     snaps = tuple(Snapshot(tau, tuple(edges)) for tau, edges in enumerate((first, ring, last), 1))
-    net = TemporalNetwork(n=260, snapshots=snaps, timestamps=(1, 2, 3))
+    net = TemporalNetwork(n=1110, snapshots=snaps, timestamps=(1, 2, 3))
     middle = net.snapshots[1]
-    assert min(len(np.unique(middle.arrays.src)), middle.m) > spectral.DENSE_DIRECT_MAX
+    rows = min(len(np.unique(middle.arrays.src)), middle.m)
+    assert rows > spectral.DENSE_DIRECT_MAX and rows**3 > matfun.DENSE_WORK_MAX
     return net
 
 
@@ -377,6 +379,76 @@ def test_block_solver_rejects_an_inaccurate_sparse_solve(monkeypatch):
             solve(np.ones(net.n))
     assert len(replaced) == len(Mode)
     assert not any(isinstance(lu, matfun._Inverse) for lu in replaced)
+
+
+def path_system(dim):
+    """Entries of I - S / 2, with S the shift of the dim-node path."""
+    nodes = np.arange(dim - 1)
+    entries = line_space._with_diagonal(nodes, nodes + 1, np.full(dim - 1, -0.5), np.ones(dim))
+    return line_space._Entries(*entries, dim)
+
+
+@pytest.mark.parametrize(
+    "dims, dense",
+    [
+        ((10, 1024, 10), [True] * 3),  # 1024**3 rows: the budget itself
+        ((808, 10, 808), [True] * 3),  # 2 * 808**3, 98% of it
+        ((10, 1025, 10), [True, False, True]),  # padded to 1032 rows
+        ((809, 10, 809), [False, True, False]),  # padded to 816: 101%
+    ],
+    ids=["1024", "2x808", "1025", "2x809"],
+)
+def test_factor_steps_on_both_sides_of_the_dense_budget(dims, dense):
+    # the steps above DENSE_DIRECT_MAX rows go dense while their padded
+    # sizes cubed sum to at most DENSE_WORK_MAX, one 1024-row system
+    assert matfun.DENSE_WORK_MAX == 1 << 30 == 1024**3
+    systems = [path_system(dim) for dim in dims]
+    factors = matfun._factor_steps(systems)
+    assert [isinstance(lu, matfun._Inverse) for lu in factors] == dense
+    for lu, P in zip(factors, systems):
+        x = matfun._solve(lu, P, np.ones((P.dim, 1)), matfun._inf_norm(P))
+        # x_i = sum_{k < dim - i} 2^-k, exact in binary to the last bit
+        np.testing.assert_array_equal(x[:, 0], 2.0 - 0.5 ** np.arange(P.dim - 1, -1, -1))
+
+
+@given(st.integers(201, 600), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_dense_and_sparse_factors_agree_property(dim, fraction, seed):
+    # P = I - alpha A for a random nonnegative A of one to four entries per
+    # row off the diagonal, at alpha <= 0.9 / rho(A): a nonsingular
+    # M-matrix, so P^-1 >= 0.  With b >= 0 (some entries zero) the dense
+    # inverse and splu without row interchanges agree componentwise
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5)) * dim
+    at = np.unique(rng.integers(0, dim, k) * dim + rng.integers(0, dim, k))
+    rows, cols = np.divmod(at[at // dim != at % dim], dim)
+    A = np.zeros((dim, dim))
+    A[rows, cols] = 1.0
+    rho = np.max(np.abs(np.linalg.eigvals(A)))
+    alpha = fraction / rho if rho > 0 else 2 * fraction
+    entries = line_space._with_diagonal(rows, cols, np.full(len(rows), -alpha), np.ones(dim))
+    P = line_space._Entries(*entries, dim)
+    b = rng.random((dim, 2)) * (rng.random((dim, 2)) < 0.7)
+    size = -(-dim // matfun._PAD) * matfun._PAD
+    dense = matfun._inverses([P], size)[0]
+    sparse = matfun._factor(line_space._csc(*P), **matfun._NODE_LU)
+    norm = matfun._inf_norm(P)
+    x, y = (matfun._solve(lu, P, b, norm) for lu in (dense, sparse))
+    assert (x >= 0).all()
+    np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+
+
+def test_block_solver_on_the_dense_snapshots_network(dense_snapshots_edge):
+    # nbt-both factors the 300- and 700-row Hashimoto blocks, 0.70
+    # DENSE_WORK_MAX of dense work: every step is inverted on numpy
+    net = tk.parse_temporal_edgelist(dense_snapshots_edge)
+    alpha = 0.5 * tk.alpha_bound(net, Mode.STANDARD).ell
+    W = np.random.default_rng(41).random((net.n, 3))
+    solve = resolvent_solver(net, Mode.NBT_BOTH, alpha)
+    for w in (np.ones(net.n), W):
+        np.testing.assert_allclose(
+            solve(w), katz_referee(net, Mode.NBT_BOTH, alpha, w), rtol=1e-12, atol=0
+        )
 
 
 @pytest.mark.parametrize("mode", list(Mode))

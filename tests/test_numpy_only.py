@@ -1,10 +1,11 @@
 """SciPy loads only in the functions that call it: importing the package,
 ``tempokatz validate`` and ``check-alpha`` run on numpy alone whatever the
 size of the blocks, and so does ``rank`` with a series weight (the
-exponential or a polynomial) in every mode, and Katz ``rank`` while every
-system it factors has at most DENSE_DIRECT_MAX rows.  SciPy loads for the
-sparse LU of a larger system, for ``dump-matrix`` (``scipy.sparse`` without
-its solvers) and for ``spectral_radius`` of a SciPy matrix.  Each check of
+exponential or a polynomial) in every mode, and Katz ``rank`` while the
+systems it factors above DENSE_DIRECT_MAX rows fit the DENSE_WORK_MAX
+budget of dense work.  SciPy loads for the sparse LU of those systems when
+they do not, for ``dump-matrix`` (``scipy.sparse`` without its solvers) and
+for ``spectral_radius`` of a SciPy matrix.  Each check of
 the modules loaded runs in a fresh interpreter, since this test process has
 SciPy loaded already."""
 
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 import scipy.sparse.linalg
 
+import tempokatz as tk
 from tempokatz.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,17 +208,21 @@ def test_deep_path_beside_a_triangle(tmp_path, mode):
             "snapshot 1: rho = 0 lambda = inf",
             "snapshot 2: rho = 2 lambda = 0.99999999999999978",
         ]
-        # rank's bound needs no SciPy either, but the path's system has
-        # `length` rows (its distinct sources, or its Hashimoto block), which
-        # splu factors
+        # rank's bound needs no SciPy either, and the path's system has
+        # `length` rows (its distinct sources, or its Hashimoto block): at
+        # most 1000**3 of dense work, within DENSE_WORK_MAX, so rank inverts
+        # it on numpy as well
         bound = python(BLOCK_SCIPY + BOUND, str(path), mode)
         assert bound.returncode == 0, bound.stderr
         assert bound.stdout == "(0.9999999999999998, True)\n"
-        result = python(MAIN, "rank", str(path), "--alpha", "0.5", "--mode", mode)
-        assert result.returncode == 0, result.stderr
-        assert "scipy.sparse.linalg" in result.stdout.split()
-        assert "scipy.sparse.csgraph" not in result.stdout.split()
-        lines = result.stderr.splitlines()
+        rank = ["rank", str(path), "--alpha", "0.5", "--mode", mode]
+        blocked = python(BLOCK_SCIPY + MAIN, *rank)
+        assert blocked.returncode == 0, blocked.stderr
+        free = python(MAIN, *rank)
+        assert free.returncode == 0, free.stderr
+        assert free.stdout.strip() == ""  # no scipy module loaded
+        assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+        lines = free.stderr.splitlines()
         assert "# ell=0.99999999999999978" in lines
         top = {"nbt-space": ["0,5.5000000000000009,1", "1,5.0000000000000009,2"],
                "nbt-both": ["0,4.75,1", "1,4.5,2"]}[mode]
@@ -266,22 +272,25 @@ def test_acyclic_blocks_above_the_direct_cutoff_without_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edges, sparse_factors",
+    "n, sources, sparse_factors",
     [
-        ("0 1 1\n1 2 1\n2 0 1\n", []),  # |S_t| = 3, on the dense path
-        ("".join(f"{i} {(i + 1) % 250} 1\n" for i in range(250)), [(250, 250)]),
+        (250, 3, []),  # |S_t| = 3, at most DENSE_DIRECT_MAX
+        (250, 250, []),  # 256**3 of dense work, within DENSE_WORK_MAX
+        (1100, 1100, [(1100, 1100)]),  # 1104**3, above it
     ],
-    ids=["3-sources", "250-sources"],
+    ids=["3-sources", "250-sources", "1100-sources"],
 )
 def test_katz_rank_factors_each_step_on_its_sources(
-    tmp_path, monkeypatch, capsys, edges, sparse_factors
+    tmp_path, monkeypatch, capsys, n, sources, sparse_factors
 ):
-    # A has 250 rows, above DENSE_DIRECT_MAX, and its radius takes the
-    # strongly connected components, found on numpy.  The step's system has
-    # only the |S_t| rows of the snapshot's distinct sources, and splu
-    # factors it only above the cutoff: SciPy loads for splu and nothing else
+    # A, with n rows above DENSE_DIRECT_MAX, holds a cycle through its first
+    # `sources` nodes, and its radius takes the strongly connected
+    # components, found on numpy.  The step's system has only the |S_t|
+    # rows of the snapshot's distinct sources, and splu factors it only
+    # above the cutoff when it is more dense work than DENSE_WORK_MAX:
+    # SciPy loads for splu and nothing else
     path = tmp_path / "wide.txt"
-    path.write_text("%n 250\n" + edges)
+    path.write_text(f"%n {n}\n" + "".join(f"{i} {(i + 1) % sources} 1\n" for i in range(sources)))
     result = python(MAIN, "rank", str(path), "--alpha", "0.5")
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
@@ -298,6 +307,29 @@ def test_katz_rank_factors_each_step_on_its_sources(
     assert main(["rank", str(path), "--alpha", "0.5"]) == 0
     assert factored == sparse_factors
     assert capsys.readouterr().out == result.stderr  # the same output in process
+
+
+def test_nbt_both_rank_on_the_dense_snapshots_network_without_scipy(
+    tmp_path, dense_snapshots_edge
+):
+    # perfbench's claimed query: nbt-both at half the standard ell factors
+    # the 300- and 700-row Hashimoto blocks, 0.70 DENSE_WORK_MAX of dense
+    # work, so it inverts them on numpy
+    path = tmp_path / "dense.txt"
+    path.write_text(dense_snapshots_edge)
+    net = tk.parse_temporal_edgelist(dense_snapshots_edge)
+    alpha = repr(0.5 * tk.alpha_bound(net, tk.Mode.STANDARD).ell)
+    rank = ["rank", str(path), "--alpha", alpha, "--mode", "nbt-both"]
+    blocked = python(BLOCK_SCIPY + MAIN, *rank)
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN, *rank)
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    lines = free.stderr.splitlines()
+    rows = lines[lines.index("node,value,rank") + 1 :]
+    assert len(rows) == net.n
+    assert rows[0].startswith("16,8.34520621223") and rows[0].endswith(",1")
 
 
 def test_series_rank_without_scipy(tmp_path):
