@@ -18,8 +18,9 @@ each source's edges, sorted by snapshot.
 Importing the package needs only numpy: each function that calls SciPy
 imports it itself.  Parsing (``validate``) and ``alpha_bound``
 (``check-alpha``) never load it, nor do the series weightings, nor the Katz
-measures while the systems they factor above 200 rows add up to at most
-the dense work of one 1024-row system (``matfun.DENSE_WORK_MAX``).  SciPy
+measures while the systems they factor above 200 rows, with the solves
+of every column to follow, add up to at most the dense work of inverting
+one 1024-row system (``matfun.DENSE_WORK_MAX``).  SciPy
 loads for the sparse LU of those systems beyond it, for the sparse matrix
 builders (``dump-matrix``), and for ``spectral_radius`` of a SciPy matrix.
 """

@@ -92,12 +92,13 @@ def nbt_space_katz_node_level(net, alpha, force=False):
     return temporal_f_total_communicability(net, alpha, resolvent(), Mode.NBT_SPACE, force=force)
 
 
-def _node_block(net, alpha, f, mode, force):
+def _node_block(net, alpha, f, mode, force, columns=1):
     """Check alpha (:func:`_check_alpha`) and return (apply, run):
     apply(W) -> (Y, truncated) with Y = c_0 W + alpha L_g^T (shifted f)(alpha
     M) R_g W for an n-vector or n x k block W, and ``run`` the run's
     CentralityVector fields.  A resolvent factors each snapshot once, here,
-    and never forms M (node_space: whether every system is a node system);
+    for ``columns`` columns of W in all, and never forms M (node_space:
+    whether every system is a node system);
     any other weight sums its series on the TransitionOperator of M, which
     never forms it either.  Both hold to the fixed
     ``matfun.DEFAULT_TOL``: each solve's backward error, the series' stop."""
@@ -106,7 +107,7 @@ def _node_block(net, alpha, f, mode, force):
     if f.geometric is not None:
         gamma, delta = f.geometric
         # c_0 = gamma, and the shifted resolvent is gamma delta / (1 - delta z)
-        solve = resolvent_solver(net, mode, alpha * delta)
+        solve = resolvent_solver(net, mode, alpha * delta, columns)
         run["node_space"] = solve.node_space
         return (lambda W: (gamma * solve(W), False)), run
     g = partial_op(f)
@@ -119,12 +120,11 @@ def _node_block(net, alpha, f, mode, force):
     return series, run
 
 
-def _column_blocks(apply, net):
+def _column_blocks(apply, net, targets):
     """Yield (nodes, Y, truncated) with Y = apply(units), the node-block map
     of the unit columns of ``nodes`` (n x len(nodes)), over blocks of at
-    most COLUMN_BLOCK nodes; a node that is never a target maps its unit
-    column to c_0 times itself and is left out."""
-    targets = np.unique(net.arrays.tgt)
+    most COLUMN_BLOCK of the ``targets``; a node that is never a target
+    maps its unit column to c_0 times itself and is left out."""
     for start in range(0, len(targets), COLUMN_BLOCK):
         nodes = targets[start : start + COLUMN_BLOCK]
         units = np.zeros((net.n, len(nodes)))
@@ -144,10 +144,11 @@ def temporal_f_subgraph_centrality(net, alpha, f, mode, force=False, threads=Non
     """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, applied to
     blocks of unit columns; nodes that are never a target stay at c_0.
     ``threads`` is accepted for compatibility and ignored."""
-    apply, run = _node_block(net, alpha, f, mode, force)
+    targets = np.unique(net.arrays.tgt)
+    apply, run = _node_block(net, alpha, f, mode, force, len(targets))
     values = np.full(net.n, float(f(0)))
     truncated = False
-    for nodes, Y, trunc in _column_blocks(apply, net):
+    for nodes, Y, trunc in _column_blocks(apply, net, targets):
         values[nodes] = Y[nodes, np.arange(len(nodes))]
         truncated = truncated or trunc
     return CentralityVector(values, "subgraph", truncated=truncated, **run)
@@ -156,8 +157,9 @@ def temporal_f_subgraph_centrality(net, alpha, f, mode, force=False, threads=Non
 def communicability_matrix(net, alpha, f, mode, force=False):
     """Full n x n weighted walk-count matrix c_0 I + alpha L_g^T (shifted
     f)(alpha M) R_g.  Dense output; intended for small n (tests, debugging)."""
-    apply, _ = _node_block(net, alpha, f, mode, force)
+    targets = np.unique(net.arrays.tgt)
+    apply, _ = _node_block(net, alpha, f, mode, force, len(targets))
     Q = f(0) * np.eye(net.n)
-    for nodes, Y, _ in _column_blocks(apply, net):
+    for nodes, Y, _ in _column_blocks(apply, net, targets):
         Q[:, nodes] = Y
     return Q

@@ -13,7 +13,8 @@ to blocks of node values without M, in one back-substitution from the last
 snapshot to the first.  Each step factors one system, pivoting on the
 diagonal with no row interchanges.  Every system is inverted on numpy
 alone, in stacks of equal padded size, while the steps above
-DENSE_DIRECT_MAX rows fit the DENSE_WORK_MAX budget of dense work;
+DENSE_DIRECT_MAX rows fit the DENSE_WORK_MAX budget of dense work, which
+counts their inversion and the solves of every column to follow;
 otherwise those larger steps are factored by SuperLU.  A step is accepted
 if that system's backward error is at most DEFAULT_TOL.  A node step
 solves P_t D = alpha L_t^T c on the rows of the snapshot's distinct
@@ -274,13 +275,19 @@ _NODE_LU = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
 #: to about half of that
 _PAD, STACK_ENTRIES = 8, 1 << 20
 
-#: the steps above DENSE_DIRECT_MAX rows go dense too while the sum of their
-#: padded sizes cubed is at most this, the work of one 1024-row system.
-#: Loading SuperLU costs about 0.22 s of wall time (a process importing
-#: numpy takes 0.107 s, one that also imports scipy.sparse.linalg 0.327 s),
-#: and dense work at the budget took 68 to 154 ms in process, for 1 x 1024,
-#: 8 x 512, 64 x 256 and 116 x 208 rows at 2 and at 17 entries per row
-#: (2-vCPU Xeon host)
+#: the steps above DENSE_DIRECT_MAX rows go dense too while their dense
+#: work is at most this, the inversion of one 1024-row system.  A step of
+#: padded size s solved on k columns in all costs s^2 (s + 2 k): the
+#: inversion, and two products with the inverse per column, where splu's
+#: triangular solves on these sparse systems cost little.  Loading SuperLU
+#: costs about 0.22 s of wall time (a process importing numpy takes 0.107 s,
+#: one that also imports scipy.sparse.linalg 0.327 s), and inverting at the
+#: budget took 68 to 154 ms in process, for 1 x 1024, 8 x 512, 64 x 256 and
+#: 116 x 208 rows at 2 and at 17 entries per row.  The inverses are kept
+#: while the solver lives: at most 41 MB, for 118 steps of 208 rows.  Katz
+#: ``rank`` (TC) on 116 node steps of 204 rows peaked at 82 MB of RSS, 71 MB
+#: with splu; on 8 Hashimoto steps of 500 rows at 55 MB, 63 MB with splu
+#: and its import (2-vCPU Xeon host)
 DENSE_WORK_MAX = 1 << 30
 
 
@@ -345,36 +352,49 @@ def _inverses(systems, size):
     return [_Inverse(stack[j, : P.dim, : P.dim], P) for j, P in enumerate(systems)]
 
 
-def _factor_steps(systems):
-    """The factor of each :class:`_Entries` system, with ``solve(b)``.
-    Systems get their :func:`_inverses` on numpy alone, in stacks of one
-    padded size and at most STACK_ENTRIES entries: all of them while the
-    padded sizes cubed of those above DENSE_DIRECT_MAX rows sum to at most
-    DENSE_WORK_MAX, and otherwise those of at most DENSE_DIRECT_MAX rows,
-    the larger ones getting ``splu`` with the options ``_NODE_LU``.  Both
-    pivot on the diagonal.  An exactly zero pivot on the dense path, or an
-    exactly singular sparse factor, raises SolveError."""
+def _factor_steps(systems, columns=1):
+    """The factor of each :class:`_Entries` system, with ``solve(b)``, for
+    ``columns`` right-hand-side columns in all.  Systems get their
+    :func:`_inverses` on numpy alone, in stacks of one padded size and at
+    most STACK_ENTRIES entries: all of them while the dense work of those
+    above DENSE_DIRECT_MAX rows, padded size squared times (padded size + 2
+    columns), sums to at most DENSE_WORK_MAX, and otherwise those of at
+    most DENSE_DIRECT_MAX rows, the larger ones getting ``splu`` with the
+    options ``_NODE_LU``.  Both pivot on the diagonal, but splu takes an
+    off-diagonal pivot in place of an exactly zero one, so a stack above
+    DENSE_DIRECT_MAX rows that meets one goes to splu too.  An exactly zero
+    pivot at most DENSE_DIRECT_MAX rows, or an exactly singular sparse
+    factor, raises SolveError."""
     dims = np.array([P.dim for P in systems], dtype=np.int64)
     dense, padded = dims <= DENSE_DIRECT_MAX, -(-dims // _PAD) * _PAD
-    if sum(size**3 for size in padded[~dense].tolist()) <= DENSE_WORK_MAX:
+    if sum(s * s * (s + 2 * columns) for s in padded[~dense].tolist()) <= DENSE_WORK_MAX:
         dense[:] = True
     factors = [None] * len(systems)
     for size in np.unique(padded[dense]).tolist():
         same = np.flatnonzero(dense & (padded == size))
         for group in np.array_split(same, -(-len(same) * size**2 // STACK_ENTRIES)):
             group = group.tolist()
-            for i, factor in zip(group, _inverses([systems[i] for i in group], size)):
+            try:
+                inverses = _inverses([systems[i] for i in group], size)
+            except SolveError:
+                if size <= DENSE_DIRECT_MAX:
+                    raise
+                dense[group] = False
+                continue
+            for i, factor in zip(group, inverses):
                 factors[i] = factor
     for i in np.flatnonzero(~dense).tolist():
         factors[i] = _factor(_csc(*systems[i]), **_NODE_LU)
     return factors
 
 
-def resolvent_solver(net, mode, alpha):
+def resolvent_solver(net, mode, alpha, columns=1):
     """Factor I - alpha M, with M the global transition matrix of ``net`` in
     ``mode``, snapshot by snapshot without forming M; return apply(W) =
     W + alpha L_g^T (I - alpha M)^-1 R_g W for an n-vector or n x k block W
-    of node values (W = 1 gives Katz total communicability).
+    of node values (W = 1 gives Katz total communicability).  ``columns``,
+    the number of columns of W over all calls of apply, weighs the solves
+    in :func:`_factor_steps`' choice of factor.
     ``apply.node_space`` tells whether every system factored is a node system.
 
     apply back-substitutes from the last non-empty snapshot to the first.
@@ -407,12 +427,12 @@ def resolvent_solver(net, mode, alpha):
 
     :func:`_factor_steps` factors every step, and :func:`_solve` accepts it
     on the normwise backward error of the system it factored, at most
-    DEFAULT_TOL in every column; a failed column, or an exactly zero pivot,
-    raises SolveError.  A block row of I - alpha M splits into its diagonal
-    block and its coupling, each of norm at most ||I - alpha M||_inf, so
-    Hashimoto steps that pass bound the whole backward error by about
-    2 DEFAULT_TOL.  Requires alpha * rho(M) < 1 for the result to mean a
-    walk series.
+    DEFAULT_TOL in every column; a failed column, or an exactly zero pivot
+    of a dense step of at most DENSE_DIRECT_MAX rows, raises SolveError.
+    A block row of I - alpha M splits into its diagonal block and its
+    coupling, each of norm at most ||I - alpha M||_inf, so Hashimoto steps
+    that pass bound the whole backward error by about 2 DEFAULT_TOL.
+    Requires alpha * rho(M) < 1 for the result to mean a walk series.
     """
     nbt = mode is Mode.NBT_SPACE
     node_space = mode in (Mode.STANDARD, Mode.NBT_TIME) or (nbt and alpha <= 0.5)
@@ -437,7 +457,7 @@ def resolvent_solver(net, mode, alpha):
         at[nodes[np.minimum(at, len(nodes) - 1)] != e.tgt] = len(nodes)
         rows = slice(net.offsets[t], net.offsets[t + 1])
         steps.append((rows, e, nodes, firsts, at, P, _inf_norm(P)))
-    factors = _factor_steps([step[-2] for step in steps])
+    factors = _factor_steps([step[-2] for step in steps], columns)
 
     def apply(W):
         shape, W = np.shape(W), _block(W, (net.n, net.n))

@@ -161,12 +161,13 @@ def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
     # A_t or, in nbt-space at alpha <= 1/2, the NBT cubic, on the snapshot's
     # distinct sources; of the m_t x m_t I - alpha B_t for an nbt-both
     # Hashimoto block; and never of the whole m x m system
-    dims = []
+    dims, columns = [], []
     real = matfun._factor_steps
 
-    def counted(systems):
+    def counted(systems, k):
         dims.extend(P.dim for P in systems)
-        return real(systems)
+        columns.append(k)
+        return real(systems, k)
 
     monkeypatch.setattr(matfun, "_factor_steps", counted)
     sources = [len(set(snap.arrays.src.tolist())) for snap in fig1.snapshots if snap.m]
@@ -177,6 +178,10 @@ def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
         tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
         assert dims == (edges if mode is Mode.NBT_BOTH else sources)[::-1]
         assert fig1.m not in dims
+    # the factors are chosen for the columns to follow: one per target in
+    # SC, one in TC
+    tk.temporal_f_total_communicability(fig1, 0.2, tk.resolvent(1, 1), Mode.STANDARD)
+    assert columns == [len(np.unique(fig1.arrays.tgt))] * len(Mode) + [1]
 
 
 def test_rank_routes_never_form_the_global_matrices(fig1, monkeypatch):

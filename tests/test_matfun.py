@@ -328,8 +328,8 @@ def perturb_factor(monkeypatch, step):
     replaced, one per solver."""
     real, replaced = matfun._factor_steps, []
 
-    def factor_steps(systems):
-        factors = real(systems)
+    def factor_steps(systems, columns):
+        factors = real(systems, columns)
         replaced.append(factors[step])
         factors[step] = Perturbed(factors[step])
         return factors
@@ -389,26 +389,65 @@ def path_system(dim):
 
 
 @pytest.mark.parametrize(
-    "dims, dense",
+    "dims, columns, dense",
     [
-        ((10, 1024, 10), [True] * 3),  # 1024**3 rows: the budget itself
-        ((808, 10, 808), [True] * 3),  # 2 * 808**3, 98% of it
-        ((10, 1025, 10), [True, False, True]),  # padded to 1032 rows
-        ((809, 10, 809), [False, True, False]),  # padded to 816: 101%
+        ((10, 1016, 10), 1, [True] * 3),  # 1016**2 * 1018, 98% of the budget
+        ((808, 10, 808), 1, [True] * 3),  # 2 * 808**2 * 810, 98.5%
+        ((10, 1017, 10), 1, [True, False, True]),  # padded to 1024 rows: 100.2%
+        ((809, 10, 809), 1, [False, True, False]),  # padded to 816: 101.5%
+        ((808, 10, 808), 20, [False, True, False]),  # 2 * 808**2 * 848: 103%
     ],
-    ids=["1024", "2x808", "1025", "2x809"],
+    ids=["1016", "2x808", "1017", "2x809", "2x808-20-columns"],
 )
-def test_factor_steps_on_both_sides_of_the_dense_budget(dims, dense):
+def test_factor_steps_on_both_sides_of_the_dense_budget(dims, columns, dense):
     # the steps above DENSE_DIRECT_MAX rows go dense while their padded
-    # sizes cubed sum to at most DENSE_WORK_MAX, one 1024-row system
+    # sizes s, solved on k columns, sum s**2 (s + 2 k) to at most
+    # DENSE_WORK_MAX, the inversion of one 1024-row system
     assert matfun.DENSE_WORK_MAX == 1 << 30 == 1024**3
     systems = [path_system(dim) for dim in dims]
-    factors = matfun._factor_steps(systems)
+    factors = matfun._factor_steps(systems, columns)
     assert [isinstance(lu, matfun._Inverse) for lu in factors] == dense
     for lu, P in zip(factors, systems):
         x = matfun._solve(lu, P, np.ones((P.dim, 1)), matfun._inf_norm(P))
         # x_i = sum_{k < dim - i} 2^-k, exact in binary to the last bit
         np.testing.assert_array_equal(x[:, 0], 2.0 - 0.5 ** np.arange(P.dim - 1, -1, -1))
+
+
+def star_beside_a_path(length):
+    """One snapshot: the reciprocated star 0 <-> 1, 0 <-> 2 and the path
+    3 -> 4 -> ... -> length + 3, whose node system I - A over its
+    length + 3 sources is nonsingular (determinant -1) but meets an exactly
+    zero second pivot, 1 - 1 * 1, without row interchanges."""
+    edges = [(0, 1), (1, 0), (0, 2), (2, 0)] + [(i, i + 1) for i in range(3, length + 3)]
+    return TemporalNetwork(n=length + 4, snapshots=(Snapshot(1, tuple(edges)),), timestamps=(1,))
+
+
+def test_zero_pivot_above_the_cutoff_goes_to_splu(monkeypatch):
+    # at a forced alpha = 1 > 1 / sqrt(2) = ell; above DENSE_DIRECT_MAX rows
+    # the dense step gives way to splu, which pivots off the diagonal, as
+    # every step of that size did before it could go dense
+    net = star_beside_a_path(210)
+    assert len(np.unique(net.snapshots[0].arrays.src)) == 213 > spectral.DENSE_DIRECT_MAX
+    real, dense = matfun._factor_steps, []
+
+    def recorded(systems, columns):
+        factors = real(systems, columns)
+        dense.append([isinstance(lu, matfun._Inverse) for lu in factors])
+        return factors
+
+    monkeypatch.setattr(matfun, "_factor_steps", recorded)
+    L, R = tk.global_source_target(net)
+    M = tk.global_transition(net, Mode.STANDARD)
+    W = np.random.default_rng(42).random((net.n, 2))
+    np.testing.assert_allclose(
+        resolvent_solver(net, Mode.STANDARD, 1.0)(W),
+        W + L.T @ tk.resolvent_solve(M, 1.0, R @ W),
+        rtol=1e-12,
+    )
+    assert dense == [[False]]
+    # at most DENSE_DIRECT_MAX rows the dense step raises, as it always did
+    with pytest.raises(SolveError, match="zero pivot"):
+        resolvent_solver(star_beside_a_path(100), Mode.STANDARD, 1.0)
 
 
 @given(st.integers(201, 600), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
@@ -460,8 +499,8 @@ def test_block_solver_on_both_sides_of_the_cutoff(monkeypatch, mode):
     W = np.random.default_rng(40).random((net.n, 3))
     real, dense = matfun._factor_steps, []
 
-    def recorded(systems):
-        factors = real(systems)
+    def recorded(systems, columns):
+        factors = real(systems, columns)
         dense.append([isinstance(lu, matfun._Inverse) for lu in factors])
         return factors
 

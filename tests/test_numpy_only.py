@@ -210,8 +210,8 @@ def test_deep_path_beside_a_triangle(tmp_path, mode):
         ]
         # rank's bound needs no SciPy either, and the path's system has
         # `length` rows (its distinct sources, or its Hashimoto block): at
-        # most 1000**3 of dense work, within DENSE_WORK_MAX, so rank inverts
-        # it on numpy as well
+        # most 1000**2 * 1002 of dense work for its inversion and one
+        # column, within DENSE_WORK_MAX, so rank inverts it on numpy as well
         bound = python(BLOCK_SCIPY + BOUND, str(path), mode)
         assert bound.returncode == 0, bound.stderr
         assert bound.stdout == "(0.9999999999999998, True)\n"
@@ -272,26 +272,30 @@ def test_acyclic_blocks_above_the_direct_cutoff_without_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n, sources, sparse_factors",
+    "n, sources, measure, sparse_factors",
     [
-        (250, 3, []),  # |S_t| = 3, at most DENSE_DIRECT_MAX
-        (250, 250, []),  # 256**3 of dense work, within DENSE_WORK_MAX
-        (1100, 1100, [(1100, 1100)]),  # 1104**3, above it
+        (250, 3, "tc", []),  # |S_t| = 3, at most DENSE_DIRECT_MAX
+        (250, 250, "tc", []),  # 256**2 * 258 of dense work, within DENSE_WORK_MAX
+        (1100, 1100, "tc", [(1100, 1100)]),  # 1104**2 * 1106, above it
+        (800, 800, "tc", []),  # 800**2 * 802, 48% of it
+        (800, 800, "sc", [(800, 800)]),  # 800**2 * (800 + 2 * 800 columns): 143%
     ],
-    ids=["3-sources", "250-sources", "1100-sources"],
+    ids=["3-sources", "250-sources", "1100-sources", "800-sources", "800-sources-sc"],
 )
 def test_katz_rank_factors_each_step_on_its_sources(
-    tmp_path, monkeypatch, capsys, n, sources, sparse_factors
+    tmp_path, monkeypatch, capsys, n, sources, measure, sparse_factors
 ):
     # A, with n rows above DENSE_DIRECT_MAX, holds a cycle through its first
     # `sources` nodes, and its radius takes the strongly connected
     # components, found on numpy.  The step's system has only the |S_t|
     # rows of the snapshot's distinct sources, and splu factors it only
-    # above the cutoff when it is more dense work than DENSE_WORK_MAX:
-    # SciPy loads for splu and nothing else
+    # above the cutoff when its inversion and the solves of its columns,
+    # one in TC and one per target in SC, are more dense work than
+    # DENSE_WORK_MAX: SciPy loads for splu and nothing else
     path = tmp_path / "wide.txt"
     path.write_text(f"%n {n}\n" + "".join(f"{i} {(i + 1) % sources} 1\n" for i in range(sources)))
-    result = python(MAIN, "rank", str(path), "--alpha", "0.5")
+    rank = ["rank", str(path), "--alpha", "0.5", "--measure", measure]
+    result = python(MAIN, *rank)
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "scipy.sparse.csgraph" not in loaded
@@ -304,7 +308,7 @@ def test_katz_rank_factors_each_step_on_its_sources(
         return splu(P, **options)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-    assert main(["rank", str(path), "--alpha", "0.5"]) == 0
+    assert main(rank) == 0
     assert factored == sparse_factors
     assert capsys.readouterr().out == result.stderr  # the same output in process
 
