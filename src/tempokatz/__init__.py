@@ -9,9 +9,9 @@ snapshot and back-substitutes from the last snapshot to the first, coupling
 the snapshots through running node sums (and, where reversals across
 snapshots are forbidden, running sums over directed pairs).  The system is
 I - alpha A_t or the non-backtracking cubic on the snapshot's distinct
-sources, and every mode solves it for the same node increment, except in
-NBT-both and in NBT-in-space for alpha > 1/2, which factor the Hashimoto
-block.  Other weightings sum their series with products by M that never
+sources, and every mode solves it for the same node increment while
+alpha <= 1/2; above, NBT-in-space and NBT-both factor the Hashimoto block.
+Other weightings sum their series with products by M that never
 form it either (``line_space.TransitionOperator``): cumulative sums along
 each source's edges, sorted by snapshot.
 
@@ -23,7 +23,11 @@ of every column to follow, add up to at most the dense work of inverting
 one 1024-row system (``matfun.DENSE_WORK_MAX``).  SciPy
 loads for the sparse LU of those systems beyond it, for the sparse matrix
 builders (``dump-matrix``), and for ``spectral_radius`` of a SciPy matrix.
+The brute-force walk oracle (``oracle``), a referee for tests, loads on
+first use of one of its names.
 """
+
+import importlib
 
 from .centrality import (
     CentralityVector,
@@ -53,14 +57,6 @@ from .matfun import (
     resolvent,
     resolvent_solve,
 )
-from .oracle import (
-    WalkCountTensor,
-    deg_matrices,
-    enumerate_temporal_walks,
-    functional_equation_residual,
-    homogeneous_symmetric,
-    weighted_walk_sum,
-)
 from .spectral import AlphaBound, alpha_bound, spectral_radius
 from .temporal_graph import (
     ParseError,
@@ -74,3 +70,18 @@ from .temporal_graph import (
 )
 
 __version__ = "0.1.0"
+
+#: the brute-force walk oracle is a referee for tests and demos that no
+#: command uses: ``oracle`` loads on first access to it or to one of these
+#: names (PEP 562)
+_ORACLE = frozenset((
+    "WalkCountTensor", "deg_matrices", "enumerate_temporal_walks",
+    "functional_equation_residual", "homogeneous_symmetric", "weighted_walk_sum",
+))
+
+
+def __getattr__(name):
+    if name != "oracle" and name not in _ORACLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = importlib.import_module(f"{__name__}.oracle")
+    return oracle if name == "oracle" else getattr(oracle, name)

@@ -18,8 +18,9 @@ counts their inversion and the solves of every column to follow;
 otherwise those larger steps are factored by SuperLU.  A step is accepted
 if that system's backward error is at most DEFAULT_TOL.  A node step
 solves P_t D = alpha L_t^T c on the rows of the snapshot's distinct
-sources, with a per-edge right side c of its mode; otherwise the step
-solves an m_t x m_t Hashimoto block.
+sources, with a per-edge right side c of its mode.  Every mode takes it
+for alpha <= 1/2; above, the modes that forbid reversals within a snapshot
+solve an m_t x m_t Hashimoto block.
 ``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
 partial pivoting, and is the tests' reference for it.
 """
@@ -33,7 +34,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .line_space import (
-    Mode, _csc, _Entries, _hashimoto_entries, _katz_entries, _ranges, pair_index,
+    _NBT_DIAGONAL, _NBT_OFFDIAG, _csc, _Entries, _hashimoto_entries, _katz_entries, _ranges,
+    pair_index,
 )
 from .spectral import DENSE_DIRECT_MAX
 
@@ -409,21 +411,28 @@ def resolvent_solver(net, mode, alpha, columns=1):
     would cancel.
 
     The step is a node system in the standard and NBT-in-time modes, and in
-    NBT-in-space for alpha <= 1/2.  With P_t = I - alpha A_t or the
-    NBT-in-space cubic of Arrigo, Grindrod, Higham & Noferini (2018), it
-    solves P_t D = alpha L_t^T c and adds the walk increment D to Y, so that
-    rounding scales with D and not with Y.  With c = b this is the
-    line-graph step, by (I - alpha W_t)^-1 = I + alpha R_t (I - alpha
-    A_t)^-1 L_t^T, and x_t = b + D[tgt_t].  The cubic's step is Y -> (1 -
-    alpha^2) P_t^-1 Y, whose increment solves P_t D = ((1 - alpha^2) I -
-    P_t) Y, that is c_e = b_e - alpha Y[src_e] on reciprocated edges and
-    (1 - alpha^2) b_e on the others.  The right side is zero off the
-    snapshot's distinct sources S_t, and every off-diagonal entry of P_t
-    lies in a row of S_t, so D vanishes there too: the step factors only
-    P_t[S_t, S_t] (``line_space._katz_entries``), of |S_t| <= min(n, m_t)
-    rows.  The cubic's spurious factor (1 - alpha^2) costs digits as alpha
-    nears 1, so above 1/2 NBT-in-space, like NBT-both, factors the
-    m_t x m_t Hashimoto block I - alpha B_t and solves for x_t.
+    the modes that forbid reversals within a snapshot (NBT-in-space and
+    NBT-both) for alpha <= 1/2.  With P_t = I - alpha A_t or, in the latter,
+    the NBT cubic of Arrigo, Grindrod, Higham & Noferini (2018), it solves
+    P_t D = alpha L_t^T c and adds the walk increment D = alpha L_t^T x_t to
+    Y, so that rounding scales with D and not with Y.  With c = b this is
+    the line-graph step, by (I - alpha W_t)^-1 = I + alpha R_t (I - alpha
+    A_t)^-1 L_t^T, and x_t = p = b + D[tgt_t].  In the cubic's modes B_t =
+    R_t L_t^T - J, with J the involution that swaps each edge with its
+    reversal in the snapshot, and (1 - alpha^2) (I - alpha L_t^T (I +
+    alpha J)^-1 R_t) = P_t.  So c = (1 - alpha^2) (I + alpha J)^-1 b: c_e =
+    b_e - alpha b_r on a pair (e, r) and (1 - alpha^2) b_e on the other
+    edges; and x_t = (I + alpha J)^-1 p, which NBT-both needs for its pair
+    sums: x_e = (p_e - alpha p_r) / (1 - alpha^2) on a pair and p_e
+    elsewhere.  (In NBT-in-space b_r = Y[src_e].)  That difference cancels
+    where r carries most of the walks; its error, a rounding of alpha x_r,
+    reaches only values that count walks of that weight too.  The right
+    side is zero off the snapshot's distinct sources S_t, and every
+    off-diagonal entry of P_t lies in a row of S_t, so D vanishes there
+    too: the step factors only P_t[S_t, S_t] (``line_space._katz_entries``),
+    of |S_t| <= min(n, m_t) rows.  The cubic's spurious factor (1 - alpha^2)
+    costs digits as alpha nears 1, so above 1/2 both of its modes factor
+    the m_t x m_t Hashimoto block I - alpha B_t and solve for x_t.
 
     :func:`_factor_steps` factors every step, and :func:`_solve` accepts it
     on the normwise backward error of the system it factored, at most
@@ -434,9 +443,9 @@ def resolvent_solver(net, mode, alpha, columns=1):
     that pass bound the whole backward error by about 2 DEFAULT_TOL.
     Requires alpha * rho(M) < 1 for the result to mean a walk series.
     """
-    nbt = mode is Mode.NBT_SPACE
-    node_space = mode in (Mode.STANDARD, Mode.NBT_TIME) or (nbt and alpha <= 0.5)
-    paired = mode in (Mode.NBT_TIME, Mode.NBT_BOTH)
+    nbt = mode in _NBT_DIAGONAL
+    node_space = not nbt or alpha <= 0.5
+    paired = mode in _NBT_OFFDIAG
     if paired:
         pair, reverse, first = pair_index(net)
     steps = []
@@ -472,10 +481,14 @@ def resolvent_solver(net, mode, alpha, columns=1):
             if node_space:
                 c = b
                 if nbt:
-                    c = np.where(e.rev[:, None] >= 0, b - alpha * Y[e.src], (1 - alpha**2) * b)
+                    pairs = e.rev[:, None] >= 0
+                    c = np.where(pairs, b - alpha * b[e.rev], (1 - alpha**2) * b)
                 D = _solve(lu, P, alpha * np.add.reduceat(c, firsts), norm)
                 Y[nodes] += D
-                x = b + np.pad(D, ((0, 1), (0, 0)))[at] if paired else None
+                if paired:
+                    x = b + np.pad(D, ((0, 1), (0, 0)))[at]
+                    if nbt:
+                        x = np.where(pairs, (x - alpha * x[e.rev]) / (1 - alpha**2), x)
             else:
                 x = _solve(lu, P, b, norm)
                 Y[nodes] += alpha * np.add.reduceat(x, firsts)

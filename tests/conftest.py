@@ -49,6 +49,13 @@ def triangle():
     return tk.parse_temporal_edgelist(TRIANGLE)
 
 
+def reciprocated_tree(n, tau=1):
+    """Edge-list lines of the binary-heap tree on n nodes, node i joined to
+    (i - 1) // 2 both ways, in snapshot tau: 2 (n - 1) edges, and a
+    nilpotent Hashimoto block, so that ell = inf in nbt-space and nbt-both."""
+    return "".join(f"{i} {(i - 1) // 2} {tau}\n{(i - 1) // 2} {i} {tau}\n" for i in range(1, n))
+
+
 def random_network(rng, n=None, N=None, density=0.4):
     """One random temporal network; resamples until at least one edge exists."""
     n = n if n is not None else int(rng.integers(3, 7))

@@ -158,9 +158,10 @@ def test_subgraph_centrality_fig_network_vs_oracle(fig1):
 
 def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
     # one factorization per non-empty snapshot: of the node system I - alpha
-    # A_t or, in nbt-space at alpha <= 1/2, the NBT cubic, on the snapshot's
-    # distinct sources; of the m_t x m_t I - alpha B_t for an nbt-both
-    # Hashimoto block; and never of the whole m x m system
+    # A_t or, in nbt-space and nbt-both at alpha <= 1/2, the NBT cubic, on
+    # the snapshot's distinct sources; above 1/2 those two modes factor the
+    # m_t x m_t I - alpha B_t; and never the whole m x m system.  fig1's
+    # Hashimoto blocks are nilpotent, so alpha = 0.75 needs no force
     dims, columns = [], []
     real = matfun._factor_steps
 
@@ -176,12 +177,16 @@ def test_katz_subgraph_centrality_factors_each_snapshot_once(fig1, monkeypatch):
     for mode in Mode:
         dims.clear()
         tk.temporal_f_subgraph_centrality(fig1, 0.2, tk.resolvent(1, 1), mode)
-        assert dims == (edges if mode is Mode.NBT_BOTH else sources)[::-1]
+        assert dims == sources[::-1]
         assert fig1.m not in dims
+    for mode in (Mode.NBT_SPACE, Mode.NBT_BOTH):
+        dims.clear()
+        tk.temporal_f_subgraph_centrality(fig1, 0.75, tk.resolvent(1, 1), mode)
+        assert dims == edges[::-1]
     # the factors are chosen for the columns to follow: one per target in
     # SC, one in TC
     tk.temporal_f_total_communicability(fig1, 0.2, tk.resolvent(1, 1), Mode.STANDARD)
-    assert columns == [len(np.unique(fig1.arrays.tgt))] * len(Mode) + [1]
+    assert columns == [len(np.unique(fig1.arrays.tgt))] * (len(Mode) + 2) + [1]
 
 
 def test_rank_routes_never_form_the_global_matrices(fig1, monkeypatch):
@@ -234,11 +239,12 @@ cases = st.one_of(
 @given(cases, st.sampled_from([0.5, 1.0, 2.0, 1e3, 1e5]))
 @settings(max_examples=150, deadline=None)
 def test_katz_matches_walk_oracle_property(case, alpha):
-    # Katz runs the resolvent engine, alpha on both sides of 1 so that
-    # nbt-space factors both n x n and Hashimoto systems; the other weights
-    # sum their series on M.  Both sides are exact up to rounding: on acyclic
-    # snapshots M is nilpotent, so walks have at most m edges (and ell = inf,
-    # so no force is needed), and a polynomial counts walks up to its degree
+    # Katz runs the resolvent engine, alpha on both sides of 1/2 so that
+    # nbt-space and nbt-both factor both n x n and Hashimoto systems; the
+    # other weights sum their series on M.  Both sides are exact up to
+    # rounding: on acyclic snapshots M is nilpotent, so walks have at most m
+    # edges (and ell = inf, so no force is needed), and a polynomial counts
+    # walks up to its degree
     net, f = case
     max_len = net.m if f.degree is None else f.degree
     for mode in Mode:
@@ -263,6 +269,79 @@ def test_katz_without_cancellation_when_walks_turn_back_across_snapshots():
         counts = tk.enumerate_temporal_walks(net, net.m, mode, guard=math.inf)
         Q = tk.weighted_walk_sum(counts, tk.resolvent(1, 1), 1e5)
         np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-15, atol=0)
+
+
+@st.composite
+def forest_networks(draw):
+    """n <= 6 nodes and N <= 3 snapshots, the undirected support of each
+    snapshot a forest and each of its edges one-way or reciprocated.  A
+    non-backtracking walk on a forest never turns back, so every Hashimoto
+    block B_t is nilpotent: in nbt-space and nbt-both ell = inf and every
+    walk has at most m edges, while the snapshots hold same-snapshot pairs,
+    which acyclic_networks never does."""
+    n = draw(st.integers(2, 6))
+    snapshots = []
+    for tau in range(1, draw(st.integers(1, 3)) + 1):
+        order = draw(st.permutations(range(n)))
+        edges = []
+        for i in range(1, n):
+            # join order[i] to an earlier node, or start a new tree
+            parent = draw(st.integers(-1, i - 1))
+            if parent < 0:
+                continue
+            u, v = order[parent], order[i]
+            kind = draw(st.sampled_from(("forward", "backward", "both")))
+            if kind != "backward":
+                edges.append((u, v))
+            if kind != "forward":
+                edges.append((v, u))
+        snapshots.append(Snapshot(tau, tuple(edges)))
+    return TemporalNetwork(n=n, snapshots=tuple(snapshots), timestamps=tuple(range(len(snapshots))))
+
+
+@given(forest_networks(), st.sampled_from([0.25, 0.5, 0.75, 3.0]))
+@settings(max_examples=100, deadline=None)
+def test_nbt_katz_on_forests_matches_walk_oracle_property(net, alpha):
+    # on both sides of alpha = 1/2, where the two modes that forbid
+    # reversals within a snapshot go from node steps on the NBT cubic to
+    # Hashimoto blocks; the oracle is exact because M is nilpotent
+    katz = tk.resolvent(1, 1)
+    for mode in (Mode.NBT_SPACE, Mode.NBT_BOTH):
+        assert tk.alpha_bound(net, mode).ell == math.inf
+        counts = tk.enumerate_temporal_walks(net, net.m, mode, guard=math.inf)
+        Q = tk.weighted_walk_sum(counts, katz, alpha)
+        tc = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
+        sc = tk.temporal_f_subgraph_centrality(net, alpha, katz, mode).values
+        np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sc, np.diag(Q), rtol=1e-12, atol=0)
+
+
+def test_nbt_katz_when_a_reversal_carries_the_walks():
+    # ell = inf.  Node 0 has k later walks, through the star of snapshot 3,
+    # and node 1 none; so of the pair 0 <-> 1 of snapshot 2, the edge
+    # r = (1, 0) carries them all and e = (0, 1) carries one walk.  At
+    # alpha <= 1/2 the node step recovers x_e from p_e - alpha p_r, where
+    # p_e = x_e + alpha x_r: the difference cancels all but about
+    # 1 / (alpha^2 k) of p_e.  In nbt-both, x_e is what snapshot 1's edge
+    # (1, 0) must not count: its walks from 0 are Y[0] - alpha x_e
+    k = 200
+    text = f"%n {k + 2}\n1 0 1\n0 1 2\n1 0 2\n" + "".join(f"0 {v} 3\n" for v in range(2, k + 2))
+    net = tk.parse_temporal_edgelist(text)
+    katz = tk.resolvent(1, 1)
+    for alpha in (0.3, 0.5):
+        for mode, turn in ((Mode.NBT_SPACE, alpha**2), (Mode.NBT_BOTH, 0.0)):
+            # turn weighs the walk 1 -> 0 -> 1 that turns back across snapshots
+            want = [1 + alpha + alpha * k, 1 + 2 * alpha + 2 * alpha**2 * k + turn]
+            tc = tk.temporal_f_total_communicability(net, alpha, katz, mode).values
+            sc = tk.temporal_f_subgraph_centrality(net, alpha, katz, mode).values
+            np.testing.assert_allclose(tc[:2], want, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(sc[:2], [1, 1 + turn], rtol=1e-15, atol=0)
+            assert (tc[2:] == 1).all() and (sc[2:] == 1).all()
+            # no walk has more than two edges
+            counts = tk.enumerate_temporal_walks(net, 3, mode, guard=math.inf)
+            Q = tk.weighted_walk_sum(counts, katz, alpha)
+            np.testing.assert_allclose(tc, Q.sum(axis=1), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(sc, np.diag(Q), rtol=1e-15, atol=0)
 
 
 def test_katz_exact_on_acyclic_snapshot_at_large_alpha():

@@ -120,9 +120,10 @@ def test_rank_fastpath_consistent(capsys, fig_file, fig1):
         (("--measure", "sc", "--mode", "nbt-space"), True),
         (("--mode", "nbt-space", "--alpha", "1.5", "--force"), False),
         (("--mode", "nbt-time"), True),
-        (("--mode", "nbt-both", "--measure", "sc"), False),
+        (("--mode", "nbt-both", "--measure", "sc", "--alpha", "0.7"), False),
         (("--function", "exponential"), False),
         (("--mode", "nbt-space", "--alpha", "0.7"), False),
+        (("--mode", "nbt-both", "--measure", "sc"), True),
     ],
 )
 def test_rank_fastpath_reports_node_space(capsys, fig_file, argv, node_space):

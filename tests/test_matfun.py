@@ -10,7 +10,9 @@ from tempokatz import Mode, Snapshot, TemporalNetwork, line_space, matfun, spect
 from tempokatz.matfun import SolveError, resolvent_solver
 from tempokatz.oracle import evaluate
 
-from conftest import TRIANGLE, dense_radius, katz_referee, networks, random_network
+from conftest import (
+    TRIANGLE, dense_radius, katz_referee, networks, random_network, reciprocated_tree,
+)
 
 
 def test_partial_exponential_is_psi1():
@@ -279,9 +281,11 @@ def test_block_solver_skips_empty_snapshot():
 
 
 def test_block_solver_rejects_vector_of_wrong_length(fig1):
-    # node space (standard) and edge space (nbt-both); an edge vector is wrong too
-    for mode in (Mode.STANDARD, Mode.NBT_BOTH):
-        solve = resolvent_solver(fig1, mode, 0.2)
+    # node steps (standard) and Hashimoto steps (nbt-both above alpha = 1/2);
+    # an edge vector is wrong too
+    for mode, alpha in ((Mode.STANDARD, 0.2), (Mode.NBT_BOTH, 0.75)):
+        solve = resolvent_solver(fig1, mode, alpha)
+        assert solve.node_space == (mode is Mode.STANDARD)
         for w in (
             np.ones(fig1.n - 1), np.ones((fig1.n + 1, 2)), np.ones((fig1.n, 2, 2)), np.ones(fig1.m)
         ):
@@ -342,14 +346,16 @@ def perturb_factor(monkeypatch, step):
 def test_block_solver_rejects_an_inaccurate_solve(fig1, monkeypatch, step):
     # one snapshot's dense factor, counted from the last of fig1's three,
     # solves off by a relative 1e-8; that step misses the default
-    # backward-error bound on its own, in every mode: node systems
-    # (standard, nbt-space, nbt-time) and Hashimoto blocks (nbt-both)
+    # backward-error bound on its own, in every mode: node systems at
+    # alpha = 0.2, and Hashimoto blocks in nbt-space and nbt-both at 0.75
     replaced = perturb_factor(monkeypatch, step)
-    for mode in Mode:
-        solve = resolvent_solver(fig1, mode, 0.2)
+    runs = [(mode, 0.2) for mode in Mode] + [(Mode.NBT_SPACE, 0.75), (Mode.NBT_BOTH, 0.75)]
+    for mode, alpha in runs:
+        solve = resolvent_solver(fig1, mode, alpha)
+        assert solve.node_space == (alpha < 0.5)
         with pytest.raises(SolveError, match="backward error"):
             solve(np.ones(fig1.n))
-    assert len(replaced) == len(Mode)
+    assert len(replaced) == len(runs)
     assert all(isinstance(lu, matfun._Inverse) for lu in replaced)
 
 
@@ -478,16 +484,43 @@ def test_dense_and_sparse_factors_agree_property(dim, fraction, seed):
 
 
 def test_block_solver_on_the_dense_snapshots_network(dense_snapshots_edge):
-    # nbt-both factors the 300- and 700-row Hashimoto blocks, 0.70
-    # DENSE_WORK_MAX of dense work: every step is inverted on numpy
+    # nbt-both at perfbench's alpha, far below 1/2, takes node steps on the
+    # NBT cubic, of at most 40 rows, in place of the 300- and 700-row
+    # Hashimoto blocks; their edge values come from the per-pair formula
     net = tk.parse_temporal_edgelist(dense_snapshots_edge)
     alpha = 0.5 * tk.alpha_bound(net, Mode.STANDARD).ell
     W = np.random.default_rng(41).random((net.n, 3))
     solve = resolvent_solver(net, Mode.NBT_BOTH, alpha)
+    assert solve.node_space
     for w in (np.ones(net.n), W):
         np.testing.assert_allclose(
             solve(w), katz_referee(net, Mode.NBT_BOTH, alpha, w), rtol=1e-12, atol=0
         )
+
+
+def test_block_solver_on_hashimoto_blocks_above_the_direct_cutoff(monkeypatch):
+    # two reciprocated trees of 300 and 238 edges: above alpha = 1/2,
+    # nbt-both factors their Hashimoto blocks, above DENSE_DIRECT_MAX rows
+    # and within DENSE_WORK_MAX, so they are inverted on numpy
+    net = tk.parse_temporal_edgelist(reciprocated_tree(151, 1) + reciprocated_tree(120, 2))
+    assert tk.alpha_bound(net, Mode.NBT_BOTH).ell == math.inf
+    real, factored = matfun._factor_steps, []
+
+    def recorded(systems, columns):
+        factors = real(systems, columns)
+        factored.append([(P.dim, isinstance(lu, matfun._Inverse)) for P, lu in zip(systems, factors)])
+        return factors
+
+    monkeypatch.setattr(matfun, "_factor_steps", recorded)
+    W = np.random.default_rng(43).random((net.n, 3))
+    for alpha in (0.75, 3.0):
+        solve = resolvent_solver(net, Mode.NBT_BOTH, alpha)
+        assert not solve.node_space
+        assert factored[-1] == [(238, True), (300, True)]  # from the last snapshot
+        for w in (np.ones(net.n), W):
+            np.testing.assert_allclose(
+                solve(w), katz_referee(net, Mode.NBT_BOTH, alpha, w), rtol=1e-12, atol=0
+            )
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -21,6 +21,8 @@ import scipy.sparse.linalg
 import tempokatz as tk
 from tempokatz.cli import main
 
+from conftest import reciprocated_tree
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # a finder ahead of every other that refuses scipy and each of its submodules
@@ -208,10 +210,10 @@ def test_deep_path_beside_a_triangle(tmp_path, mode):
             "snapshot 1: rho = 0 lambda = inf",
             "snapshot 2: rho = 2 lambda = 0.99999999999999978",
         ]
-        # rank's bound needs no SciPy either, and the path's system has
-        # `length` rows (its distinct sources, or its Hashimoto block): at
-        # most 1000**2 * 1002 of dense work for its inversion and one
-        # column, within DENSE_WORK_MAX, so rank inverts it on numpy as well
+        # rank's bound needs no SciPy either, and at alpha = 1/2 the path's
+        # node step has `length` rows, its distinct sources: at most
+        # 1000**2 * 1002 of dense work for its inversion and one column,
+        # within DENSE_WORK_MAX, so rank inverts it on numpy as well
         bound = python(BLOCK_SCIPY + BOUND, str(path), mode)
         assert bound.returncode == 0, bound.stderr
         assert bound.stdout == "(0.9999999999999998, True)\n"
@@ -230,8 +232,9 @@ def test_deep_path_beside_a_triangle(tmp_path, mode):
 
 
 def test_katz_rank_without_scipy(tmp_path):
-    # both measures in every mode, and nbt-space above alpha = 1/2, where it
-    # factors Hashimoto blocks; ell = 1 in every mode
+    # both measures in every mode, on node steps; and nbt-space and nbt-both
+    # above alpha = 1/2, where they factor Hashimoto blocks; ell = 1 in
+    # every mode
     path = tmp_path / "mixed.txt"
     path.write_text(MIXED)
     modes = ["standard", "nbt-space", "nbt-time", "nbt-both"]
@@ -240,7 +243,9 @@ def test_katz_rank_without_scipy(tmp_path):
         for mode in modes
         for measure in ("tc", "sc")
     ]
-    runs.append(["rank", str(path), "--alpha", "0.75", "--mode", "nbt-space"])
+    runs += [
+        ["rank", str(path), "--alpha", "0.75", "--mode", mode] for mode in ("nbt-space", "nbt-both")
+    ]
     blocked = python(BLOCK_SCIPY + MAIN_EACH, json.dumps(runs))
     assert blocked.returncode == 0, blocked.stderr
     free = python(MAIN_EACH, json.dumps(runs))
@@ -248,7 +253,7 @@ def test_katz_rank_without_scipy(tmp_path):
     assert free.stdout.strip() == ""  # no scipy module loaded
     assert blocked.stderr == free.stderr  # main's stdout, byte for byte
     fastpath = [line for line in free.stderr.splitlines() if line.startswith("# fastpath=")]
-    assert fastpath == ["# fastpath=True"] * 6 + ["# fastpath=False"] * 3
+    assert fastpath == ["# fastpath=True"] * 8 + ["# fastpath=False"] * 2
 
 
 def test_acyclic_blocks_above_the_direct_cutoff_without_scipy(tmp_path):
@@ -316,9 +321,9 @@ def test_katz_rank_factors_each_step_on_its_sources(
 def test_nbt_both_rank_on_the_dense_snapshots_network_without_scipy(
     tmp_path, dense_snapshots_edge
 ):
-    # perfbench's claimed query: nbt-both at half the standard ell factors
-    # the 300- and 700-row Hashimoto blocks, 0.70 DENSE_WORK_MAX of dense
-    # work, so it inverts them on numpy
+    # perfbench's claimed query: nbt-both at half the standard ell, far
+    # below 1/2, takes node steps on the NBT cubic of at most 40 rows in
+    # place of the 300- and 700-row Hashimoto blocks
     path = tmp_path / "dense.txt"
     path.write_text(dense_snapshots_edge)
     net = tk.parse_temporal_edgelist(dense_snapshots_edge)
@@ -334,6 +339,25 @@ def test_nbt_both_rank_on_the_dense_snapshots_network_without_scipy(
     rows = lines[lines.index("node,value,rank") + 1 :]
     assert len(rows) == net.n
     assert rows[0].startswith("16,8.34520621223") and rows[0].endswith(",1")
+    assert "# fastpath=True" in lines
+
+
+def test_nbt_both_rank_on_hashimoto_blocks_above_the_cutoff_without_scipy(tmp_path):
+    # a reciprocated tree of 300 edges, whose Hashimoto block is nilpotent:
+    # ell = inf, so alpha = 0.75 > 1/2 needs no force, and nbt-both factors
+    # the 300-row block, within DENSE_WORK_MAX, on numpy
+    path = tmp_path / "tree.txt"
+    path.write_text(reciprocated_tree(151))
+    rank = ["rank", str(path), "--alpha", "0.75", "--mode", "nbt-both"]
+    blocked = python(BLOCK_SCIPY + MAIN, *rank)
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN, *rank)
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    lines = free.stderr.splitlines()
+    assert "# fastpath=False" in lines
+    assert lines[lines.index("node,value,rank") + 1] == "1,37.4921875,1"
 
 
 def test_series_rank_without_scipy(tmp_path):

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,42 @@ from tempokatz.oracle import (
 )
 
 from conftest import TRIANGLE
+
+
+LOADED = """
+import sys
+
+import tempokatz.cli
+
+print("tempokatz.oracle" in sys.modules)
+import tempokatz as tk
+
+tk.enumerate_temporal_walks
+print("tempokatz.oracle" in sys.modules)
+"""
+
+# the module itself, as an attribute of the package
+MODULE = """
+import tempokatz as tk
+
+print(tk.oracle.__name__)
+"""
+
+
+def test_oracle_loads_on_first_use():
+    # no command uses the oracle, so the CLI's import leaves it out; the
+    # package still exposes its names, and loads it on first access
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for code, want in ((LOADED, ["False", "True"]), (MODULE, ["tempokatz.oracle"])):
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == want
+    assert tk.weighted_walk_sum is tk.oracle.weighted_walk_sum
+    with pytest.raises(AttributeError, match="no attribute 'walk_oracle'"):
+        tk.walk_oracle
 
 
 def dense(m):
