@@ -15,15 +15,16 @@ Other weightings sum their series with products by M that never
 form it either (``line_space.TransitionOperator``): cumulative sums along
 each source's edges, sorted by snapshot.
 
-Importing the package needs only numpy: each function that calls SciPy
-imports it itself.  Parsing (``validate``) and ``alpha_bound``
-(``check-alpha``) never load it, nor do the series weightings, nor the Katz
-measures while the systems they factor above 200 rows, with the solves
-of every column to follow, add up to at most the dense work of inverting
-one 1024-row system (``matfun.DENSE_WORK_MAX``).  SciPy
-loads for the sparse LU of those systems beyond it, for the sparse matrix
-builders (``dump-matrix``), and for ``spectral_radius`` of a SciPy matrix.
-The brute-force walk oracle (``oracle``), a referee for tests, loads on
+Importing the package needs only numpy, and so do parsing (``validate``),
+``alpha_bound`` (``check-alpha``), ``dump-matrix``, which writes the
+coordinates read from the parser's edge arrays, the series weightings,
+and the Katz measures while the systems they factor above 200 rows, with
+the solves of every column to follow, add up to at most the dense work of
+inverting one 1024-row system (``matfun.DENSE_WORK_MAX``).  SciPy loads
+for the sparse LU of those systems beyond it, and in ``oracle``, the
+tests' referees: the brute-force walk oracle and the SciPy matrices
+(``global_transition``, ``spectral_radius``, ``resolvent_solve`` and the
+like, which the package and its modules forward by name).  It loads on
 first use of one of its names.
 """
 
@@ -38,14 +39,7 @@ from .centrality import (
     temporal_f_subgraph_centrality,
     temporal_f_total_communicability,
 )
-from .line_space import (
-    Mode,
-    global_source_target,
-    global_transition,
-    hashimoto_matrix,
-    line_graph_matrix,
-    source_target_matrices,
-)
+from .line_space import Mode
 from .matfun import (
     CoefficientFunction,
     apply_series,
@@ -55,33 +49,33 @@ from .matfun import (
     partial_op,
     polynomial,
     resolvent,
-    resolvent_solve,
 )
-from .spectral import AlphaBound, alpha_bound, spectral_radius
+from .spectral import AlphaBound, alpha_bound
 from .temporal_graph import (
     ParseError,
     ParseReport,
     Snapshot,
     TemporalNetwork,
     ValidationError,
-    adjacency_matrix,
+    _referees,
     parse_temporal_edgelist,
     to_edgelist,
 )
 
 __version__ = "0.1.0"
 
-#: the brute-force walk oracle is a referee for tests and demos that no
-#: command uses: ``oracle`` loads on first access to it or to one of these
-#: names (PEP 562)
-_ORACLE = frozenset((
+#: the brute-force walk oracle and the SciPy matrices are referees for tests
+#: and demos that no command uses: ``oracle`` loads on first access to it or
+#: to one of these names (PEP 562)
+_referee = _referees(__name__, {
     "WalkCountTensor", "deg_matrices", "enumerate_temporal_walks",
     "functional_equation_residual", "homogeneous_symmetric", "weighted_walk_sum",
-))
+    "adjacency_matrix", "source_target_matrices", "line_graph_matrix", "hashimoto_matrix",
+    "global_source_target", "global_transition", "spectral_radius", "resolvent_solve",
+})
 
 
 def __getattr__(name):
-    if name != "oracle" and name not in _ORACLE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    oracle = importlib.import_module(f"{__name__}.oracle")
-    return oracle if name == "oracle" else getattr(oracle, name)
+    if name == "oracle":
+        return importlib.import_module(f"{__name__}.oracle")
+    return _referee(name)

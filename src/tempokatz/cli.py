@@ -20,29 +20,18 @@ import stat
 import sys
 import tempfile
 
+import numpy as np
+
 from . import matfun
 from .centrality import (
     ParameterError,
     temporal_f_subgraph_centrality,
     temporal_f_total_communicability,
 )
-from .line_space import (
-    Mode,
-    dump_coordinate,
-    global_source_target,
-    global_transition,
-    hashimoto_matrix,
-    line_graph_matrix,
-)
+from .line_space import Mode, _non_backtracking, _successors, _transition
 from .matfun import SolveError
 from .spectral import alpha_bound
-from .temporal_graph import (
-    ParseError,
-    ParseReport,
-    ValidationError,
-    adjacency_matrix,
-    parse_temporal_edgelist,
-)
+from .temporal_graph import ParseError, ParseReport, ValidationError, parse_temporal_edgelist
 
 EXIT_PARSE = 1
 EXIT_ALPHA = 2
@@ -178,26 +167,26 @@ def cmd_validate(args):
     return 0
 
 
-#: dump-matrix's builders (net, mode, tau): the global matrices by name, the
-#: per-snapshot ones as <kind>:<tau>
+#: dump-matrix's coordinates (net, mode, e) -> ((rows, cols), shape), sorted
+#: by (row, column): the global matrices by name, and as <kind>:<tau> the
+#: per-snapshot ones, of the edge arrays e of snapshot tau
 _MATRICES = {
-    "M": lambda net, mode, tau: global_transition(net, mode),
-    "L": lambda net, mode, tau: global_source_target(net)[0],
-    "R": lambda net, mode, tau: global_source_target(net)[1],
-    "A:": lambda net, mode, tau: adjacency_matrix(net, tau),
-    "W:": lambda net, mode, tau: line_graph_matrix(net.snapshot(tau), net.n),
-    "B:": lambda net, mode, tau: hashimoto_matrix(net.snapshot(tau), net.n),
+    "M": lambda net, mode, e: (_transition(net, mode), (net.m, net.m)),
+    "L": lambda net, mode, e: ((np.arange(net.m), net.arrays.src), (net.m, net.n)),
+    "R": lambda net, mode, e: ((np.arange(net.m), net.arrays.tgt), (net.m, net.n)),
+    "A:": lambda net, mode, e: (e[:2], (net.n, net.n)),
+    "W:": lambda net, mode, e: (_successors(e), (len(e.src),) * 2),
+    "B:": lambda net, mode, e: (_non_backtracking(e), (len(e.src),) * 2),
 }
 
 
 def cmd_dump_matrix(args):
     net, _ = _parse_input(args.input)
     kind, colon, index = args.which.partition(":")
-    tau = None
+    e = None
     if colon:
         try:
-            tau = int(index)
-            net.snapshot(tau)
+            e = net.snapshot(int(index)).arrays
         except ValueError:
             raise ValueError(f"bad snapshot index in {args.which!r}") from None
         except IndexError as exc:
@@ -208,9 +197,11 @@ def cmd_dump_matrix(args):
             f"unknown matrix kind {kind!r}" if colon else
             f"unknown matrix {args.which!r} (M | L | R | A:<tau> | W:<tau> | B:<tau>)"
         )
-    buf = io.StringIO()
-    dump_coordinate(build(net, Mode(args.mode), tau), buf)
-    _write_output(buf.getvalue(), args.output)
+    (rows, cols), shape = build(net, Mode(args.mode), e)
+    # coordinate text: `nrows ncols nnz`, then `row col 1` for each entry
+    lines = [f"{shape[0]} {shape[1]} {len(rows)}"]
+    lines += map("{} {} 1".format, rows.tolist(), cols.tolist())
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 

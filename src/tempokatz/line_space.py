@@ -1,4 +1,4 @@
-"""Edge-space matrices: source/target incidences, line-graph and Hashimoto
+"""Edge-space matrices as numpy coordinates: the line-graph and Hashimoto
 matrices of a snapshot, the node-level Katz systems, the global transition
 matrix and its product without it (``TransitionOperator``), and the
 directed-pair numbering that finds reversals across snapshots.
@@ -12,17 +12,18 @@ masked by snapshot order.  The four modes select which blocks
 also drop the immediately-reversed pairs (edge j leading back to edge i's
 source).
 
-Every matrix here is built directly in compressed form from the edge arrays
-the parser makes: a snapshot's slice (``Snapshot.arrays``: sorted sources and
-targets, and each edge's reversal index) or all of them
-(``TemporalNetwork.arrays``).  The successors of an edge are a
-contiguous range of sorted sources, so W_t, B_t and M are concatenations of
-such ranges, less the reversals their mode forbids.  ``TransitionOperator``
-sums those ranges without forming M, as cumulative sums along each
-source's edges; ``global_transition`` assembles M for ``dump-matrix`` and
-the tests.  This module keeps no cache of its own: each call builds its
-matrix afresh from the arrays, and an operator keeps only work arrays for
-its next product.
+Every matrix here is read from the edge arrays the parser makes: a
+snapshot's slice (``Snapshot.arrays``: sorted sources and targets, and each
+edge's reversal index) or all of them (``TemporalNetwork.arrays``), whose
+sources and targets are the incidences L and R.  The successors of an edge
+are a contiguous range of sorted sources, so W_t, B_t and M are
+concatenations of such ranges, less the reversals their mode forbids, and
+their coordinates come sorted by (row, column), as ``dump-matrix`` writes
+them.  ``TransitionOperator`` sums those ranges without forming M, as
+cumulative sums along each source's edges.  The SciPy matrices of the
+tests and the benchmark (``global_transition`` and the like) forward to
+``oracle``.  This module keeps no cache of its own, and an operator keeps
+only work arrays for its next product.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .temporal_graph import _starts, sorted_csr
+from .temporal_graph import _referees, _starts
 
 
 class Mode(enum.Enum):
@@ -54,6 +55,11 @@ _NBT_DIAGONAL = (Mode.NBT_SPACE, Mode.NBT_BOTH)
 #: modes whose off-diagonal blocks forbid across-snapshot reversals
 _NBT_OFFDIAG = (Mode.NBT_TIME, Mode.NBT_BOTH)
 
+__getattr__ = _referees(__name__, {
+    "source_target_matrices", "line_graph_matrix", "hashimoto_matrix",
+    "global_source_target", "global_transition",
+})
+
 
 def _ranges(starts, ends):
     """(rows, cols) of the entries whose columns in row i are starts[i]:ends[i],
@@ -68,7 +74,7 @@ class _Entries(NamedTuple):
     """The dim x dim matrix with ``values`` at (``rows``, ``cols``), duplicates
     summed; ``P @ x`` for a dim-vector or dim x k block x sums each row's
     entries in their order.  The systems that ``matfun`` factors hold them
-    in CSC order (by column, then row), which :func:`_csc` needs."""
+    in CSC order (by column, then row), which ``matfun._csc`` needs."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -106,39 +112,11 @@ def _successors(e):
     return _ranges(first[e.tgt], first[e.tgt + 1])
 
 
-def _ones(rows, cols, shape):
-    """0/1 CSR array of sorted (rows, cols)."""
-    return sorted_csr(rows, cols, np.ones(len(cols)), shape)
-
-
-def _incidences(src, tgt, n):
-    """Source and target incidence matrices L, R (len(src) x n, one 1 per row)."""
-    rows = np.arange(len(src))
-    return _ones(rows, src, (len(src), n)), _ones(rows, tgt, (len(src), n))
-
-
-def source_target_matrices(snapshot, n):
-    """Source and target incidence matrices L, R (m_tau x n, one 1 per row)."""
-    e = snapshot.arrays
-    return _incidences(e.src, e.tgt, n)
-
-
-def line_graph_matrix(snapshot, n):
-    """Adjacency matrix W = R L^T of the snapshot's line graph."""
-    rows, cols = _successors(snapshot.arrays)
-    return _ones(rows, cols, (snapshot.m, snapshot.m))
-
-
 def _non_backtracking(e):
     """(rows, cols) of B_t: the successors of each edge less its reversal."""
     rows, cols = _successors(e)
     keep = cols != e.rev[rows]
     return rows[keep], cols[keep]
-
-
-def hashimoto_matrix(snapshot, n):
-    """Hashimoto matrix B: W less each edge's reversal (B = W - W o W^T)."""
-    return _ones(*_non_backtracking(snapshot.arrays), (snapshot.m, snapshot.m))
 
 
 def _with_diagonal(rows, cols, off, diag):
@@ -152,12 +130,6 @@ def _with_diagonal(rows, cols, off, diag):
     order = np.argsort(cols * dim + rows)  # no duplicates
     order = order[values[order] != 0]
     return rows[order], cols[order], values[order]
-
-
-def _csc(rows, cols, values, dim):
-    """dim x dim CSC array of entries in CSC order."""
-    import scipy.sparse as sp
-    return sp.csc_array((values, rows, _starts(cols, dim)), shape=(dim, dim))
 
 
 def _hashimoto_entries(e, alpha):
@@ -185,15 +157,10 @@ def _katz_entries(e, nodes, alpha, nbt):
     return _with_diagonal(rows[inside], cols[inside], off[inside], diag)
 
 
-def global_source_target(net):
-    """Vertical stacks L_g, R_g of the per-snapshot L and R matrices (m x n)."""
-    return _incidences(net.arrays.src, net.arrays.tgt, net.n)
-
-
-def global_transition(net, mode):
-    """The m x m block upper-triangular global transition matrix of ``mode``:
-    R_g L_g^T restricted to snapshot(i) <= snapshot(j), less the reversals
-    the mode forbids."""
+def _transition(net, mode):
+    """(rows, cols) of the m x m block upper-triangular global transition
+    matrix of ``mode``, sorted by (row, column): R_g L_g^T restricted to
+    snapshot(i) <= snapshot(j), less the reversals the mode forbids."""
     src, tgt, _ = net.arrays
     snapshot = np.repeat(np.arange(net.N), np.diff(net.offsets))
     # by source, then snapshot, then target: the successors of edge i are the
@@ -211,7 +178,7 @@ def global_transition(net, mode):
         keep &= ~(reversal & within)
     if mode in _NBT_OFFDIAG:
         keep &= ~(reversal & ~within)
-    return _ones(rows[keep], cols[keep], (len(src), len(src)))
+    return rows[keep], cols[keep]
 
 
 #: a position of a :class:`_Runs` table with at least this many entries is
@@ -464,14 +431,3 @@ def pair_index(net):
     pos = np.searchsorted(pairs, reversed_key)
     found = np.append(pairs, -1)[pos] == reversed_key
     return pair, np.where(found, pos, len(pairs)), _starts(pairs // net.n, net.n)
-
-
-def dump_coordinate(matrix, stream):
-    """Write a sparse matrix in text coordinate format:
-    `nrows ncols nnz` header, then one `row col value` line per nonzero."""
-    import scipy.sparse as sp
-    coo = sp.coo_array(matrix)
-    stream.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-    order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        stream.write(f"{r} {c} {v:.17g}\n")

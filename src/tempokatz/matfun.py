@@ -21,8 +21,9 @@ solves P_t D = alpha L_t^T c on the rows of the snapshot's distinct
 sources, with a per-edge right side c of its mode.  Every mode takes it
 for alpha <= 1/2; above, the modes that forbid reversals within a snapshot
 solve an m_t x m_t Hashimoto block.
-``resolvent_solve`` factors an assembled I - alpha M whole with SuperLU's
-partial pivoting, and is the tests' reference for it.
+SciPy loads only for SuperLU (``_csc`` and ``_factor``).  The tests'
+reference ``resolvent_solve``, one LU of an assembled I - alpha M, forwards
+to ``oracle``.
 """
 
 from __future__ import annotations
@@ -34,13 +35,15 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .line_space import (
-    _NBT_DIAGONAL, _NBT_OFFDIAG, _csc, _Entries, _hashimoto_entries, _katz_entries, _ranges,
-    pair_index,
+    _NBT_DIAGONAL, _NBT_OFFDIAG, _Entries, _hashimoto_entries, _katz_entries, _ranges, pair_index,
 )
 from .spectral import DENSE_DIRECT_MAX
+from .temporal_graph import _referees, _starts
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RMAX = 10_000
+
+__getattr__ = _referees(__name__, {"resolvent_solve"})
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,12 @@ def apply_series(M, alpha, g, v):
     if not np.isfinite(result).all():
         raise SolveError(f"series sum is not finite after {terms} terms (alpha too large?)")
     return SeriesResult(result.reshape(np.shape(v)), truncated, terms)
+
+
+def _csc(rows, cols, values, dim):
+    """dim x dim CSC array of entries in CSC order."""
+    import scipy.sparse as sp
+    return sp.csc_array((values, rows, _starts(cols, dim)), shape=(dim, dim))
 
 
 def _factor(P, **options):
@@ -515,15 +524,3 @@ def _paired_rhs(W, Y, later, alpha, tgt, skip, first):
         terms = np.where(pairs == skip[edges][entry], 0.0, later[pairs, cols[entry]])
         b[edges, cols] = W[nodes, cols] + alpha * np.bincount(entry, terms, minlength=len(edges))
     return b
-
-
-def resolvent_solve(M, alpha, v):
-    """Solve (I - alpha M) x = v for a vector or m x k block v with one
-    sparse LU of the whole matrix, accepted by :func:`_solve`; the reference
-    for :func:`resolvent_solver`."""
-    import scipy.sparse as sp
-    b = _block(v, M.shape)
-    A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
-    coo = A.tocoo()
-    P = _Entries(coo.row, coo.col, coo.data, M.shape[0])
-    return _solve(_factor(A), P, b, _inf_norm(P)).reshape(np.shape(v))

@@ -1,7 +1,7 @@
 """Ground-truth brute-force enumeration of temporal walks, the weighted walk
 sum, the scalar functional-equation checker for product-form centralities
 with the scalar series sum it uses, and sparse-algebra referees for the
-matrices the package builds.
+matrices the package reads from its edge arrays.
 
 Everything here is for tests and validation: exact integer walk counts by
 depth-first enumeration, weights applied afterwards, and the scalar identity
@@ -9,7 +9,10 @@ that characterizes when a product of per-snapshot matrix functions can
 reproduce length-consistent walk weights (only the resolvent family can).
 The referees form A_t, W_t = R L^T, B_t = W - W o W^T, M and the node-level
 Katz systems by sparse products and sums of incidence matrices read from
-``Snapshot.edges``, independently of the compiled edge arrays.
+``Snapshot.edges``, independently of the compiled edge arrays.  The
+package and its modules forward to them, by the names the tests and the
+benchmark call (``adjacency_matrix``, ``global_transition`` and the like),
+and to ``spectral_radius`` and ``resolvent_solve`` of a SciPy matrix here.
 ``reference_parse`` reads an edge list line by line into Python sets, the
 referee of the vectorized parser.
 """
@@ -22,15 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .line_space import _NBT_DIAGONAL, _NBT_OFFDIAG, Mode
-from .matfun import DEFAULT_RMAX, DEFAULT_TOL
-from .temporal_graph import (
-    ParseError,
-    Snapshot,
-    TemporalNetwork,
-    ValidationError,
-    adjacency_matrix,
-)
+from .line_space import _NBT_DIAGONAL, _NBT_OFFDIAG, Mode, _Entries
+from .matfun import DEFAULT_RMAX, DEFAULT_TOL, _block, _factor, _inf_norm, _solve
+from .spectral import _radius
+from .temporal_graph import ParseError, Snapshot, TemporalNetwork, ValidationError
 
 GUARD_DEFAULT = 10**8
 
@@ -151,7 +149,7 @@ def naive_exponential_product(net, beta):
     import scipy.linalg
     out = np.eye(net.n)
     for tau in range(1, net.N + 1):
-        out = out @ scipy.linalg.expm(beta * adjacency_matrix(net, tau).todense())
+        out = out @ scipy.linalg.expm(beta * reference_adjacency(net, tau).todense())
     return np.asarray(out)
 
 
@@ -262,6 +260,40 @@ def reference_transition(net, mode):
     if mode in _NBT_OFFDIAG:
         keep &= ~(reversal & ~within)
     return sp.csr_array((W.data[keep], (i[keep], j[keep])), shape=W.shape)
+
+
+def source_target_matrices(snapshot, n):
+    """L, R of one snapshot (m_tau x n, one 1 per row)."""
+    return _incidences(snapshot.edges, n)
+
+
+# the SciPy builders of the package and its modules, by their own names
+adjacency_matrix, global_source_target = reference_adjacency, reference_source_target
+line_graph_matrix, hashimoto_matrix = reference_line_graph, reference_hashimoto
+global_transition = reference_transition
+
+
+def spectral_radius(m):
+    """Dominant eigenvalue modulus of a nonnegative sparse matrix: the
+    ``spectral._radius`` of its entries, sorted by (row, column) as the
+    engine's coordinates are."""
+    import scipy.sparse as sp
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("spectral_radius needs a square matrix")
+    coo = sp.csr_array(m).sorted_indices().tocoo()
+    return _radius(coo.row, coo.col, m.shape[0], coo.data)
+
+
+def resolvent_solve(M, alpha, v):
+    """Solve (I - alpha M) x = v for a vector or m x k block v with one
+    sparse LU of the whole matrix, accepted by ``matfun._solve``; the
+    reference for ``matfun.resolvent_solver``."""
+    import scipy.sparse as sp
+    b = _block(v, M.shape)
+    A = sp.csc_array(sp.eye_array(M.shape[0]) - alpha * M)
+    coo = A.tocoo()
+    P = _Entries(coo.row, coo.col, coo.data, M.shape[0])
+    return _solve(_factor(A), P, b, _inf_norm(P)).reshape(np.shape(v))
 
 
 def deg_matrices(a):

@@ -6,7 +6,7 @@ within-snapshot backtracking they converge for alpha below
 min_tau 1 / rho(B^[tau]), which equals the smallest-modulus eigenvalue of a
 cubic matrix polynomial in the adjacency matrix (checked in the test suite).
 Every radius is ``_radius`` of a block's edge arrays, or of a sparse
-matrix's entries (``spectral_radius``): dense eigenvalues up to
+matrix's entries (``oracle.spectral_radius``): dense eigenvalues up to
 DENSE_DIRECT_MAX rows, above it a certified upper bound on the strongly
 connected components, so ell never exceeds the true supremum.  Both bounds
 stack every block into block-diagonal stacks, whatever its size, and peel
@@ -14,8 +14,8 @@ them for at most DENSE_DIRECT_MAX rounds.  ``alpha_bound`` takes every
 radius of both families: a block the peel empties has no cycle, radius 0.0.
 ``mode_bound`` needs only the largest of its mode's family: it brackets
 every block at once on the rows that the same peel keeps, and takes radii
-in descending order of upper bound.  All of it runs on numpy alone; only
-``spectral_radius`` of a SciPy matrix loads SciPy.
+in descending order of upper bound.  All of it runs on numpy alone:
+``spectral_radius``, which takes a SciPy matrix, forwards to ``oracle``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .line_space import _NBT_DIAGONAL, Mode, _Entries, _non_backtracking, _ranges
-from .temporal_graph import EdgeArrays, _starts
+from .temporal_graph import EdgeArrays, _referees, _starts
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXIT = 10_000
+
+__getattr__ = _referees(__name__, {"spectral_radius"})
 
 
 class RadiusEstimate(NamedTuple):
@@ -78,16 +80,6 @@ COLOUR_PASSES = 64
 #: they save.  MARGIN is well above the dense eigensolver's error on a
 #: defective radius (1.7e-6 seen, 5.8e-5 contrived)
 STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 15, 1e-4
-
-
-def spectral_radius(m):
-    """Dominant eigenvalue modulus of a nonnegative sparse matrix: the
-    :func:`_radius` of its entries."""
-    import scipy.sparse as sp
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("spectral_radius needs a square matrix")
-    coo = sp.csr_array(m).tocoo()  # in row order
-    return _radius(coo.row, coo.col, m.shape[0], coo.data)
 
 
 def _radius(row, col, dim, data=None):
@@ -287,7 +279,7 @@ def _stacks(net, hashimoto):
 
 def snapshot_radii(net, hashimoto):
     """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for every
-    snapshot: each is :func:`spectral_radius` of the block, bit for bit.  A
+    snapshot: each is ``oracle.spectral_radius`` of the block, bit for bit.  A
     block that the peel of its stack empties is nilpotent, radius 0.0; every
     other block gets its :func:`_block_radius`."""
     cyclic = {t for owner, *stack in _stacks(net, hashimoto) for t in owner[_peel(*stack)]}

@@ -10,11 +10,13 @@ The parser reads the whole input at once into global int64 edge arrays
 source, target), and the index of each edge's reversal in its snapshot.  Each ``Snapshot.arrays``
 is a slice of them, and ``Snapshot.edges`` derives tuples for the oracle and
 the tests.  Every matrix of the package (A_t, W_t, B_t, M and the node-level
-Katz systems) is built from the arrays directly in compressed sparse form.
+Katz systems) is read from the arrays as numpy coordinates; the SciPy
+``adjacency_matrix`` of the tests forwards to ``oracle`` (:func:`_referees`).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -68,10 +70,19 @@ def _starts(keys, size):
     return np.searchsorted(keys, np.arange(size + 1))
 
 
-def sorted_csr(rows, cols, data, shape):
-    """CSR array of entries already sorted by (row, column), without duplicates."""
-    import scipy.sparse as sp
-    return sp.csr_array((data, cols, _starts(rows, shape[0])), shape=shape)
+def _referees(module, names):
+    """The ``__getattr__`` (PEP 562) of ``module`` that forwards ``names`` to
+    the ``oracle`` functions of the same names, loaded on first use."""
+
+    def forward(name):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(".oracle", __package__), name)
+
+    return forward
+
+
+__getattr__ = _referees(__name__, {"adjacency_matrix"})
 
 
 def _compile(tau, edges):
@@ -296,9 +307,3 @@ def to_edgelist(net):
         for u, v in snap.edges:
             lines.append(f"{u} {v} {t}")
     return "\n".join(lines) + "\n"
-
-
-def adjacency_matrix(net, tau):
-    """0/1 adjacency matrix of snapshot ``tau`` (1-based) as n x n CSR."""
-    e = net.snapshot(tau).arrays
-    return sorted_csr(e.src, e.tgt, np.ones(len(e.src)), (net.n, net.n))

@@ -106,6 +106,36 @@ def katz_referee(net, mode, alpha, W):
     return W + alpha * (L.T @ tk.resolvent_solve(M, alpha, R @ W))
 
 
+#: every dump-matrix kind: M in each mode, and L, R, and A, W and B of
+#: snapshot 1, in the default mode
+DUMP_KINDS = [pytest.param("M", mode.value, id=f"M-{mode.value}") for mode in Mode] + [
+    pytest.param(which, "standard", id=which) for which in ("L", "R", "A:1", "W:1", "B:1")
+]
+
+
+def referee_text(net, which, mode):
+    """The text dump-matrix writes for ``which`` in ``mode``, formatted from
+    the oracle's SciPy referee: `nrows ncols nnz`, then `row col value` for
+    each entry, sorted by (row, column)."""
+    import scipy.sparse as sp
+
+    kind, _, tau = which.partition(":")
+    matrix = {
+        "M": lambda: tk.oracle.reference_transition(net, Mode(mode)),
+        "L": lambda: tk.oracle.reference_source_target(net)[0],
+        "R": lambda: tk.oracle.reference_source_target(net)[1],
+        "A": lambda: tk.oracle.reference_adjacency(net, int(tau)),
+        "W": lambda: tk.oracle.reference_line_graph(net.snapshot(int(tau)), net.n),
+        "B": lambda: tk.oracle.reference_hashimoto(net.snapshot(int(tau)), net.n),
+    }[kind]()
+    coo = sp.coo_array(matrix)
+    order = np.lexsort((coo.col, coo.row))
+    entries = zip(coo.row[order], coo.col[order], coo.data[order])
+    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    lines += (f"{r} {c} {v:.17g}" for r, c, v in entries)
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def networks(draw):
     """n <= 6 nodes (some may be isolated), N <= 4 snapshots (some may be

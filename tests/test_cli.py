@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 import os
@@ -10,10 +9,10 @@ import numpy as np
 import pytest
 
 import tempokatz as tk
-from tempokatz import Mode, centrality, cli, line_space, oracle, spectral
+from tempokatz import Mode, centrality, cli, line_space, spectral
 from tempokatz.cli import main
 
-from conftest import FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE, katz_referee
+from conftest import DUMP_KINDS, FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE, katz_referee, referee_text
 
 
 @pytest.fixture
@@ -423,22 +422,16 @@ def test_dump_matrix_stacks(capsys, ex5_file):
     assert out.splitlines()[0] == "3 4 3"
 
 
-@pytest.mark.parametrize("which", ["R", "W:1", "B:1"])
-def test_dump_matrix_prints_the_referee(capsys, tmp_path, which):
-    # a reciprocated pair in snapshot 1, so that B_1 is W_1 less two entries
+@pytest.mark.parametrize("which, mode", DUMP_KINDS)
+def test_dump_matrix_prints_the_referee(capsys, tmp_path, which, mode):
+    # a reciprocated pair in snapshot 1, so that B_1 is W_1 less two entries,
+    # and reversals across snapshots that nbt-time forbids
     text = "0 1 1\n1 0 1\n1 2 1\n2 0 1\n2 1 2\n0 2 2\n"
     path = tmp_path / "pairs.txt"
     path.write_text(text)
-    net = tk.parse_temporal_edgelist(text)
-    want = {
-        "R": oracle.reference_source_target(net)[1],
-        "W:1": oracle.reference_line_graph(net.snapshot(1), net.n),
-        "B:1": oracle.reference_hashimoto(net.snapshot(1), net.n),
-    }[which]
-    buf = io.StringIO()
-    line_space.dump_coordinate(want, buf)
-    code, out, err = run(capsys, "dump-matrix", str(path), which)
-    assert (code, out, err) == (0, buf.getvalue(), "")
+    want = referee_text(tk.parse_temporal_edgelist(text), which, mode)
+    code, out, err = run(capsys, "dump-matrix", str(path), which, "--mode", mode)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_dump_matrix_unknown(capsys, ex5_file):

@@ -1,5 +1,6 @@
-"""The compiled edge arrays each snapshot owns, and the matrices built from
-them, against the sparse-algebra referees of ``tempokatz.oracle``."""
+"""The compiled edge arrays each snapshot owns, and the coordinates and
+systems the engine reads from them, against the sparse-algebra referees of
+``tempokatz.oracle``."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork, ValidationError, oracle, temporal_graph
-from tempokatz.line_space import _csc, _hashimoto_entries, _katz_entries
+from tempokatz.line_space import (
+    _hashimoto_entries, _katz_entries, _non_backtracking, _successors, _transition,
+)
+from tempokatz.matfun import _csc
 from tempokatz.cli import main
 from tempokatz.spectral import mode_bound
 
@@ -28,6 +32,18 @@ def assert_same(built, reference):
     np.testing.assert_array_equal(built.data.view(np.int64), ref.data.view(np.int64))
 
 
+def assert_coordinates(coordinates, reference):
+    """The engine's (rows, cols) are the entries of the 0/1 ``reference``,
+    sorted by (row, column), as dump-matrix writes them."""
+    ref = sp.csr_array(reference, copy=True)
+    ref.sum_duplicates()  # and sorts each row
+    ref = ref.tocoo()
+    rows, cols = coordinates
+    np.testing.assert_array_equal(rows, ref.row)
+    np.testing.assert_array_equal(cols, ref.col)
+    np.testing.assert_array_equal(ref.data, 1.0)
+
+
 @given(networks(), st.floats(0.0, 2.0))
 @settings(max_examples=150, deadline=None)
 def test_builders_match_referees(net, alpha):
@@ -37,9 +53,9 @@ def test_builders_match_referees(net, alpha):
         assert edges == list(snap.edges)
         assert e.rev.tolist() == [edges.index((v, u)) if (v, u) in edges else -1 for u, v in edges]
         A = oracle.reference_adjacency(net, snap.tau)
-        assert_same(tk.adjacency_matrix(net, snap.tau), A)
-        assert_same(tk.line_graph_matrix(snap, net.n), oracle.reference_line_graph(snap, net.n))
-        assert_same(tk.hashimoto_matrix(snap, net.n), oracle.reference_hashimoto(snap, net.n))
+        assert_coordinates((e.src, e.tgt), A)
+        assert_coordinates(_successors(e), oracle.reference_line_graph(snap, net.n))
+        assert_coordinates(_non_backtracking(e), oracle.reference_hashimoto(snap, net.n))
         # the node systems on all n nodes, and on the distinct sources alone
         sources = np.unique(e.src)
         for nbt in (False, True):
@@ -52,8 +68,11 @@ def test_builders_match_referees(net, alpha):
         shifted = sp.csc_array(sp.eye_array(snap.m) - alpha * oracle.reference_hashimoto(snap, net.n))
         shifted.eliminate_zeros()
         assert_same(_csc(*_hashimoto_entries(e, alpha), snap.m), shifted)
+    L, R = oracle.reference_source_target(net)
+    assert_coordinates((np.arange(net.m), net.arrays.src), L)
+    assert_coordinates((np.arange(net.m), net.arrays.tgt), R)
     for mode in Mode:
-        assert_same(tk.global_transition(net, mode), oracle.reference_transition(net, mode))
+        assert_coordinates(_transition(net, mode), oracle.reference_transition(net, mode))
 
 
 @given(networks())
@@ -93,7 +112,9 @@ def test_arrays_are_built_once_and_ignored_by_equality():
 def test_empty_snapshot_arrays():
     e = Snapshot(1, ()).arrays
     assert e.src.shape == e.tgt.shape == e.rev.shape == (0,)
+    assert all(len(a) == 0 for a in _successors(e) + _non_backtracking(e))
     net = TemporalNetwork(n=3, snapshots=(Snapshot(1, ()),), timestamps=(0,))
+    assert all(len(a) == 0 for a in _transition(net, Mode.NBT_BOTH))
     assert tk.adjacency_matrix(net, 1).shape == (3, 3)
     assert tk.hashimoto_matrix(net.snapshot(1), 3).shape == (0, 0)
 

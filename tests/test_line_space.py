@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +5,9 @@ from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, Snapshot, TemporalNetwork
+from tempokatz.cli import main
 
-from conftest import TRIANGLE, networks, random_network
+from conftest import DUMP_KINDS, FIG_NETWORK, TRIANGLE, networks, random_network, referee_text
 
 
 def dense(m):
@@ -305,10 +304,16 @@ def test_global_transition_strictly_block_upper():
                     assert not block(net, M, t1, t2).any()
 
 
-def test_dump_coordinate_format(ex5):
-    buf = io.StringIO()
-    tk.line_space.dump_coordinate(tk.global_transition(ex5, Mode.STANDARD), buf)
-    assert buf.getvalue() == "3 3 2\n0 1 1\n1 2 1\n"
+@pytest.mark.parametrize("which, mode", DUMP_KINDS)
+def test_dump_coordinate_format(capsys, tmp_path, fig1, which, mode):
+    # dump-matrix writes the engine's coordinates as the referee's entries,
+    # for a per-snapshot kind on every snapshot
+    path = tmp_path / "fig.txt"
+    path.write_text(FIG_NETWORK)
+    kind, colon, _ = which.partition(":")
+    for which in [f"{kind}:{tau}" for tau in range(1, fig1.N + 1)] if colon else [which]:
+        assert main(["dump-matrix", str(path), which, "--mode", mode]) == 0
+        assert capsys.readouterr() == (referee_text(fig1, which, mode), "")
 
 
 def reversal_weighted(net, rng, k, scale):

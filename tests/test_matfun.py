@@ -476,7 +476,7 @@ def test_dense_and_sparse_factors_agree_property(dim, fraction, seed):
     b = rng.random((dim, 2)) * (rng.random((dim, 2)) < 0.7)
     size = -(-dim // matfun._PAD) * matfun._PAD
     dense = matfun._inverses([P], size)[0]
-    sparse = matfun._factor(line_space._csc(*P), **matfun._NODE_LU)
+    sparse = matfun._factor(matfun._csc(*P), **matfun._NODE_LU)
     norm = matfun._inf_norm(P)
     x, y = (matfun._solve(lu, P, b, norm) for lu in (dense, sparse))
     assert (x >= 0).all()

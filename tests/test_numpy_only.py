@@ -1,13 +1,14 @@
 """SciPy loads only in the functions that call it: importing the package,
-``tempokatz validate`` and ``check-alpha`` run on numpy alone whatever the
-size of the blocks, and so does ``rank`` with a series weight (the
-exponential or a polynomial) in every mode, and Katz ``rank`` while the
-systems it factors above DENSE_DIRECT_MAX rows fit the DENSE_WORK_MAX
-budget of dense work.  SciPy loads for the sparse LU of those systems when
-they do not, for ``dump-matrix`` (``scipy.sparse`` without its solvers) and
-for ``spectral_radius`` of a SciPy matrix.  Each check of
-the modules loaded runs in a fresh interpreter, since this test process has
-SciPy loaded already."""
+``tempokatz validate``, ``check-alpha`` and ``dump-matrix`` run on numpy
+alone whatever the size of the blocks, and so does ``rank`` with a series
+weight (the exponential or a polynomial) in every mode, and Katz ``rank``
+while the systems it factors above DENSE_DIRECT_MAX rows fit the
+DENSE_WORK_MAX budget of dense work.  SciPy loads for the sparse LU of
+those systems when they do not (``matfun._csc`` and ``matfun._factor``),
+and in ``oracle``, whose referees (``adjacency_matrix``,
+``global_transition``, ``spectral_radius`` and the like) the tests call.
+Each check of the modules loaded runs in a fresh interpreter, since this
+test process has SciPy loaded already."""
 
 import json
 import os
@@ -99,18 +100,28 @@ def test_validate_leaves_no_scipy_module_loaded(edges):
     assert result.stdout.strip() == ""
 
 
-@pytest.mark.parametrize("which", ["M", "B:1"])
-def test_dump_matrix_loads_sparse_arrays_only(edges, which):
-    result = python(MAIN, "dump-matrix", edges, which)
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
-    assert "scipy.sparse" in loaded
-    assert not loaded & {"scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"}
-
-
 # snapshot 1: a lone reciprocated pair, cyclic in A, acyclic in B; 2: a
 # triangle; 3: a DAG; and node 6 has no edge in any snapshot
 MIXED = "%n 7\n0 1 1\n1 0 1\n0 1 2\n1 2 2\n2 0 2\n0 1 3\n1 2 3\n0 2 3\n3 4 3\n5 3 3\n"
+
+
+def test_dump_matrix_without_scipy(tmp_path, capsys):
+    # every kind, M in each mode: the same bytes under BLOCK_SCIPY as in a
+    # free run, which loads no SciPy module, and as in process
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED)
+    modes = ["standard", "nbt-space", "nbt-time", "nbt-both"]
+    runs = [["dump-matrix", str(path), "M", "--mode", mode] for mode in modes]
+    runs += [["dump-matrix", str(path), which] for which in ("L", "R", "A:3", "W:1", "B:1", "B:2")]
+    blocked = python(BLOCK_SCIPY + MAIN_EACH, json.dumps(runs))
+    assert blocked.returncode == 0, blocked.stderr
+    free = python(MAIN_EACH, json.dumps(runs))
+    assert free.returncode == 0, free.stderr
+    assert free.stdout.strip() == ""  # no scipy module loaded
+    assert blocked.stderr == free.stderr  # main's stdout, byte for byte
+    assert all(main(argv) == 0 for argv in runs)
+    assert capsys.readouterr().out == free.stderr
+    assert "2 2 2\n0 1 1\n1 0 1\n2 2 0\n" in free.stderr  # W_1, then B_1 of the pair
 
 
 @pytest.mark.parametrize("mode", ["standard", "nbt-both"])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import os
@@ -16,14 +17,24 @@ from tempokatz.oracle import (
     homogeneous_symmetric,
 )
 
-from conftest import TRIANGLE
+from conftest import FIG_NETWORK, TRIANGLE
 
 
 LOADED = """
+import contextlib
+import io
 import sys
 
 import tempokatz.cli
 
+path = sys.argv[1]
+runs = [["validate", path], ["check-alpha", path, "--mode", "nbt-both"]]
+runs += [["rank", path, "--alpha", "0.1", "--function", f] for f in ("katz", "exponential")]
+modes = ("standard", "nbt-space", "nbt-time", "nbt-both")
+runs += [["dump-matrix", path, "M", "--mode", mode] for mode in modes]
+runs += [["dump-matrix", path, which] for which in ("L", "R", "A:1", "W:1", "B:1")]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert all(tempokatz.cli.main(argv) == 0 for argv in runs)
 print("tempokatz.oracle" in sys.modules)
 import tempokatz as tk
 
@@ -38,21 +49,54 @@ import tempokatz as tk
 print(tk.oracle.__name__)
 """
 
+#: the names each module forwards to the oracle function of that name: the
+#: SciPy builders that the tests and the benchmark call, and on the package
+#: the walk oracle's names too
+FORWARDED = {
+    "tempokatz": (
+        "WalkCountTensor", "deg_matrices", "enumerate_temporal_walks",
+        "functional_equation_residual", "homogeneous_symmetric", "weighted_walk_sum",
+        "adjacency_matrix", "source_target_matrices", "line_graph_matrix", "hashimoto_matrix",
+        "global_source_target", "global_transition", "spectral_radius", "resolvent_solve",
+    ),
+    "tempokatz.temporal_graph": ("adjacency_matrix",),
+    "tempokatz.line_space": (
+        "source_target_matrices", "line_graph_matrix", "hashimoto_matrix",
+        "global_source_target", "global_transition",
+    ),
+    "tempokatz.spectral": ("spectral_radius",),
+    "tempokatz.matfun": ("resolvent_solve",),
+}
 
-def test_oracle_loads_on_first_use():
-    # no command uses the oracle, so the CLI's import leaves it out; the
-    # package still exposes its names, and loads it on first access
+
+def test_oracle_loads_on_first_use(tmp_path):
+    # no command uses the oracle: the CLI's import and every command, each
+    # dump-matrix kind among them, leave it out; the package still exposes
+    # its names, and loads it on first access
+    path = tmp_path / "fig.txt"
+    path.write_text(FIG_NETWORK)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for code, want in ((LOADED, ["False", "True"]), (MODULE, ["tempokatz.oracle"])):
+    for argv, want in (([LOADED, str(path)], ["False", "True"]), ([MODULE], ["tempokatz.oracle"])):
         result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", *argv], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == want
     assert tk.weighted_walk_sum is tk.oracle.weighted_walk_sum
     with pytest.raises(AttributeError, match="no attribute 'walk_oracle'"):
         tk.walk_oracle
+
+
+@pytest.mark.parametrize("module", FORWARDED)
+def test_forwarded_names_are_the_oracle_functions(module):
+    mod = importlib.import_module(module)
+    for name in FORWARDED[module]:
+        assert getattr(mod, name) is getattr(tk.oracle, name)
+    # perfbench's Context reads hasattr(spectral, "NonConvergenceError")
+    assert not hasattr(mod, "NonConvergenceError")
+    with pytest.raises(AttributeError, match=f"^module '{module}' has no attribute 'sorted_csr'$"):
+        mod.sorted_csr
 
 
 def dense(m):
