@@ -100,6 +100,17 @@ def test_validate_leaves_no_scipy_module_loaded(edges):
     assert result.stdout.strip() == ""
 
 
+@pytest.mark.parametrize("which", ["M", "B:1"])
+def test_dump_matrix_loads_sparse_arrays_only(edges, which):
+    # the matrix is written from the edge arrays: of SciPy, not even
+    # scipy.sparse loads, on a network with a collapsed duplicate
+    result = python(MAIN, "dump-matrix", edges, which)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+    rows, cols, nnz = map(int, result.stderr.splitlines()[0].split())
+    assert len(result.stderr.splitlines()) == 1 + nnz
+
+
 # snapshot 1: a lone reciprocated pair, cyclic in A, acyclic in B; 2: a
 # triangle; 3: a DAG; and node 6 has no edge in any snapshot
 MIXED = "%n 7\n0 1 1\n1 0 1\n0 1 2\n1 2 2\n2 0 2\n0 1 3\n1 2 3\n0 2 3\n3 4 3\n5 3 3\n"
