@@ -15,67 +15,62 @@ Other weightings sum their series with products by M that never
 form it either (``line_space.TransitionOperator``): cumulative sums along
 each source's edges, sorted by snapshot.
 
-Importing the package needs only numpy, and so do parsing (``validate``),
-``alpha_bound`` (``check-alpha``), ``dump-matrix``, which writes the
-coordinates read from the parser's edge arrays, the series weightings,
-and the Katz measures while the systems they factor above 200 rows, with
-the solves of every column to follow, add up to at most the dense work of
-inverting one 1024-row system (``matfun.DENSE_WORK_MAX``).  SciPy loads
-for the sparse LU of those systems beyond it, and in ``oracle``, the
-tests' referees: the brute-force walk oracle and the SciPy matrices
-(``global_transition``, ``spectral_radius``, ``resolvent_solve`` and the
-like, which the package and its modules forward by name).  It loads on
-first use of one of its names.
+Importing the package loads none of its modules: each name it exports,
+and each module's own name, loads that module on first use (PEP 562).
+``tempokatz.cli`` imports a module only in the commands that run it:
+``validate`` and ``dump-matrix`` load ``temporal_graph`` and
+``line_space``, ``check-alpha`` adds ``spectral``, and ``rank`` adds
+``centrality`` and ``matfun``.  No command calls a plain ``np.unique``,
+which imports ``numpy.ma`` on numpy 2.
+
+Numpy alone runs parsing (``validate``), ``alpha_bound`` (``check-alpha``),
+``dump-matrix``, which writes the coordinates read from the parser's edge
+arrays, the series weightings, and the Katz measures while the systems
+they factor above 200 rows, with the solves of every column to follow,
+add up to at most the dense work of inverting one 1024-row system
+(``matfun.DENSE_WORK_MAX``).  SciPy loads for the sparse LU of those
+systems beyond it, and in ``oracle``, the tests' referees: the brute-force
+walk oracle and the SciPy matrices (``global_transition``,
+``spectral_radius``, ``resolvent_solve`` and the like, which the package
+and its modules forward by name).
 """
 
 import importlib
 
-from .centrality import (
-    CentralityVector,
-    ParameterError,
-    communicability_matrix,
-    dynamic_katz_node_level,
-    nbt_space_katz_node_level,
-    temporal_f_subgraph_centrality,
-    temporal_f_total_communicability,
-)
-from .line_space import Mode
-from .matfun import (
-    CoefficientFunction,
-    apply_series,
-    exponential,
-    from_coefficient_file,
-    monomial,
-    partial_op,
-    polynomial,
-    resolvent,
-)
-from .spectral import AlphaBound, alpha_bound
-from .temporal_graph import (
-    ParseError,
-    ParseReport,
-    Snapshot,
-    TemporalNetwork,
-    ValidationError,
-    _referees,
-    parse_temporal_edgelist,
-    to_edgelist,
-)
-
 __version__ = "0.1.0"
 
-#: the brute-force walk oracle and the SciPy matrices are referees for tests
-#: and demos that no command uses: ``oracle`` loads on first access to it or
-#: to one of these names (PEP 562)
-_referee = _referees(__name__, {
-    "WalkCountTensor", "deg_matrices", "enumerate_temporal_walks",
-    "functional_equation_residual", "homogeneous_symmetric", "weighted_walk_sum",
-    "adjacency_matrix", "source_target_matrices", "line_graph_matrix", "hashimoto_matrix",
-    "global_source_target", "global_transition", "spectral_radius", "resolvent_solve",
-})
+#: the exported names by the module that defines them; the brute-force walk
+#: oracle and the SciPy matrices are referees for tests and demos that no
+#: command uses
+_EXPORTS = {
+    "centrality": (
+        "CentralityVector", "ParameterError", "communicability_matrix",
+        "dynamic_katz_node_level", "nbt_space_katz_node_level",
+        "temporal_f_subgraph_centrality", "temporal_f_total_communicability",
+    ),
+    "line_space": ("Mode",),
+    "matfun": (
+        "CoefficientFunction", "apply_series", "exponential", "from_coefficient_file",
+        "monomial", "partial_op", "polynomial", "resolvent",
+    ),
+    "spectral": ("AlphaBound", "alpha_bound"),
+    "temporal_graph": (
+        "ParseError", "ParseReport", "Snapshot", "TemporalNetwork", "ValidationError",
+        "_referees", "parse_temporal_edgelist", "to_edgelist",
+    ),
+    "oracle": (
+        "WalkCountTensor", "deg_matrices", "enumerate_temporal_walks",
+        "functional_equation_residual", "homogeneous_symmetric", "weighted_walk_sum",
+        "adjacency_matrix", "source_target_matrices", "line_graph_matrix", "hashimoto_matrix",
+        "global_source_target", "global_transition", "spectral_radius", "resolvent_solve",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name):
-    if name == "oracle":
-        return importlib.import_module(f"{__name__}.oracle")
-    return _referee(name)
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    found = importlib.import_module(f".{module}", __name__)
+    return found if module == name else getattr(found, name)

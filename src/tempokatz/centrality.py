@@ -28,6 +28,7 @@ import numpy as np
 from .line_space import Mode, TransitionOperator
 from .matfun import SolveError, apply_series, partial_op, resolvent, resolvent_solver
 from .spectral import mode_bound
+from .temporal_graph import _distinct
 
 
 #: columns per block application; bounds the dense n x k and m x k work arrays
@@ -144,7 +145,7 @@ def temporal_f_subgraph_centrality(net, alpha, f, mode, force=False, threads=Non
     """x_i = (c_0 I + alpha L_g^T (shifted f)(alpha M) R_g)_ii, applied to
     blocks of unit columns; nodes that are never a target stay at c_0.
     ``threads`` is accepted for compatibility and ignored."""
-    targets = np.unique(net.arrays.tgt)
+    targets = _distinct(net.arrays.tgt)
     apply, run = _node_block(net, alpha, f, mode, force, len(targets))
     values = np.full(net.n, float(f(0)))
     truncated = False
@@ -157,7 +158,7 @@ def temporal_f_subgraph_centrality(net, alpha, f, mode, force=False, threads=Non
 def communicability_matrix(net, alpha, f, mode, force=False):
     """Full n x n weighted walk-count matrix c_0 I + alpha L_g^T (shifted
     f)(alpha M) R_g.  Dense output; intended for small n (tests, debugging)."""
-    targets = np.unique(net.arrays.tgt)
+    targets = _distinct(net.arrays.tgt)
     apply, _ = _node_block(net, alpha, f, mode, force, len(targets))
     Q = f(0) * np.eye(net.n)
     for nodes, Y, _ in _column_blocks(apply, net, targets):

@@ -8,13 +8,18 @@ value, or an input too large for memory, 2 alpha negative or not finite
 (even with --force) or outside the admissible interval without --force,
 3 numerical failure.  ``rank`` parses, makes one call of a centrality
 measure, which checks alpha and the bound itself, and formats its result.
+
+Each command imports the modules it runs, when it runs: ``validate`` and
+``dump-matrix`` only ``temporal_graph`` and ``line_space`` (``Mode``, and
+dump-matrix's coordinates), ``check-alpha`` adds ``spectral``, and
+``rank`` adds ``centrality`` and ``matfun``; ``json`` loads only for
+``--format json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import stat
 import sys
@@ -22,15 +27,7 @@ import tempfile
 
 import numpy as np
 
-from . import matfun
-from .centrality import (
-    ParameterError,
-    temporal_f_subgraph_centrality,
-    temporal_f_total_communicability,
-)
 from .line_space import Mode, _non_backtracking, _successors, _transition
-from .matfun import SolveError
-from .spectral import alpha_bound
 from .temporal_graph import ParseError, ParseReport, ValidationError, parse_temporal_edgelist
 
 EXIT_PARSE = 1
@@ -44,6 +41,7 @@ def _fmt(x):
 
 
 def _load_function(spec):
+    from . import matfun
     if spec == "katz":
         return matfun.resolvent(1.0, 1.0)
     if spec == "exponential":
@@ -103,6 +101,7 @@ def _render_csv(meta, rows):
 
 
 def _render_json(meta, rows):
+    import json
     # values are inserted as pre-formatted numeric literals so that JSON and
     # CSV agree to the last digit
     meta_json = json.dumps(meta, sort_keys=True)
@@ -114,14 +113,20 @@ def _render_json(meta, rows):
 
 
 def cmd_rank(args):
+    from . import centrality
+    from .matfun import SolveError
     net, _ = _parse_input(args.input)
     mode = Mode(args.mode)
     f = _load_function(args.function)
     measure = (
-        temporal_f_total_communicability if args.measure == "tc" else temporal_f_subgraph_centrality
+        centrality.temporal_f_total_communicability if args.measure == "tc"
+        else centrality.temporal_f_subgraph_centrality
     )
     try:
         result = measure(net, args.alpha, f, mode, force=args.force)
+    except centrality.ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ALPHA
     except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -146,6 +151,7 @@ def cmd_rank(args):
 
 
 def cmd_check_alpha(args):
+    from .spectral import alpha_bound
     net, _ = _parse_input(args.input)
     mode = Mode(args.mode)
     bound = alpha_bound(net, mode)
@@ -272,9 +278,6 @@ def main(argv=None):
         return 0
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALPHA
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -38,7 +38,7 @@ from .line_space import (
     _NBT_DIAGONAL, _NBT_OFFDIAG, _Entries, _hashimoto_entries, _katz_entries, _ranges, pair_index,
 )
 from .spectral import DENSE_DIRECT_MAX
-from .temporal_graph import _referees, _starts
+from .temporal_graph import _distinct, _referees, _starts
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RMAX = 10_000
@@ -381,7 +381,7 @@ def _factor_steps(systems, columns=1):
     if sum(s * s * (s + 2 * columns) for s in padded[~dense].tolist()) <= DENSE_WORK_MAX:
         dense[:] = True
     factors = [None] * len(systems)
-    for size in np.unique(padded[dense]).tolist():
+    for size in _distinct(padded[dense]).tolist():
         same = np.flatnonzero(dense & (padded == size))
         for group in np.array_split(same, -(-len(same) * size**2 // STACK_ENTRIES)):
             group = group.tolist()

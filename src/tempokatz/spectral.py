@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .line_space import _NBT_DIAGONAL, Mode, _Entries, _non_backtracking, _ranges
-from .temporal_graph import EdgeArrays, _referees, _starts
+from .temporal_graph import EdgeArrays, _distinct, _referees, _starts
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXIT = 10_000
@@ -131,7 +131,7 @@ def _inside_components(P):
     labels = _components(P.rows, P.cols, P.dim)
     inside = labels[P.rows] == labels[P.cols]
     C = _Entries(P.rows[inside], P.cols[inside], P.values[inside], P.dim)
-    rows = np.unique(C.rows)
+    rows = _distinct(C.rows)
     return C.among(rows), np.unique(labels[rows], return_inverse=True)[1]
 
 
@@ -201,7 +201,7 @@ def _depth_first(rows, cols, labels):
         stack.append(v)
         work.append((v, iter(succ[first[v] : first[v + 1]])))
 
-    for root in np.unique(rows).tolist():
+    for root in _distinct(rows).tolist():
         if index[root] < 0:
             enter(root)
         while work:
@@ -273,7 +273,7 @@ def _stacks(net, hashimoto):
     its rows belongs to."""
     dims = np.diff(net.offsets) if hashimoto else np.full(net.N, net.n)
     group = np.cumsum(dims) // STACK_ROWS
-    for members in (np.flatnonzero(group == g) for g in np.unique(group)):
+    for members in (np.flatnonzero(group == g) for g in _distinct(group)):
         yield (np.repeat(members, dims[members]), *_stack(net, members, hashimoto))
 
 

@@ -70,6 +70,12 @@ def _starts(keys, size):
     return np.searchsorted(keys, np.arange(size + 1))
 
 
+def _distinct(x):
+    """np.unique(x) as sort and mask: numpy 2's plain np.unique imports numpy.ma."""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
 def _referees(module, names):
     """The ``__getattr__`` (PEP 562) of ``module`` that forwards ``names`` to
     the ``oracle`` functions of the same names, loaded on first use."""

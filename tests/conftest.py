@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,21 @@ FIG_NETWORK = "3 0 1\n0 1 1\n1 2 1\n2 1 2\n2 3 2\n3 0 3\n0 3 3\n"
 TRIANGLE = "0 1 1\n1 0 1\n1 2 1\n2 1 1\n0 2 1\n2 0 1\n"
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def python(code, *argv):
+    """``python -c code *argv`` in a fresh interpreter, with the checkout's
+    ``src`` first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
 
 
 @pytest.fixture

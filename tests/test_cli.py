@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tempokatz as tk
-from tempokatz import Mode, centrality, cli, line_space, spectral
+from tempokatz import Mode, centrality, line_space, spectral
 from tempokatz.cli import main
 
 from conftest import DUMP_KINDS, FIG_NETWORK, TRIANGLE, WORKED_EXAMPLE, katz_referee, referee_text
@@ -338,9 +338,11 @@ def test_check_alpha_nbt_mode(capsys, triangle_file):
 
 
 def test_check_alpha_unconverged_exits_3(capsys, fig_file, monkeypatch):
-    real = cli.alpha_bound
+    # check-alpha imports spectral's alpha_bound when it runs
+    real = spectral.alpha_bound
     monkeypatch.setattr(
-        cli, "alpha_bound", lambda net, mode: dataclasses.replace(real(net, mode), converged=False)
+        spectral, "alpha_bound",
+        lambda net, mode: dataclasses.replace(real(net, mode), converged=False),
     )
     code, out, err = run(capsys, "check-alpha", fig_file)
     assert (code, out, err) == (3, "", "error: spectral radius estimation did not converge\n")
@@ -398,8 +400,9 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, ex5_file, command):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr(cli, "temporal_f_total_communicability", exhausted)
-    monkeypatch.setattr(cli, "alpha_bound", exhausted)
+    # the commands read these from their modules when they run
+    monkeypatch.setattr(centrality, "temporal_f_total_communicability", exhausted)
+    monkeypatch.setattr(spectral, "alpha_bound", exhausted)
     code, out, err = run(capsys, command, ex5_file, *(["--alpha", "0.1"] if command == "rank" else []))
     assert (code, out, err) == (1, "", "error: out of memory: Unable to allocate 745. GiB\n")
 

@@ -11,10 +11,6 @@ Each check of the modules loaded runs in a fresh interpreter, since this
 test process has SciPy loaded already."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 import scipy.sparse.linalg
@@ -22,9 +18,7 @@ import scipy.sparse.linalg
 import tempokatz as tk
 from tempokatz.cli import main
 
-from conftest import reciprocated_tree
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import python, reciprocated_tree
 
 # a finder ahead of every other that refuses scipy and each of its submodules
 BLOCK_SCIPY = """
@@ -75,17 +69,6 @@ def edges(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1 1\n1 0 1\n0 1 1\n1 2 2\n")
     return str(path)
-
-
-def python(code, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
 
 
 def test_import_and_validate_without_scipy(edges):
