@@ -18,7 +18,7 @@ each source's edges, sorted by snapshot.
 Importing the package loads none of its modules: each name it exports,
 and each module's own name, loads that module on first use (PEP 562).
 ``tempokatz.cli`` imports a module only in the commands that run it:
-``validate`` and ``dump-matrix`` load ``temporal_graph`` and
+``validate`` loads ``temporal_graph`` alone, ``dump-matrix`` adds
 ``line_space``, ``check-alpha`` adds ``spectral``, and ``rank`` adds
 ``centrality`` and ``matfun``.  No command calls a plain ``np.unique``,
 which imports ``numpy.ma`` on numpy 2.

@@ -9,9 +9,9 @@ value, or an input too large for memory, 2 alpha negative or not finite
 3 numerical failure.  ``rank`` parses, makes one call of a centrality
 measure, which checks alpha and the bound itself, and formats its result.
 
-Each command imports the modules it runs, when it runs: ``validate`` and
-``dump-matrix`` only ``temporal_graph`` and ``line_space`` (``Mode``, and
-dump-matrix's coordinates), ``check-alpha`` adds ``spectral``, and
+Each command imports the modules it runs, when it runs: ``validate`` only
+``temporal_graph`` (which defines ``Mode``), ``dump-matrix`` adds
+``line_space`` for its coordinates, ``check-alpha`` adds ``spectral``, and
 ``rank`` adds ``centrality`` and ``matfun``; ``json`` loads only for
 ``--format json``.
 """
@@ -27,8 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .line_space import Mode, _non_backtracking, _successors, _transition
-from .temporal_graph import ParseError, ParseReport, ValidationError, parse_temporal_edgelist
+from .temporal_graph import Mode, ParseError, ParseReport, ValidationError, parse_temporal_edgelist
 
 EXIT_PARSE = 1
 EXIT_ALPHA = 2
@@ -173,20 +172,21 @@ def cmd_validate(args):
     return 0
 
 
-#: dump-matrix's coordinates (net, mode, e) -> ((rows, cols), shape), sorted
-#: by (row, column): the global matrices by name, and as <kind>:<tau> the
-#: per-snapshot ones, of the edge arrays e of snapshot tau
+#: dump-matrix's coordinates (line_space, net, mode, e) -> ((rows, cols),
+#: shape), sorted by (row, column): the global matrices by name, and as
+#: <kind>:<tau> the per-snapshot ones, of the edge arrays e of snapshot tau
 _MATRICES = {
-    "M": lambda net, mode, e: (_transition(net, mode), (net.m, net.m)),
-    "L": lambda net, mode, e: ((np.arange(net.m), net.arrays.src), (net.m, net.n)),
-    "R": lambda net, mode, e: ((np.arange(net.m), net.arrays.tgt), (net.m, net.n)),
-    "A:": lambda net, mode, e: (e[:2], (net.n, net.n)),
-    "W:": lambda net, mode, e: (_successors(e), (len(e.src),) * 2),
-    "B:": lambda net, mode, e: (_non_backtracking(e), (len(e.src),) * 2),
+    "M": lambda ls, net, mode, e: (ls._transition(net, mode), (net.m, net.m)),
+    "L": lambda ls, net, mode, e: ((np.arange(net.m), net.arrays.src), (net.m, net.n)),
+    "R": lambda ls, net, mode, e: ((np.arange(net.m), net.arrays.tgt), (net.m, net.n)),
+    "A:": lambda ls, net, mode, e: (e[:2], (net.n, net.n)),
+    "W:": lambda ls, net, mode, e: (ls._successors(e), (len(e.src),) * 2),
+    "B:": lambda ls, net, mode, e: (ls._non_backtracking(e), (len(e.src),) * 2),
 }
 
 
 def cmd_dump_matrix(args):
+    from . import line_space
     net, _ = _parse_input(args.input)
     kind, colon, index = args.which.partition(":")
     e = None
@@ -203,7 +203,7 @@ def cmd_dump_matrix(args):
             f"unknown matrix kind {kind!r}" if colon else
             f"unknown matrix {args.which!r} (M | L | R | A:<tau> | W:<tau> | B:<tau>)"
         )
-    (rows, cols), shape = build(net, Mode(args.mode), e)
+    (rows, cols), shape = build(line_space, net, Mode(args.mode), e)
     # coordinate text: `nrows ncols nnz`, then `row col 1` for each entry
     lines = [f"{shape[0]} {shape[1]} {len(rows)}"]
     lines += map("{} {} 1".format, rows.tolist(), cols.tolist())

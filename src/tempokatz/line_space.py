@@ -28,26 +28,11 @@ only work arrays for its next product.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .temporal_graph import _referees, _starts
-
-
-class Mode(enum.Enum):
-    """Which immediately-reversed edge pairs are forbidden.
-
-    STANDARD allows all length-2 transitions.  NBT_SPACE forbids reversals
-    within a snapshot, NBT_TIME forbids reversals across snapshots, NBT_BOTH
-    forbids both.
-    """
-
-    STANDARD = "standard"
-    NBT_SPACE = "nbt-space"
-    NBT_TIME = "nbt-time"
-    NBT_BOTH = "nbt-both"
+from .temporal_graph import Mode, _referees, _starts
 
 
 #: modes whose diagonal blocks forbid within-snapshot reversals

@@ -9,12 +9,12 @@ Every radius is ``_radius`` of a block's edge arrays, or of a sparse
 matrix's entries (``oracle.spectral_radius``): dense eigenvalues up to
 DENSE_DIRECT_MAX rows, above it a certified upper bound on the strongly
 connected components, so ell never exceeds the true supremum.  Both bounds
-stack every block into block-diagonal stacks, whatever its size, and peel
-them for at most DENSE_DIRECT_MAX rounds.  ``alpha_bound`` takes every
-radius of both families: a block the peel empties has no cycle, radius 0.0.
-``mode_bound`` needs only the largest of its mode's family: it brackets
-every block at once on the rows that the same peel keeps, and takes radii
-in descending order of upper bound.  All of it runs on numpy alone:
+stack the blocks, whatever their size, as edge arrays (forming no entry of
+B) and peel the stacks for at most DENSE_DIRECT_MAX rounds.  ``alpha_bound``
+takes every radius of both families: a block the peel empties has no cycle,
+radius 0.0.  ``mode_bound`` needs only the largest of its mode's family: it
+brackets every block at once on the rows that the same peel keeps, and takes
+radii in descending order of upper bound.  All of it runs on numpy alone:
 ``spectral_radius``, which takes a SciPy matrix, forwards to ``oracle``.
 """
 
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .line_space import _NBT_DIAGONAL, Mode, _Entries, _non_backtracking, _ranges
-from .temporal_graph import EdgeArrays, _distinct, _referees, _starts
+from .temporal_graph import _distinct, _referees, _starts
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXIT = 10_000
@@ -71,14 +71,14 @@ DENSE_FALLBACK_MAX = 4096
 COLOUR_PASSES = 64
 
 #: mode_bound stacks the blocks about STACK_ROWS rows at a time, for
-#: STACK_STEPS power steps, to bound memory: one stack of all 4M adjacency
-#: rows of a 1000-node, 4000-snapshot network raised peak RSS by 78 MB,
-#: where these groups added nothing to the 85 MB of parsing it.  The peel
-#: keeps the rows downstream of a cycle too, and at ten steps their brackets
-#: left 174 radii to take on the long-horizon Hashimoto blocks of perfbench
-#: seeds 1-8, against 49 at fifteen; twenty steps cost more than the radii
-#: they save.  MARGIN is well above the dense eigensolver's error on a
-#: defective radius (1.7e-6 seen, 5.8e-5 contrived)
+#: STACK_STEPS power steps, to bound memory: one stack of all 4M adjacency rows
+#: (nodes) of a 1000-node, 4000-snapshot network raised peak RSS by 270 MB,
+#: where these groups added nothing to the 60 MB of parsing it.  The peel keeps
+#: the rows downstream of a cycle too, and at ten steps their brackets left 174
+#: radii to take on the long-horizon Hashimoto blocks of perfbench seeds 1-8,
+#: against 49 at fifteen; twenty steps cost more than the radii they save.
+#: MARGIN is well above the dense eigensolver's error on a defective radius
+#: (1.7e-6 seen, 5.8e-5 contrived)
 STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 15, 1e-4
 
 
@@ -223,20 +223,20 @@ def _depth_first(rows, cols, labels):
                         index[w], labels[w] = dim, v  # above every index: lowers none
 
 
-def _peel(rows, cols, dim):
-    """Rows of the dim x dim graph (``rows`` sorted, ``cols``) that a cycle
-    reaches: Kahn's algorithm, which removes every row no edge enters, takes
-    their out-edges off the in-degrees and repeats.  It stops after at most
-    DENSE_DIRECT_MAX rounds, one per level: a block of at most that many
-    rows is peeled to the end, and a deeper graph returns a superset.  Both
-    bounds look only at the blocks and rows it keeps."""
-    first = _starts(rows, dim)
-    indegree = np.bincount(cols, minlength=dim)
+def _peel(stack):
+    """Mask of the rows of the :class:`_Stack` that a cycle reaches: Kahn's
+    algorithm removes every row no row leads to, takes its successors off the
+    in-degrees and repeats, for at most DENSE_DIRECT_MAX rounds, one per
+    level: a block of at most that many rows is peeled to the end, and a
+    deeper graph returns a superset.  Both bounds look only at what it keeps."""
+    indegree = np.bincount(stack.tgt, minlength=stack.nodes)
+    if stack.hashimoto:  # the edges into its source, less its reversal's
+        indegree = indegree[stack.src] - (stack.rev >= 0)
     free = np.flatnonzero(indegree == 0)
     for _ in range(DENSE_DIRECT_MAX):
         if not free.size:
             break
-        hit, count = np.unique(cols[_ranges(first[free], first[free + 1])[1]], return_counts=True)
+        hit, count = np.unique(stack.successors(free)[1], return_counts=True)
         indegree[hit] -= count
         free = hit[indegree[hit] == 0]
     return indegree > 0  # the rows never removed
@@ -244,7 +244,7 @@ def _peel(rows, cols, dim):
 
 def _bracket(C, labels, maxit):
     """(lo_k, hi_k, iterations): Collatz-Wielandt bounds lo_k <= rho_k <= hi_k
-    of the nonnegative :class:`_Entries` C on each set k
+    of the nonnegative C (:class:`_Entries` or :class:`_Stack`) on each set k
     of rows closed under C (``labels``), after at most ``maxit`` power steps
     on I + C that stop once the largest bracket closes to DEFAULT_TOL.  The
     bounds hold whether or not a set is strongly connected.  A row without
@@ -267,14 +267,13 @@ def _bracket(C, labels, maxit):
 
 
 def _stacks(net, hashimoto):
-    """(owner, rows, cols, dim) for consecutive groups of snapshots whose
-    blocks B^[tau] (``hashimoto``) or A^[tau] have about STACK_ROWS rows in
-    all: the :func:`_stack` of the group, with the 0-based snapshot each of
-    its rows belongs to."""
+    """(owner, stack): the :func:`_stack` of each run of snapshots whose blocks
+    B^[tau] (``hashimoto``) or A^[tau] have about STACK_ROWS rows in all, and
+    the 0-based snapshot of each of its rows."""
     dims = np.diff(net.offsets) if hashimoto else np.full(net.N, net.n)
     group = np.cumsum(dims) // STACK_ROWS
     for members in (np.flatnonzero(group == g) for g in _distinct(group)):
-        yield (np.repeat(members, dims[members]), *_stack(net, members, hashimoto))
+        yield np.repeat(members, dims[members]), _stack(net, members, hashimoto)
 
 
 def snapshot_radii(net, hashimoto):
@@ -282,7 +281,7 @@ def snapshot_radii(net, hashimoto):
     snapshot: each is ``oracle.spectral_radius`` of the block, bit for bit.  A
     block that the peel of its stack empties is nilpotent, radius 0.0; every
     other block gets its :func:`_block_radius`."""
-    cyclic = {t for owner, *stack in _stacks(net, hashimoto) for t in owner[_peel(*stack)]}
+    cyclic = {t for owner, stack in _stacks(net, hashimoto) for t in owner[_peel(stack)]}
     zero = RadiusEstimate(0.0, True, 0)
     return [_block_radius(net, t, hashimoto) if t in cyclic else zero for t in range(net.N)]
 
@@ -299,19 +298,55 @@ def _reciprocal(rho):
     return math.inf if rho == 0.0 else 1.0 / rho
 
 
+class _Stack:
+    """A block-diagonal stack of A^[tau] or, with ``hashimoto``, B^[tau], as
+    the edge arrays (sources sorted, ``rev`` the reversal or -1) of its
+    snapshots' disjoint union on ``nodes`` nodes.  A row is a node (A), whose
+    successors are its out-edges' targets, or an edge f (B), whose successors
+    are the edges leaving tgt_f less rev_f: B x = S[tgt] - x[rev], S by source."""
+
+    def __init__(self, src, tgt, rev, nodes, hashimoto):
+        self.src, self.tgt, self.rev, self.nodes, self.hashimoto = src, tgt, rev, nodes, hashimoto
+        self.first = _starts(src, nodes)
+
+    def successors(self, rows):
+        """(entry, succ): the successors of ``rows``, by place in ``rows``."""
+        head = self.tgt[rows] if self.hashimoto else rows
+        entry, edge = _ranges(self.first[head], self.first[head + 1])
+        if not self.hashimoto:
+            return entry, self.tgt[edge]
+        keep = edge != self.rev[rows][entry]
+        return entry[keep], edge[keep]
+
+    def __matmul__(self, x):
+        # where x[rev_f] is over half S[tgt_f], the entry is summed again from
+        # its terms, as matfun._paired_rhs does
+        c = np.where(self.rev >= 0, x[self.rev], 0.0)
+        y = np.bincount(self.src, x, self.nodes)[self.tgt] - c
+        redo = np.flatnonzero(c > y)
+        entry, succ = self.successors(redo)
+        y[redo] = np.bincount(entry, x[succ], len(redo))
+        return y
+
+    def among(self, keep):
+        """The matrix on the rows of the mask ``keep``: B's stack, A's entries."""
+        if not self.hashimoto:
+            A = _Entries(self.src, self.tgt, np.ones(len(self.src)), self.nodes)
+            return A.among(np.flatnonzero(keep))
+        place = np.cumsum(keep) - 1
+        rev = np.where((self.rev >= 0) & keep[self.rev], place[self.rev], -1)[keep]
+        return _Stack(self.src[keep], self.tgt[keep], rev, self.nodes, True)
+
+
 def _stack(net, taus, hashimoto):
-    """(rows, cols, dim) of the block-diagonal stack of B^[tau] (``hashimoto``)
-    or A^[tau] over the 0-based ``taus``, rows sorted, from the global edge
-    arrays of their edges, read as those of one disjoint union: the k-th
+    """The :class:`_Stack` of B^[tau] (``hashimoto``) or A^[tau] over the
+    0-based ``taus``, from the global edge arrays of their edges: the k-th
     snapshot's nodes shifted by k n, and each edge's reversal moved with it."""
     block, edge = _ranges(net.offsets[taus], net.offsets[taus + 1])
-    e = net.arrays
-    rows, cols, dim = e.src[edge] + block * net.n, e.tgt[edge] + block * net.n, len(taus) * net.n
-    if hashimoto:
-        start = np.arange(len(edge)) - edge + net.offsets[taus][block]  # its block's first row
-        rev = np.where(e.rev[edge] < 0, -1, e.rev[edge] + start)
-        (rows, cols), dim = _non_backtracking(EdgeArrays(rows, cols, rev)), len(edge)
-    return rows, cols, dim
+    e, shift = net.arrays, block * net.n
+    start = np.arange(len(edge)) - edge + net.offsets[taus][block]  # its block's first row
+    rev = np.where(e.rev[edge] < 0, -1, e.rev[edge] + start)
+    return _Stack(e.src[edge] + shift, e.tgt[edge] + shift, rev, len(taus) * net.n, hashimoto)
 
 
 def mode_bound(net, mode):
@@ -330,12 +365,11 @@ def mode_bound(net, mode):
     the rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
     upper = np.zeros(net.N)
-    for owner, rows, cols, dim in _stacks(net, hashimoto):
-        kept = np.flatnonzero(_peel(rows, cols, dim))
-        if len(kept):
-            C = _Entries(rows, cols, np.ones(len(rows)), dim).among(kept)
+    for owner, stack in _stacks(net, hashimoto):
+        kept = _peel(stack)
+        if kept.any():
             blocks, labels = np.unique(owner[kept], return_inverse=True)
-            upper[blocks] = _bracket(C, labels, STACK_STEPS)[1]
+            upper[blocks] = _bracket(stack.among(kept), labels, STACK_STEPS)[1]
     rho, converged = 0.0, True
     for t in np.argsort(-upper, kind="stable").tolist():
         if upper[t] == 0.0 or upper[t] < (1 - MARGIN) * rho:

@@ -16,6 +16,7 @@ Katz systems) is read from the arrays as numpy coordinates; the SciPy
 
 from __future__ import annotations
 
+import enum
 import importlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,6 +37,16 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Structurally invalid network data (self-loop, bad node id, ...)."""
+
+
+class Mode(enum.Enum):
+    """Which immediately-reversed edge pairs are forbidden: none (STANDARD),
+    those within a snapshot (NBT_SPACE), across snapshots (NBT_TIME), or both."""
+
+    STANDARD = "standard"
+    NBT_SPACE = "nbt-space"
+    NBT_TIME = "nbt-time"
+    NBT_BOTH = "nbt-both"
 
 
 class EdgeArrays(NamedTuple):

@@ -97,8 +97,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     coeffs.write_text("1\n1\n0.5\n")
     modes = ("standard", "nbt-space", "nbt-time", "nbt-both")
     validate = loaded([["validate", str(fig)]])
-    assert {"tempokatz.temporal_graph", "tempokatz.line_space"} <= validate
-    assert not validate & {"tempokatz.matfun", "tempokatz.spectral", "tempokatz.centrality"}
+    assert "tempokatz.temporal_graph" in validate
+    engine = {"tempokatz.line_space", "tempokatz.matfun", "tempokatz.spectral", "tempokatz.centrality"}
+    assert not validate & engine
     numpy = {k for k in validate if k.split(".")[0] == "numpy"}
     check = loaded(
         [["check-alpha", str(path), "--mode", mode] for path in (fig, wide) for mode in modes]

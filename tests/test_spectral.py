@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import tempokatz as tk
 from tempokatz import Mode, spectral
+from tempokatz.line_space import _Entries, _non_backtracking
 from tempokatz.spectral import RadiusEstimate
 
 from conftest import TRIANGLE, dense_radius, networks, random_network
@@ -439,6 +440,54 @@ def test_snapshot_radii_equal_each_block_radius(monkeypatch):
     assert sides == {False, True}
 
 
+@given(networks(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_stacked_hashimoto_product_property(net, seed):
+    # the product from the edge arrays, S[tgt_f] - x[rev_f], against the sums
+    # of each block's entries; x spans 300 orders of magnitude, so that a
+    # reversal often carries all but a few digits of S[tgt_f]
+    x = 10.0 ** np.random.default_rng(seed).uniform(-150, 150, net.m)
+    got = spectral._stack(net, np.arange(net.N), True) @ x
+    want = []
+    for snap, a, b in zip(net.snapshots, net.offsets[:-1], net.offsets[1:]):
+        rows, cols = _non_backtracking(snap.arrays)
+        want.append(_Entries(rows, cols, np.ones(len(rows)), snap.m) @ x[a:b])
+    np.testing.assert_allclose(got, np.concatenate(want), rtol=1e-14, atol=0)
+
+
+def test_stacked_hashimoto_product_sums_a_cancelled_entry_from_its_terms():
+    # edge 0 -> 1 continues along 1 -> 0, its reversal, of weight 1, and
+    # along 1 -> 2, of 1e-200: S[1] - x[1 -> 0] would give 0
+    net = network(3, [(0, 1), (1, 0), (1, 2)])
+    x = np.array([1.0, 1.0, 1e-200])
+    assert (spectral._stack(net, np.arange(1), True) @ x).tolist() == [1e-200, 0.0, 0.0]
+
+
+def test_bounds_form_hashimoto_entries_only_for_the_radii_taken(monkeypatch):
+    # the peel and the bracket read B from the edge arrays: its entries are
+    # built only by _block_radius, once for each block whose radius is taken
+    net = seeded_network(40, 30, seed=5, wide_every=10)
+    built, non_backtracking = [], spectral._non_backtracking
+    taken, block_radius = [], spectral._block_radius
+    monkeypatch.setattr(spectral, "_non_backtracking", lambda e: built.append(len(e.src)) or non_backtracking(e))
+
+    def recorded(net, t, hashimoto):
+        taken.append(net.snapshots[t].m if hashimoto else None)
+        return block_radius(net, t, hashimoto)
+
+    monkeypatch.setattr(spectral, "_block_radius", recorded)
+    for mode in Mode:
+        hashimoto = mode in (Mode.NBT_SPACE, Mode.NBT_BOTH)
+        for bound in (spectral.mode_bound, spectral.alpha_bound):
+            built.clear(), taken.clear()
+            bound(net, mode)
+            radii = [m for m in taken if m is not None]
+            assert built == radii, (bound.__name__, mode)
+            if bound is spectral.mode_bound:
+                # a few blocks of the mode's own family, if it is B's
+                assert 0 < len(radii) <= 3 if hashimoto else radii == [], mode
+
+
 def cyclic_by_components(net, hashimoto):
     """Referee of the peel: the 0-based snapshots whose block has an edge
     inside one of its strongly connected components."""
@@ -459,18 +508,18 @@ def test_peel_finds_the_blocks_with_a_cycle_property(net, stack_rows):
     with mock.patch.object(spectral, "STACK_ROWS", stack_rows):
         for hashimoto in (False, True):
             stacks = spectral._stacks(net, hashimoto)
-            got = {int(t) for owner, *stack in stacks for t in owner[spectral._peel(*stack)]}
+            got = {int(t) for owner, stack in stacks for t in owner[spectral._peel(stack)]}
             assert got == cyclic_by_components(net, hashimoto)
 
 
 def counted_peel(net, hashimoto, monkeypatch):
     """(kept, rounds): the rows that the peel keeps of the one-snapshot
     ``net``, and the rounds it takes, one range of out-edges each."""
-    rows, cols, dim = spectral._stack(net, np.arange(1), hashimoto)
+    stack = spectral._stack(net, np.arange(1), hashimoto)
     rounds, ranges = [], spectral._ranges
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_ranges", lambda *a: rounds.append(1) or ranges(*a))
-        kept = spectral._peel(rows, cols, dim)
+        kept = spectral._peel(stack)
     return kept, len(rounds)
 
 
