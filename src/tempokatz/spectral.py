@@ -72,13 +72,12 @@ COLOUR_PASSES = 64
 
 #: mode_bound stacks the blocks about STACK_ROWS rows at a time, for
 #: STACK_STEPS power steps, to bound memory: one stack of all 4M adjacency rows
-#: (nodes) of a 1000-node, 4000-snapshot network raised peak RSS by 270 MB,
-#: where these groups added nothing to the 60 MB of parsing it.  The peel keeps
-#: the rows downstream of a cycle too, and at ten steps their brackets left 174
-#: radii to take on the long-horizon Hashimoto blocks of perfbench seeds 1-8,
-#: against 49 at fifteen; twenty steps cost more than the radii they save.
-#: MARGIN is well above the dense eigensolver's error on a defective radius
-#: (1.7e-6 seen, 5.8e-5 contrived)
+#: of a 1000-node, 4000-snapshot network raised peak RSS by 270 MB, where these
+#: groups added nothing to the 60 MB of parsing it.  The peel keeps the rows
+#: downstream of a cycle too, and at ten steps their brackets left 174 radii to
+#: take on the long-horizon Hashimoto blocks of perfbench seeds 1-8, against 49
+#: at fifteen; twenty steps cost more than the radii they save.  MARGIN is well
+#: above the dense eigensolver's error on a defective radius (1.7e-6 seen, 5.8e-5 contrived)
 STACK_ROWS, STACK_STEPS, MARGIN = 1 << 14, 15, 1e-4
 
 
@@ -277,10 +276,9 @@ def _stacks(net, hashimoto):
 
 
 def snapshot_radii(net, hashimoto):
-    """Radius estimates of B^[tau] (``hashimoto``) or of A^[tau] for every
-    snapshot: each is ``oracle.spectral_radius`` of the block, bit for bit.  A
-    block that the peel of its stack empties is nilpotent, radius 0.0; every
-    other block gets its :func:`_block_radius`."""
+    """Radius estimates of B^[tau] (``hashimoto``) or A^[tau] for every snapshot,
+    each ``oracle.spectral_radius`` of the block, bit for bit: 0.0 for a block
+    the peel of its stack empties (nilpotent), else its :func:`_block_radius`."""
     cyclic = {t for owner, stack in _stacks(net, hashimoto) for t in owner[_peel(stack)]}
     zero = RadiusEstimate(0.0, True, 0)
     return [_block_radius(net, t, hashimoto) if t in cyclic else zero for t in range(net.N)]
@@ -300,7 +298,7 @@ def _reciprocal(rho):
 
 class _Stack:
     """A block-diagonal stack of A^[tau] or, with ``hashimoto``, B^[tau], as
-    the edge arrays (sources sorted, ``rev`` the reversal or -1) of its
+    the edge arrays (sources sorted; for B, ``rev`` the reversal or -1) of its
     snapshots' disjoint union on ``nodes`` nodes.  A row is a node (A), whose
     successors are its out-edges' targets, or an edge f (B), whose successors
     are the edges leaving tgt_f less rev_f: B x = S[tgt] - x[rev], S by source."""
@@ -319,8 +317,7 @@ class _Stack:
         return entry[keep], edge[keep]
 
     def __matmul__(self, x):
-        # where x[rev_f] is over half S[tgt_f], the entry is summed again from
-        # its terms, as matfun._paired_rhs does
+        # an entry whose x[rev_f] is over half S[tgt_f] is re-summed from its terms
         c = np.where(self.rev >= 0, x[self.rev], 0.0)
         y = np.bincount(self.src, x, self.nodes)[self.tgt] - c
         redo = np.flatnonzero(c > y)
@@ -340,29 +337,33 @@ class _Stack:
 
 def _stack(net, taus, hashimoto):
     """The :class:`_Stack` of B^[tau] (``hashimoto``) or A^[tau] over the
-    0-based ``taus``, from the global edge arrays of their edges: the k-th
-    snapshot's nodes shifted by k n, and each edge's reversal moved with it."""
+    0-based ``taus``, from the global edge arrays: the k-th snapshot's nodes
+    shifted by k n.  B's moves each reversal with its edge and numbers only
+    its sources, then one node for every other target: O(edges) nodes."""
     block, edge = _ranges(net.offsets[taus], net.offsets[taus + 1])
-    e, shift = net.arrays, block * net.n
+    src, tgt = (a[edge] + block * net.n for a in net.arrays[:2])
+    if not hashimoto:
+        return _Stack(src, tgt, None, len(taus) * net.n, False)
     start = np.arange(len(edge)) - edge + net.offsets[taus][block]  # its block's first row
-    rev = np.where(e.rev[edge] < 0, -1, e.rev[edge] + start)
-    return _Stack(e.src[edge] + shift, e.tgt[edge] + shift, rev, len(taus) * net.n, hashimoto)
+    rev = np.where(net.arrays.rev[edge] < 0, -1, net.arrays.rev[edge] + start)
+    heads = np.append(_distinct(src), len(taus) * net.n)  # above every node
+    at = np.searchsorted(heads, tgt)
+    at[heads[at] != tgt] = len(heads) - 1
+    return _Stack(np.searchsorted(heads, src), at, rev, len(heads), True)
 
 
 def mode_bound(net, mode):
     """(ell, converged) for ``mode`` from the one family of radii it uses:
-    ell = 1 / max_tau rho(B^[tau]) for NBT-in-space / NBT-both and
-    1 / max_tau rho(A^[tau]) for standard / NBT-in-time.
+    1 / max_tau rho(B^[tau]) for NBT-in-space / NBT-both, else of A^[tau].
 
     The maximum is that of :func:`snapshot_radii`, bit for bit, from the radii
-    of only the blocks that may hold it.  STACK_STEPS stacked power steps on
-    numpy alone bracket each block by Collatz-Wielandt bounds on the rows
-    that :func:`_peel` keeps of its stack, which a cycle reaches; the upper
-    bound holds for any positive x, so on any superset of the rows on a
-    cycle.  The blocks then get their :func:`_block_radius` in descending
-    order of upper bound, up to the first bound of zero (an acyclic block)
-    or below (1 - MARGIN) times the largest radius so far; that block and
-    the rest are proven smaller."""
+    of only the blocks that may hold it.  STACK_STEPS stacked power steps
+    bracket each block by Collatz-Wielandt bounds on the rows that
+    :func:`_peel` keeps of its stack, a superset of those on a cycle, where
+    the upper bound holds for any positive x.  The blocks then get their
+    :func:`_block_radius` in descending order of upper bound, up to the first
+    bound of zero (acyclic) or below (1 - MARGIN) times the largest radius so
+    far; that block and the rest are proven smaller."""
     hashimoto = mode in _NBT_DIAGONAL
     upper = np.zeros(net.N)
     for owner, stack in _stacks(net, hashimoto):

@@ -40,8 +40,7 @@ class ValidationError(ValueError):
 
 
 class Mode(enum.Enum):
-    """Which immediately-reversed edge pairs are forbidden: none (STANDARD),
-    those within a snapshot (NBT_SPACE), across snapshots (NBT_TIME), or both."""
+    """Which immediate reversals are forbidden: none, in space, in time, or both."""
 
     STANDARD = "standard"
     NBT_SPACE = "nbt-space"

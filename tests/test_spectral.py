@@ -463,6 +463,32 @@ def test_stacked_hashimoto_product_sums_a_cancelled_entry_from_its_terms():
     assert (spectral._stack(net, np.arange(1), True) @ x).tolist() == [1e-200, 0.0, 0.0]
 
 
+def test_sparse_hashimoto_stacks_span_their_edges_not_their_snapshots_nodes(monkeypatch):
+    # 300 snapshots of at most 8 edges among 500 nodes: a stack of ~60 rows
+    # spans ~8 snapshots, 4000 nodes if each kept its own copy of them
+    rng = np.random.default_rng(11)
+    snapshots = []
+    for _ in range(300):
+        u, v, w = (int(x) for x in rng.choice(500, 3, replace=False))
+        snapshots.append({(u, v), (v, u), (v, w)} | ({(w, u)} if rng.random() < 0.5 else set()))
+        snapshots[-1] |= {(int(a), int(b)) for a, b in rng.integers(0, 500, (4, 2)) if a != b}
+    net = network(500, *snapshots)
+    monkeypatch.setattr(spectral, "STACK_ROWS", 60)
+    stacks = list(spectral._stacks(net, True))
+    assert len(stacks) > 30
+    for owner, stack in stacks:
+        assert stack.nodes <= len(stack.src) + 1 and len(stack.first) == stack.nodes + 1
+        x = 10.0 ** rng.uniform(-150, 150, len(owner))
+        want = []
+        for t in np.unique(owner).tolist():
+            rows, cols = _non_backtracking(net.snapshots[t].arrays)
+            want.append(_Entries(rows, cols, np.ones(len(rows)), net.snapshots[t].m) @ x[owner == t])
+        np.testing.assert_allclose(stack @ x, np.concatenate(want), rtol=1e-14, atol=0)
+    got = {int(t) for owner, stack in stacks for t in owner[spectral._peel(stack)]}
+    assert got == cyclic_by_components(net, True)
+    assert spectral.mode_bound(net, Mode.NBT_SPACE) == every_radius_bound(net, Mode.NBT_SPACE)
+
+
 def test_bounds_form_hashimoto_entries_only_for_the_radii_taken(monkeypatch):
     # the peel and the bracket read B from the edge arrays: its entries are
     # built only by _block_radius, once for each block whose radius is taken
