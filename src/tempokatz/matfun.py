@@ -196,6 +196,8 @@ def apply_series(M, alpha, g, v):
     rstop = DEFAULT_RMAX if g.degree is None else min(DEFAULT_RMAX, g.degree)
     terms = 1
     truncated = g.degree is None or rstop < g.degree
+    # the summed term norms bound each column's max-norm, taken only where the bound lets it stop
+    bound = np.max(np.abs(acc), axis=0, initial=0.0)
     # an overflow surfaces as a non-finite sum, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, rstop + 1):
@@ -209,15 +211,18 @@ def apply_series(M, alpha, g, v):
             if c != 0.0 and g.degree is None:
                 # a column of zero powers stops here too
                 term_norm = np.max(np.abs(term, out=work), axis=0, initial=0.0)
-                acc_norm = np.max(np.abs(acc, out=work), axis=0, initial=0.0)
-                summing = ~(term_norm <= DEFAULT_TOL * np.maximum(acc_norm, 1e-300))
+                bound += term_norm
+                summing = ~(term_norm <= DEFAULT_TOL * np.maximum(bound, 1e-300))
+                near = np.flatnonzero(~summing)
+                acc_norm = np.max(np.abs(acc[:, near]), axis=0, initial=0.0)
+                summing[near] = ~(term_norm[near] <= DEFAULT_TOL * np.maximum(acc_norm, 1e-300))
             else:
                 summing = power.any(axis=0)
             if not summing.all():
                 if acc is not result:
                     result[:, active] = acc
                 active, power, acc = active[summing], power[:, summing], acc[:, summing]
-                work = np.empty_like(acc)
+                bound, work = bound[summing], np.empty_like(acc)
             if not len(active):
                 truncated = False
                 break

@@ -8,7 +8,8 @@ cubic matrix polynomial in the adjacency matrix (checked in the test suite).
 Every radius is ``_radius`` of a block's edge arrays, or of a sparse
 matrix's entries (``oracle.spectral_radius``): dense eigenvalues up to
 DENSE_DIRECT_MAX rows, above it a certified upper bound on the strongly
-connected components, so ell never exceeds the true supremum.  Both bounds
+connected components (a block that is one is bracketed whole, with no
+labelling), so ell never exceeds the true supremum.  Both bounds
 stack the blocks, whatever their size, as edge arrays (forming no entry of
 B) and peel the stacks for at most DENSE_DIRECT_MAX rounds.  ``alpha_bound``
 takes every radius of both families: a block the peel empties has no cycle,
@@ -64,10 +65,11 @@ DENSE_DIRECT_MAX = 200
 #: strongly connected components above this dimension get no dense fallback
 DENSE_FALLBACK_MAX = 4096
 
-#: the colouring of _components stops after this many passes over the
-#: entries.  One pass over the 12,011 entries of a 700-row Hashimoto block
-#: takes about 25 us and the depth-first search 2.9 ms (2-vCPU Xeon), so
-#: the passes given up on cost at most about half the search that follows
+#: the colouring of _components, and _strongly_connected, stop after this
+#: many passes over the entries.  One colouring pass over the 12,011 entries
+#: of a 700-row Hashimoto block takes about 25 us and the depth-first search
+#: 2.9 ms (2-vCPU Xeon), so the colouring passes given up on cost at most
+#: about half the search that follows
 COLOUR_PASSES = 64
 
 #: mode_bound stacks the blocks about STACK_ROWS rows at a time, for
@@ -126,12 +128,35 @@ def _dense_radius(dense):
 def _inside_components(P):
     """(C, labels): the :class:`_Entries` of P inside its strongly connected
     components, on the rows they lie in (no other row is on a cycle), and the
-    component of each such row, numbered from 0."""
+    component of each such row, numbered from 0.  A P that is one component
+    of all its rows is returned as it is, with no labelling."""
+    if _strongly_connected(P.rows, P.cols, P.dim):
+        return P, np.zeros(P.dim, dtype=np.intp)
     labels = _components(P.rows, P.cols, P.dim)
     inside = labels[P.rows] == labels[P.cols]
     C = _Entries(P.rows[inside], P.cols[inside], P.values[inside], P.dim)
     rows = _distinct(C.rows)
     return C.among(rows), np.unique(labels[rows], return_inverse=True)[1]
+
+
+def _strongly_connected(rows, cols, dim):
+    """Whether the dim x dim graph (``rows`` sorted, ``cols``) is one strongly
+    connected component of all its rows, each with an entry: the rows that
+    row 0 reaches and those reaching it grow a step a pass, with no sort,
+    until both are every row, one stops short of it, or COLOUR_PASSES end."""
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # heads[i] starts row i
+    if len(heads) < dim:  # a row without entries, as where there are fewer entries than rows
+        return False
+    fwd = np.arange(dim) == 0
+    bwd, counts = fwd.copy(), (1, 1)
+    for _ in range(COLOUR_PASSES):
+        fwd[cols[fwd[rows]]] = True
+        bwd |= np.logical_or.reduceat(bwd[cols], heads)
+        grown = np.count_nonzero(fwd), np.count_nonzero(bwd)
+        if grown == (dim, dim) or any(g == c < dim for g, c in zip(grown, counts)):
+            return grown == (dim, dim)
+        counts = grown
+    return False
 
 
 def _components(rows, cols, dim):
@@ -244,24 +269,31 @@ def _peel(stack):
 def _bracket(C, labels, maxit):
     """(lo_k, hi_k, iterations): Collatz-Wielandt bounds lo_k <= rho_k <= hi_k
     of the nonnegative C (:class:`_Entries` or :class:`_Stack`) on each set k
-    of rows closed under C (``labels``), after at most ``maxit`` power steps
-    on I + C that stop once the largest bracket closes to DEFAULT_TOL.  The
-    bounds hold whether or not a set is strongly connected.  A row without
-    entries shrinks by at most the factor 1 + (largest row sum of C) a step:
-    over a few steps x stays clear of underflow on any rows, and over many
-    where every row has an entry."""
-    order = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+    of rows closed under C (``labels``, all zero for one set, which takes no
+    sort and no gather), after at most ``maxit`` power steps on I + C that
+    stop once the largest bracket closes to DEFAULT_TOL.  The bounds hold
+    whether or not a set is strongly connected.  A row without entries
+    shrinks by at most the factor 1 + (largest row sum of C) a step: over a
+    few steps x stays clear of underflow on any rows, and over many where
+    every row has an entry."""
+    one = not labels.any()
+    order = None if one else np.argsort(labels, kind="stable")
+    starts = None if one else np.searchsorted(labels[order], np.arange(labels.max() + 1))
+
+    def per_set(ufunc, v):
+        return ufunc.reduce(v, keepdims=True) if one else ufunc.reduceat(v[order], starts)
+
     x = np.ones(len(labels))
     for it in range(1, maxit + 1):
         y = C @ x
-        ratio = (y / x)[order]
-        lo_k, hi_k = np.minimum.reduceat(ratio, starts), np.maximum.reduceat(ratio, starts)
+        ratio = y / x
+        lo_k, hi_k = per_set(np.minimum, ratio), per_set(np.maximum, ratio)
         hi = hi_k.max()
         if hi - lo_k.max() <= DEFAULT_TOL * hi:
             break
         x += y
-        x /= np.maximum.reduceat(x[order], starts)[labels]  # per set, no underflow
+        top = per_set(np.maximum, x)
+        x /= top if one else top[labels]  # per set, no underflow
     return lo_k, hi_k, it
 
 
@@ -303,9 +335,9 @@ class _Stack:
     successors are its out-edges' targets, or an edge f (B), whose successors
     are the edges leaving tgt_f less rev_f: B x = S[tgt] - x[rev], S by source."""
 
-    def __init__(self, src, tgt, rev, nodes, hashimoto):
+    def __init__(self, src, tgt, rev, nodes, hashimoto, first=None):
         self.src, self.tgt, self.rev, self.nodes, self.hashimoto = src, tgt, rev, nodes, hashimoto
-        self.first = _starts(src, nodes)
+        self.first = _starts(src, nodes) if first is None else first
 
     def successors(self, rows):
         """(entry, succ): the successors of ``rows``, by place in ``rows``."""
@@ -346,10 +378,12 @@ def _stack(net, taus, hashimoto):
         return _Stack(src, tgt, None, len(taus) * net.n, False)
     start = np.arange(len(edge)) - edge + net.offsets[taus][block]  # its block's first row
     rev = np.where(net.arrays.rev[edge] < 0, -1, net.arrays.rev[edge] + start)
-    heads = np.append(_distinct(src), len(taus) * net.n)  # above every node
+    change = np.diff(src, prepend=-1) != 0  # the sources are sorted
+    heads = np.append(src[change], len(taus) * net.n)  # above every node
     at = np.searchsorted(heads, tgt)
     at[heads[at] != tgt] = len(heads) - 1
-    return _Stack(np.searchsorted(heads, src), at, rev, len(heads), True)
+    first = np.append(np.flatnonzero(change), [len(src)] * 2)
+    return _Stack(np.cumsum(change) - 1, at, rev, len(heads), True, first)
 
 
 def mode_bound(net, mode):

@@ -188,6 +188,94 @@ def test_apply_series_multiplies_only_the_columns_still_summing(fig1, f):
         assert columns[5] == 1  # the zero column stops after one product
 
 
+def series_by_exact_norms(M, alpha, g, v):
+    """:func:`matfun.apply_series` as it was before the running bound on each
+    column's max-norm: every term of an infinite series takes the exact one."""
+    power = matfun._block(v, M.shape)
+    result = acc = g(0) * power
+    work = np.empty_like(acc)
+    active = np.arange(power.shape[1])
+    rstop = matfun.DEFAULT_RMAX if g.degree is None else min(matfun.DEFAULT_RMAX, g.degree)
+    terms = 1
+    truncated = g.degree is None or rstop < g.degree
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, rstop + 1):
+            power = M @ power
+            power *= alpha
+            terms += 1
+            c = g(r)
+            if c != 0.0:
+                term = np.multiply(power, c, out=work)
+                acc += term
+            if c != 0.0 and g.degree is None:
+                term_norm = np.max(np.abs(term, out=work), axis=0, initial=0.0)
+                acc_norm = np.max(np.abs(acc, out=work), axis=0, initial=0.0)
+                summing = ~(term_norm <= matfun.DEFAULT_TOL * np.maximum(acc_norm, 1e-300))
+            else:
+                summing = power.any(axis=0)
+            if not summing.all():
+                if acc is not result:
+                    result[:, active] = acc
+                active, power, acc = active[summing], power[:, summing], acc[:, summing]
+                work = np.empty_like(acc)
+            if not len(active):
+                truncated = False
+                break
+    if acc is not result:
+        result[:, active] = acc
+    if not np.isfinite(result).all():
+        raise SolveError(f"series sum is not finite after {terms} terms (alpha too large?)")
+    return matfun.SeriesResult(result.reshape(np.shape(v)), truncated, terms)
+
+
+def series_outcome(apply, M, alpha, g, V):
+    """(value bytes, truncated, terms) of the series, or its SolveError's text."""
+    try:
+        result = apply(M, alpha, g, V)
+    except SolveError as exc:
+        return str(exc)
+    return result.value.tobytes(), result.truncated, result.terms
+
+
+SERIES = {
+    "exponential": tk.exponential(),
+    "psi1": tk.partial_op(tk.exponential()),
+    "katz": tk.resolvent(),
+    "polynomial": tk.polynomial([1.0, 0.5, 1e-16, 0.25]),
+}
+
+
+@given(networks(), st.sampled_from(list(Mode)), st.sampled_from(sorted(SERIES)),
+       st.sampled_from([0.1, 0.5, 0.9, 3.0, 1e3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_apply_series_stops_where_the_exact_norms_stop_property(net, mode, name, alpha, seed):
+    # random, unit, zero and scaled columns stop after different numbers of
+    # terms, or overflow; the running bound changes no stop, term or bit
+    assume(net.m > 0)
+    g = SERIES[name]
+    if name == "katz":
+        alpha *= min(spectral.mode_bound(net, mode)[0], 1.0) / 4  # admissible
+    op = line_space.TransitionOperator(net, mode)
+    rng = np.random.default_rng(seed)
+    V = np.zeros((net.m, 6))
+    V[:, 0] = rng.random(net.m)
+    V[:, 1] = rng.random(net.m) * 1e-200
+    V[:, 2] = rng.random(net.m) * 1e200
+    V[rng.integers(0, net.m, 2), [3, 4]] = 1.0
+    want = series_outcome(series_by_exact_norms, op, alpha, g, V)
+    assert series_outcome(tk.apply_series, op, alpha, g, V) == want
+    assert series_outcome(tk.apply_series, op, alpha, g, V[:, 0]) == series_outcome(
+        series_by_exact_norms, op, alpha, g, V[:, 0])
+
+
+def test_apply_series_overflow_raises_as_the_exact_norms_do(triangle):
+    M = tk.global_transition(triangle, Mode.STANDARD)
+    g = tk.partial_op(tk.exponential())
+    want = series_outcome(series_by_exact_norms, M, 1e3, g, np.ones(M.shape[0]))
+    assert want.startswith("series sum is not finite after")
+    assert series_outcome(tk.apply_series, M, 1e3, g, np.ones(M.shape[0])) == want
+
+
 def test_resolvent_solve_block_matches_columns(fig1):
     rng = np.random.default_rng(32)
     V = rng.random((fig1.m, 3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -631,6 +631,10 @@ def falling_path(n):
     return [(i + 1, i) for i in range(n - 1)]
 
 
+def long_cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
 def entries(edges):
     """(rows, cols) of the edge list, in row order."""
     e = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
@@ -640,16 +644,24 @@ def entries(edges):
 @st.composite
 def digraphs(draw):
     """(rows, cols, dim): random entries, self-loops and rows without entries
-    among them, or a falling chain of pairs or a falling path, its rows
+    among them, or a falling chain of pairs, a falling path, or a cycle
+    through all rows but at most two, each of which it reaches (the row
+    with a self-loop) or is reached from, with random chords, its rows
     renumbered or not, in a graph with rows to spare."""
     dim = draw(st.integers(2, 60))
-    kind = draw(st.sampled_from(["random", "chain", "path"]))
+    node = st.integers(0, dim - 1)
+    kind = draw(st.sampled_from(["random", "chain", "path", "cycle"]))
     if kind == "random":
-        node = st.integers(0, dim - 1)
         edges = draw(st.lists(st.tuples(node, node), max_size=3 * dim))
     else:
-        size = draw(st.integers(1, dim // 2 if kind == "chain" else dim))
-        edges = falling_chain(size) if kind == "chain" else falling_path(size)
+        if kind == "cycle":
+            size = dim - draw(st.integers(0, 2))
+            edges = long_cycle(size) + draw(st.lists(st.tuples(node, node), max_size=dim))
+            for v in range(size, dim):
+                edges += [(0, v), (v, v)] if draw(st.booleans()) else [(v, 0)]
+        else:
+            size = draw(st.integers(1, dim // 2 if kind == "chain" else dim))
+            edges = falling_chain(size) if kind == "chain" else falling_path(size)
         perm = draw(st.permutations(range(dim)) | st.just(list(range(dim))))
         edges = [(perm[u], perm[v]) for u, v in edges]
     return (*entries(edges), dim)
@@ -715,6 +727,115 @@ def test_components_passes_are_bounded(monkeypatch):
     assert (passes, searched) == (4, [])
 
 
+def closure_passes(rows, cols, dim):
+    """The passes that the rows row 0 reaches, and those reaching it, take to
+    cover every row of a strongly connected graph: row 0's farthest distance
+    either way, at least 1."""
+    graph = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    return max(1, *(shortest_path(g, unweighted=True, indices=0).max() for g in (graph, graph.T)))
+
+
+@given(digraphs(), st.sampled_from([0, 1, 3, spectral.COLOUR_PASSES]))
+@settings(max_examples=300, deadline=None)
+def test_strongly_connected_property(graph, passes):
+    # one component of all the rows, each with an entry, as _components finds
+    # it, once the passes reach; never a strongly connected answer otherwise
+    rows, cols, dim = graph
+    labels = spectral._components(rows, cols, dim)
+    one = len(set(labels.tolist())) == 1 and len(set(rows.tolist())) == dim
+    with mock.patch.object(spectral, "COLOUR_PASSES", passes):
+        found = spectral._strongly_connected(rows, cols, dim)
+    assert found == (one and passes >= closure_passes(rows, cols, dim))
+
+
+class CountedGathers(np.ndarray):
+    """An index array that counts the gathers made from it."""
+
+    def __getitem__(self, key):
+        self.gathers += 1
+        return np.asarray(self)[key]
+
+
+def checked_passes(rows, cols, dim):
+    """(answer, passes): :func:`spectral._strongly_connected` of the graph and
+    the passes it makes, each of which gathers from ``cols`` once."""
+    counted = cols.view(CountedGathers)
+    counted.gathers = 0
+    return spectral._strongly_connected(rows, counted, dim), counted.gathers
+
+
+def test_strongly_connected_gives_up_early():
+    # fewer entries than rows, or a row without an entry: no pass at all
+    for edges in (long_cycle(5), long_cycle(5) + [(0, 2)]):
+        assert checked_passes(*entries(edges), 6) == (False, 0)
+    assert checked_passes(*entries(long_cycle(6) + [(0, 2)]), 6) == (True, 5)
+    # a 1000-row directed cycle: the closures grow one row a pass, so the
+    # check gives up after COLOUR_PASSES and the rows are labelled instead
+    rows, cols = entries(long_cycle(1000))
+    assert checked_passes(rows, cols, 1000) == (False, spectral.COLOUR_PASSES)
+    assert spectral._radius(rows, cols, 1000) == RadiusEstimate(1.0, True, 1)
+
+
+def bracket_by_reduceat(C, labels, maxit):
+    """:func:`spectral._bracket` without its one-set path: every set, one or
+    many, through a sort and reduceat, as before that path."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+    x = np.ones(len(labels))
+    for it in range(1, maxit + 1):
+        y = C @ x
+        ratio = (y / x)[order]
+        lo_k, hi_k = np.minimum.reduceat(ratio, starts), np.maximum.reduceat(ratio, starts)
+        hi = hi_k.max()
+        if hi - lo_k.max() <= spectral.DEFAULT_TOL * hi:
+            break
+        x += y
+        x /= np.maximum.reduceat(x[order], starts)[labels]
+    return lo_k, hi_k, it
+
+
+def labelled(call, *args):
+    """``call(*args)`` with every block's rows labelled by _components and
+    bracketed by :func:`bracket_by_reduceat`."""
+    with mock.patch.object(spectral, "_strongly_connected", return_value=False), \
+            mock.patch.object(spectral, "_bracket", bracket_by_reduceat):
+        return call(*args)
+
+
+def strongly_connected_block(rng, dim, weighted):
+    """(rows, cols, dim, data): a cycle through a random order of the rows,
+    plus dim to 4 dim random chords, with weights in [0.1, 3) or None."""
+    order = rng.permutation(dim)
+    chords = rng.integers(0, dim, (2, rng.integers(dim, 4 * dim)))
+    rows, cols = np.append(order, chords[0]), np.append(np.roll(order, -1), chords[1])
+    sort = np.argsort(rows, kind="stable")
+    data = rng.uniform(0.1, 3.0, len(rows))[sort] if weighted else None
+    return rows[sort], cols[sort], dim, data
+
+
+@given(st.integers(spectral.DENSE_DIRECT_MAX + 1, 500), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_radius_of_one_component_equals_the_labelled_route_property(dim, weighted, seed):
+    block = strongly_connected_block(np.random.default_rng(seed), dim, weighted)
+    assert spectral._strongly_connected(*block[:3])
+    assert spectral._radius(*block) == labelled(spectral._radius, *block)
+
+
+def test_radius_of_a_periodic_component_equals_the_labelled_route(monkeypatch):
+    # K_{1,600} is bipartite; with the bracket left open after 3 steps its
+    # one component gets dense eigenvalues, or above 600 rows a non-converged hi
+    rows, cols = entries(both_ways((0, k) for k in range(1, 601)))
+    assert spectral._strongly_connected(rows, cols, 601)
+    for maxit, fallback in ((spectral.DEFAULT_MAXIT, 4096), (3, 4096), (3, 600)):
+        monkeypatch.setattr(spectral, "DEFAULT_MAXIT", maxit)
+        monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX", fallback)
+        est = spectral._radius(rows, cols, 601)
+        assert est == labelled(spectral._radius, rows, cols, 601)
+        assert est.converged == (fallback > 600)
+        assert est.value >= math.sqrt(600)
+        assert est.value == pytest.approx(math.sqrt(600), rel=1e-9) or not est.converged
+
+
 def test_radius_counts_a_weighted_self_loop():
     # a 250-cycle, and a self-loop of weight 2.5 on a row of its own
     cycle = directed_cycle(250).tocoo()
@@ -745,3 +866,35 @@ def test_mode_bound_on_the_benchmark_networks(seed, monkeypatch):
             calls.clear()
             assert spectral.mode_bound(net, mode) == bounds[mode], mode
             assert len(set(calls)) == len(calls), mode  # no block twice
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_alpha_bound_labels_only_the_split_dense_snapshots_blocks(seed, monkeypatch):
+    # of the 24 Hashimoto blocks, of 300 or 700 rows, all but one (seed 7,
+    # snapshot 21: 299 rows and one outside them) are one strongly connected
+    # component: only that block is labelled, and every radius, its
+    # iterations included, is the labelled route's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    text = workloads.networks(workloads.WORKLOADS["dense-snapshots"], seed)["node"].to_edgelist()
+    net = tk.parse_temporal_edgelist(text)
+    split = []
+    for t, snapshot in enumerate(net.snapshots):
+        rows, cols = _non_backtracking(snapshot.arrays)
+        if len(set(scipy_components(rows, cols, len(snapshot.arrays.src)).tolist())) > 1:
+            split.append(t)
+    assert split == ([20] if seed == 7 else [])
+    want = [labelled(spectral.snapshot_radii, net, h) for h in (False, True)]
+    calls, components = [], spectral._components
+
+    def recorded(rows, cols, dim):
+        calls.append(dim)
+        return components(rows, cols, dim)
+
+    with mock.patch.object(spectral, "_components", recorded):
+        bound = tk.alpha_bound(net, Mode.NBT_BOTH)
+        assert len(calls) == len(split)
+        assert [spectral.snapshot_radii(net, h) for h in (False, True)] == want
+    radii = zip(*want)
+    assert bound.per_snapshot == tuple((a.value, spectral._reciprocal(b.value)) for a, b in radii)
